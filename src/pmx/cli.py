@@ -118,6 +118,9 @@ class PmxDocument:
             )
         except (TypeError, ValueError) as exc:
             raise PmxFormatError(f"bad matrix entry: {exc}") from exc
+        if not np.all(np.isfinite(flat)):
+            bad = int(np.flatnonzero(~np.isfinite(flat))[0])
+            raise PmxFormatError(f"matrix entry {bad} is not finite: {entries[bad]!r}")
         m = flat.reshape(dim, dim)
         if max_norm(m - m.conj().T) > 1e-9 * max(1.0, max_norm(m)):
             raise PmxFormatError("matrix is not Hermitian within 1e-9")
@@ -144,7 +147,8 @@ class PmxDocument:
                 raise PmxFormatError(f"malformed factor record: {f!r}") from exc
             if role not in ("input", "output"):
                 raise PmxFormatError(f"factor role must be input/output: {f!r}")
-            if not isinstance(dim, int) or dim < 1:
+            # bool is an int subclass, so "dim": true would read as 1
+            if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
                 raise PmxFormatError(f"factor dim must be a positive int: {f!r}")
             pairs.append((label, dim))
             ins, outs = parties.setdefault(party, ([], []))

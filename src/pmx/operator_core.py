@@ -37,6 +37,7 @@ __all__ = [
     "partial_trace",
     "partial_transpose",
     "permute_factors",
+    "PaddedOperator",
     "eig_hermitian",
     "real_kernel",
     "max_norm",
@@ -245,6 +246,141 @@ def permute_factors(
         raise ValueError(f"perm {perm!r} is not a permutation of 0..{n - 1}")
     axes = list(perm) + [p + n for p in perm]
     return m.reshape(dims + dims).transpose(axes).reshape(d, d)
+
+
+def _diagonal(t: np.ndarray, pos: Sequence[int]) -> np.ndarray:
+    """View of ``t`` on the entries whose row and column agree on ``pos``.
+
+    ``t`` has ``k`` row axes followed by ``k`` column axes.  The view keeps
+    every row axis and drops the column axes listed in ``pos``; it reads and
+    writes ``t``'s own memory.
+    """
+    k = t.ndim // 2
+    strides = list(t.strides)
+    for p in pos:
+        strides[p] += strides[k + p]
+    cols = [k + j for j in range(k) if j not in pos]
+    return np.lib.stride_tricks.as_strided(
+        t,
+        t.shape[:k] + tuple(t.shape[c] for c in cols),
+        tuple(strides[:k]) + tuple(strides[c] for c in cols),
+    )
+
+
+class PaddedOperator:
+    """An operator ``g (x) 1_R`` on a product space, stored by ``g`` alone.
+
+    ``g`` keeps one row axis and one column axis per factor in ``kept`` (in
+    factor order); ``R`` is every other factor.  Depolarizing a factor set
+    ``X`` (trace it out and put back ``1_X / d_X``) shrinks ``g`` and reads
+    only its ``X``-diagonal entries, and the max-norm of the whole operator
+    is ``max |g|``, so neither step ever expands the identity part.
+
+    A rank-one operator ``|v><v|`` may be held by its vector: its first
+    depolarization forms ``Tr_X |v><v| = V V^dag`` without the outer product.
+
+    ``subtract`` works in place.  An instance that shares its array with a
+    caller (``owned`` false) copies it before the first write.
+    """
+
+    def __init__(
+        self,
+        dims: Sequence[int],
+        kept: Sequence[int],
+        g: np.ndarray | None = None,
+        vector: np.ndarray | None = None,
+        owned: bool = False,
+    ) -> None:
+        self.dims = tuple(dims)
+        self.kept = tuple(kept)
+        self._g = g
+        self._vector = vector
+        self.owned = owned
+
+    @classmethod
+    def of_matrix(
+        cls, m: np.ndarray, dims: "Sequence[int] | SpaceLayout"
+    ) -> "PaddedOperator":
+        dims = _as_dims(dims)
+        m = np.asarray(m, dtype=complex)
+        _check_square(m, dims)
+        return cls(dims, range(len(dims)), g=m.reshape(dims + dims))
+
+    @classmethod
+    def of_vector(
+        cls, v: np.ndarray, dims: "Sequence[int] | SpaceLayout"
+    ) -> "PaddedOperator":
+        """The rank-one operator ``|v><v|``."""
+        dims = _as_dims(dims)
+        v = np.asarray(v, dtype=complex)
+        if v.shape != (math.prod(dims),):
+            raise ValueError(f"vector shape {v.shape} does not match dims {dims}")
+        return cls(dims, range(len(dims)), vector=v)
+
+    @property
+    def g(self) -> np.ndarray:
+        if self._g is None:
+            v = self._vector
+            self._g = np.outer(v, v.conj()).reshape(self.dims + self.dims)
+            self._vector = None
+            self.owned = True
+        return self._g
+
+    def alias(self) -> "PaddedOperator":
+        """The same operator, sharing storage and copying before any write."""
+        return PaddedOperator(self.dims, self.kept, self._g, self._vector)
+
+    def depolarized(self, factors: Iterable[int]) -> "PaddedOperator":
+        """``Tr_X(.) (x) 1_X / d_X`` for the factor set ``X``."""
+        factors = set(factors)
+        pos = [j for j, f in enumerate(self.kept) if f in factors]
+        if not pos:
+            return self.alias()
+        d_x = math.prod(self.dims[self.kept[j]] for j in pos)
+        rest = [j for j in range(len(self.kept)) if j not in pos]
+        rest_dims = tuple(self.dims[self.kept[j]] for j in rest)
+        if self._vector is not None:
+            vt = self._vector.reshape([self.dims[f] for f in self.kept])
+            v2 = vt.transpose(rest + pos).reshape(-1, d_x)
+            g = (v2 @ v2.conj().T).reshape(rest_dims + rest_dims) / d_x
+        else:
+            g = _diagonal(self._g, pos).sum(axis=tuple(pos)) / d_x
+        kept = [self.kept[j] for j in rest]
+        # a full trace gives a numpy scalar; keep a writable 0-d array
+        return PaddedOperator(self.dims, kept, g=np.asarray(g), owned=True)
+
+    def subtract(self, other: "PaddedOperator") -> None:
+        """``self -= other`` in place; ``other`` may pad more factors."""
+        if not set(other.kept) <= set(self.kept):
+            raise ValueError("subtrahend keeps a factor the operator pads")
+        g = self.g  # a vector-held operator materializes into a fresh array
+        if not self.owned:
+            self._g = g.copy()
+            self.owned = True
+        view, rhs = other._aligned(self._g, self.kept)
+        view -= rhs
+
+    def _aligned(
+        self, target: np.ndarray, target_kept: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """A diagonal view of ``target`` and ``g`` shaped to broadcast onto it."""
+        pos = [j for j, f in enumerate(target_kept) if f not in self.kept]
+        row = tuple(1 if j in pos else self.dims[f] for j, f in enumerate(target_kept))
+        cols = self.g.shape[len(self.kept) :]
+        return _diagonal(target, pos), self.g.reshape(row + cols)
+
+    def max_norm(self) -> float:
+        if self._vector is not None:
+            return float(np.max(np.abs(self._vector), initial=0.0)) ** 2
+        return max_norm(self._g)
+
+    def dense(self) -> np.ndarray:
+        """The full ``d x d`` matrix, identity padding included."""
+        full = np.zeros(self.dims + self.dims, dtype=complex)
+        view, rhs = self._aligned(full, range(len(self.dims)))
+        view[...] = rhs
+        d = math.prod(self.dims)
+        return full.reshape(d, d)
 
 
 def max_norm(m: np.ndarray) -> float:

@@ -34,13 +34,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .hs_algebra import (
-    TermPattern,
-    coefficient_tensor,
-    from_coefficient_tensor,
-)
+from .hs_algebra import TermPattern, coefficient_tensor
 from .operator_core import (
     DEFAULT_TOL,
+    PaddedOperator,
     SpaceLayout,
     is_hermitian,
     max_norm,
@@ -334,10 +331,60 @@ def allowed_mask(layout: SpaceLayout) -> np.ndarray:
     return mask
 
 
+def forbidden_part(
+    op: PaddedOperator, layout: SpaceLayout, offset: int = 0
+) -> PaddedOperator:
+    """Apply the forbidden-term projector ``Q_L = 1 - P_L`` by depolarization.
+
+    Whether a term is allowed depends only on which factors it touches, so
+    ``Q_L`` factorizes over parties.  With ``D_X`` the depolarization of
+    factor set ``X`` (trace it out, put back ``1_X / d_X``) and ``I_p``,
+    ``O_p`` party p's input and output factors,
+
+        Q_L = prod_p (1 - D_{O_p}(1 - D_{I_p})) - D_{all factors},
+
+    where every factor commutes and a party without outputs contributes
+    ``D_{I_p}`` (``D`` of the empty set is the identity).  The party factor
+    says "p's output is touched or p's input is not"; the last term removes
+    the all-untouched terms, on which every party factor is 1.  The
+    output-less parties' ``D_{I_p}`` go first: they shrink ``op``, so the
+    identity they imply is never expanded.
+
+    The layout's factors sit at ``offset, offset + 1, ...`` of ``op``'s
+    factors, so the projector can act on one slot of a joint space.  ``op``
+    is consumed: the result may share and overwrite its storage.
+    """
+    parties = [
+        ([offset + k for k in p.inputs], [offset + k for k in p.outputs])
+        for p in layout.parties
+    ]
+    for ins, outs in parties:
+        if not outs:
+            op = op.depolarized(ins)
+    for ins, outs in parties:
+        if ins and outs:
+            leak = op.depolarized(outs)
+            leak.subtract(leak.depolarized(ins))
+            op.subtract(leak)
+    op.subtract(op.depolarized(range(offset, offset + layout.n_factors)))
+    return op
+
+
 def project_valid_matrix(m: np.ndarray, layout: SpaceLayout) -> np.ndarray:
-    """Projector onto the span of allowed terms, applied to a bare matrix."""
-    c = coefficient_tensor(m, layout)
-    return from_coefficient_tensor(np.where(allowed_mask(layout), c, 0.0), layout)
+    """Projector onto the span of allowed terms, applied to a bare matrix.
+
+    Computed in closed form as ``M - Q_L(M)``, with ``D_X`` the
+    depolarization of factor set ``X`` and
+
+        Q_L = prod_{p: O_p nonempty} (1 - D_{O_p}(1 - D_{I_p}))
+              * prod_{p: O_p empty} D_{I_p}  -  D_{all factors}
+
+    (see :func:`forbidden_part`).  It agrees with zeroing the forbidden
+    entries of the coefficient tensor (``allowed_mask``), the term-level
+    definition, for any factor dimensions.
+    """
+    op = forbidden_part(PaddedOperator.of_matrix(m, layout), layout)
+    return m - op.dense()
 
 
 def project_valid(w: ProcessMatrix) -> ProcessMatrix:
@@ -346,19 +393,8 @@ def project_valid(w: ProcessMatrix) -> ProcessMatrix:
 
 
 def _depolarize(m: np.ndarray, layout: SpaceLayout, facs: Sequence[int]) -> np.ndarray:
-    """Replace the listed factors with normalized identity, in place."""
-    facs = sorted(set(facs))
-    if not facs:
-        return m
-    dims = layout.dims
-    n = len(dims)
-    rest = [k for k in range(n) if k not in facs]
-    reduced = partial_trace(m, dims, facs)
-    d_x = math.prod(dims[k] for k in facs)
-    big = np.kron(reduced, np.eye(d_x)) / d_x
-    current = rest + facs
-    perm = [current.index(j) for j in range(n)]
-    return permute_factors(big, [dims[k] for k in current], perm)
+    """Replace the listed factors with normalized identity."""
+    return PaddedOperator.of_matrix(m, layout).depolarized(facs).dense()
 
 
 def project_valid_closed_form(m: np.ndarray, layout: SpaceLayout) -> np.ndarray:
@@ -392,7 +428,8 @@ def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check positivity, normalization, and allowed-span membership.
 
     Residuals: most negative eigenvalue (clipped to 0 when positive),
-    ``|Tr W - d_out|``, and the max-norm of ``P(W) - W``.  Each tolerance is
+    ``|Tr W - d_out|``, and the max-norm of ``P(W) - W`` (the forbidden part
+    ``Q_L(W)``, see :func:`forbidden_part`).  Each tolerance is
     ``tol`` scaled by the relevant magnitude (trace for positivity, ``d_out``
     for the trace condition, the matrix max-norm for the subspace condition).
     """
@@ -404,7 +441,8 @@ def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidationReport:
     d_out = w.layout.d_out
     tr_resid = abs(trace - d_out)
     tr_tol = tol * max(1.0, float(d_out))
-    sub_resid = max_norm(project_valid_matrix(m, w.layout) - m)
+    forbidden = forbidden_part(PaddedOperator.of_matrix(m, w.layout), w.layout)
+    sub_resid = forbidden.max_norm()
     sub_tol = tol * max(1.0, max_norm(m))
     conds = (
         ConditionReport("positivity", pos_resid, pos_tol, pos_resid <= pos_tol),

@@ -24,6 +24,24 @@ three-condition template yields projectors ``P^(n)`` for maps of maps: at
 every level ``P^(n) = 1 (x) 1 - P^(n-1) (x) 1 + P^(n-1) (x) P^(n-1)``, which
 stays diagonal in the product-term basis and hence idempotent.
 
+Every check computes the forbidden part ``Q = 1 - P`` in closed form, by
+partial traces rather than a basis transform.  With ``D_X`` the
+depolarization of factor set ``X`` (trace it out, put back ``1_X / d_X``)
+and ``I_p``, ``O_p`` party p's input and output factors, a layout's
+forbidden-term projector is
+
+    Q_L = prod_{p: O_p nonempty} (1 - D_{O_p}(1 - D_{I_p}))
+          * prod_{p: O_p empty} D_{I_p}  -  D_{all factors},
+
+all factors commuting (``pmx.process_space.forbidden_part``), and one level
+up ``Q^(n) = (1 - Q^(n-1)_1) (x) Q^(n-1)_2``; condition (c) is
+``(1 - Q_in) (x) Q_out (C) = 0``.  A depolarization reads and writes only
+diagonal entries, an output-less party shrinks the operator instead of
+padding it with an identity, and a pure CJ ``|v><v|`` enters through
+``Tr_X |v><v| = V V^dag``, so the rank-one CJ is never formed.  The
+coefficient-tensor masks (``allowed_mask``, ``hierarchy_mask``) remain the
+term-level definition that the closed form reproduces.
+
 Large CJ operators (the 8-factor reduction supermaps) are never
 materialized; such supermaps carry a structured action instead and raise a
 size error if their CJ is requested.
@@ -40,9 +58,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .hs_algebra import coefficient_tensor, from_coefficient_tensor
 from .operator_core import (
     DEFAULT_TOL,
+    PaddedOperator,
     SpaceLayout,
     is_hermitian,
     max_norm,
@@ -55,6 +73,7 @@ from .process_space import (
     ProcessMatrix,
     ValidationReport,
     allowed_mask,
+    forbidden_part,
     switch_layout,
 )
 
@@ -128,12 +147,7 @@ class Supermap:
     @property
     def cj(self) -> np.ndarray:
         if self._cj is None:
-            d = self.cj_dim
-            if d > MAX_CJ_DIM:
-                raise ValueError(
-                    f"CJ operator would be {d} x {d}; this supermap is applied "
-                    "through its structured action and its CJ is not materialized"
-                )
+            d = self._check_cj_size()
             if self._cj_vector is not None:
                 self._cj = np.outer(self._cj_vector, self._cj_vector.conj())
             else:
@@ -141,6 +155,15 @@ class Supermap:
                 if self._cj.shape != (d, d):
                     raise ValueError("CJ builder returned a wrong-shaped operator")
         return self._cj
+
+    def _check_cj_size(self) -> int:
+        d = self.cj_dim
+        if d > MAX_CJ_DIM:
+            raise ValueError(
+                f"CJ operator would be {d} x {d}; this supermap is applied "
+                "through its structured action and its CJ is not materialized"
+            )
+        return d
 
     def __repr__(self) -> str:
         tag = self.label or "supermap"
@@ -166,19 +189,25 @@ def validate_supermap(s: Supermap, tol: float = DEFAULT_TOL) -> ValidationReport
 
     Report conditions: ``positivity`` (most negative eigenvalue),
     ``trace`` (max-norm of ``Tr_out_side(C) - (d_out'/d_in') 1``), and
-    ``subspace`` (max-norm of the difference between projecting the input
-    side only and projecting both sides).
+    ``subspace`` (max-norm of ``(P_in (x) Q_out)(C)``, the part that
+    projecting the input side only keeps and projecting both sides drops).
+
+    A pure supermap is checked from its CJ vector alone; the rank-one CJ is
+    never formed, but the ``MAX_CJ_DIM`` size limit still applies.
     """
+    s._check_cj_size()
     d1 = s.in_layout.dim
     d2 = s.out_layout.dim
     ratio = s.out_layout.d_out / s.in_layout.d_out
 
     if s.is_pure:
         # rank-one CJ |v><v| is PSD by representation; marginal from the vector
-        v2 = s._cj_vector.reshape(d1, d2)
+        v = s._cj_vector
+        v2 = v.reshape(d1, d2)
         pos_resid = 0.0
-        trace_c = float(np.vdot(s._cj_vector, s._cj_vector).real)
+        trace_c = float(np.vdot(v, v).real)
         marg = v2 @ v2.conj().T
+        op = PaddedOperator.of_vector(v, s.in_layout.dims + s.out_layout.dims)
     else:
         c = s.cj
         if not is_hermitian(c):
@@ -187,24 +216,16 @@ def validate_supermap(s: Supermap, tol: float = DEFAULT_TOL) -> ValidationReport
         pos_resid = max(0.0, -lo)
         trace_c = float(np.trace(c).real)
         marg = partial_trace(c, (d1, d2), [1])
+        op = PaddedOperator.of_matrix(c, s.in_layout.dims + s.out_layout.dims)
     pos_tol = tol * max(1.0, abs(trace_c))
     tr_resid = max_norm(marg - ratio * np.eye(d1))
     tr_tol = tol * max(1.0, ratio)
 
-    c = s.cj
-    joint_dims = s.in_layout.dims + s.out_layout.dims
-    n1 = s.in_layout.n_factors
-    n2 = s.out_layout.n_factors
-    coeffs = coefficient_tensor(c, joint_dims)
-    m1 = allowed_mask(s.in_layout).reshape(
-        tuple(d * d for d in s.in_layout.dims) + (1,) * n2
+    level = HierarchyLevel.pair(
+        HierarchyLevel.process(s.in_layout), HierarchyLevel.process(s.out_layout)
     )
-    m2 = allowed_mask(s.out_layout).reshape(
-        (1,) * n1 + tuple(d * d for d in s.out_layout.dims)
-    )
-    bad = np.where(m1 & ~m2, coeffs, 0.0)
-    sub_resid = max_norm(from_coefficient_tensor(bad, joint_dims))
-    sub_tol = tol * max(1.0, max_norm(c))
+    sub_tol = tol * max(1.0, op.max_norm())
+    sub_resid = _forbidden_part(op, level).max_norm()
 
     conds = (
         ConditionReport("positivity", pos_resid, pos_tol, pos_resid <= pos_tol),
@@ -543,17 +564,34 @@ def hierarchy_mask(level: HierarchyLevel) -> np.ndarray:
     return out
 
 
+def _forbidden_part(
+    op: PaddedOperator, level: HierarchyLevel, offset: int = 0
+) -> PaddedOperator:
+    """Apply ``Q^(n) = 1 - P^(n)`` to ``op`` (consumed, see ``forbidden_part``).
+
+    ``Q^(1)`` is the layout's forbidden-term projector and
+    ``Q^(n) = (1 - Q^(n-1)_1) (x) Q^(n-1)_2`` over the two slots.  The output
+    slot goes first, so the factors it depolarizes are gone before the input
+    slot's projector copies the operator.
+    """
+    if level.n == 1:
+        return forbidden_part(op, level.layout, offset)
+    h = _forbidden_part(op, level.slot2, offset + len(level.slot1.dims))
+    h.subtract(_forbidden_part(h.alias(), level.slot1, offset))
+    return h
+
+
 def hierarchy_projector(level: HierarchyLevel) -> Callable[[np.ndarray], np.ndarray]:
     """The projector ``P^(n)`` as a function on operators.
 
-    Diagonal in the product-term basis, hence idempotent at every level.
+    Computed as ``M - Q^(n)(M)`` by depolarization; it agrees with keeping
+    the coefficients that ``hierarchy_mask`` marks, and is idempotent at
+    every level.
     """
     dims = level.dims
-    mask = hierarchy_mask(level)
 
     def project(m: np.ndarray) -> np.ndarray:
-        c = coefficient_tensor(m, dims)
-        return from_coefficient_tensor(np.where(mask, c, 0.0), dims)
+        return m - _forbidden_part(PaddedOperator.of_matrix(m, dims), level).dense()
 
     return project
 
@@ -573,7 +611,7 @@ def validate_order_n(
     if not is_hermitian(x):
         raise ValueError("operator must be Hermitian")
     trace = float(np.trace(x).real)
-    lo = _lowest_eigenvalue(x) if d > 1024 else float(np.linalg.eigvalsh(x)[0])
+    lo = _lowest_eigenvalue(x)
     pos_resid = max(0.0, -lo)
     pos_tol = tol * max(1.0, abs(trace))
     if level.n == 1:
@@ -587,8 +625,8 @@ def validate_order_n(
         marg = partial_trace(x, (d1, d2), [1])
         tr_resid = max_norm(marg - ratio * np.eye(d1))
         tr_tol = tol * max(1.0, ratio)
-    projected = hierarchy_projector(level)(x)
-    sub_resid = max_norm(projected - x)
+    forbidden = _forbidden_part(PaddedOperator.of_matrix(x, level.dims), level)
+    sub_resid = forbidden.max_norm()
     sub_tol = tol * max(1.0, max_norm(x))
     conds = (
         ConditionReport("positivity", pos_resid, pos_tol, pos_resid <= pos_tol),

@@ -138,6 +138,32 @@ class TestValidateCommand:
         with pytest.raises(PmxFormatError, match="entries"):
             load_pmx(str(path))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_exits_2(self, tmp_path, capsys, value):
+        path = tmp_path / "w.pmx"
+        write_pmx(str(path), w_ocb())
+        doc = json.loads(path.read_text())
+        doc["matrix"]["entries"][0] = [value, "0.0"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PmxFormatError, match="not finite"):
+            load_pmx(str(path))
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert err.startswith("error:") and "not finite" in err
+        assert "Traceback" not in err
+
+    def test_boolean_factor_dim_rejected(self, tmp_path, capsys):
+        path = tmp_path / "w.pmx"
+        write_pmx(str(path), w_ocb())
+        doc = json.loads(path.read_text())
+        doc["factors"][0]["dim"] = True
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PmxFormatError, match="factor dim must be a positive int"):
+            load_pmx(str(path))
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert "factor dim must be a positive int" in err
+
     def test_tolerance_env_override(self, tmp_path, capsys, monkeypatch):
         # the forbidden-term residual of the classical-correlation process
         # is 1.0, so a huge tolerance flips the verdict

@@ -399,6 +399,20 @@ def test_oversized_reduction_cj_is_refused_but_applies():
     assert validate(out).valid
 
 
+def test_oversized_pure_supermap_is_refused_by_validation():
+    # validating a pure supermap never forms its CJ, but the size limit holds
+    labels = ["A_I", "B_I", "A_O", "B_O", "C_1", "C_2", "C_3"]
+    seven = SpaceLayout.build(
+        [(label, 2) for label in labels],
+        [("A", ["A_I"], ["A_O"]), ("B", ["B_I"], ["B_O"]), ("C", labels[4:], [])],
+    )
+    s = unitary_supermap(np.eye(128), seven)
+    assert s.cj_dim == 16384
+    with pytest.raises(ValueError, match="16384 x 16384.*not materialized"):
+        validate_supermap(s)
+    assert s._cj is None
+
+
 def test_rotation_reduction_sweeps_channel_to_reversed_channel():
     abc, bac = switch_branch_vectors(E0, 2)
     w4 = extended_switch()
