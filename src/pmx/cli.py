@@ -19,11 +19,13 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .extremality import non_reachability_report
-from .operator_core import SpaceLayout, max_norm
+from .operator_core import SpaceLayout, is_hermitian, max_norm
 from .process_space import (
     DEFAULT_TOL,
     ProcessMatrix,
@@ -84,20 +86,35 @@ class PmxDocument:
             factors.append(
                 {"label": f.label, "dim": f.dim, "party": party, "role": role}
             )
-        entries = [
-            [repr(float(v.real)), repr(float(v.imag))]
-            for v in w.matrix.reshape(-1)
-        ]
+        flat = w.matrix.reshape(-1)
+        entries = list(
+            map(list, zip(map(repr, flat.real.tolist()), map(repr, flat.imag.tolist())))
+        )
         matrix = {"dim": layout.dim, "entries": entries}
         return cls(FORMAT_VERSION, tuple(factors), matrix)
 
     def to_json(self) -> str:
+        """``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.
+
+        A list of string pairs, which is what ``of_process`` stores, is
+        encoded as one join over a fixed template instead of through the
+        pure-Python indenting encoder; the bytes are the same.
+        """
         doc = {
             "format_version": self.format_version,
             "factors": list(self.factors),
             "matrix": self.matrix,
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        entries = self.matrix.get("entries")
+        if not _is_string_pairs(entries):
+            return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        doc["matrix"] = {**self.matrix, "entries": _ENTRIES_SLOT}
+        head, _, tail = json.dumps(doc, indent=2, sort_keys=True).rpartition(
+            json.dumps(_ENTRIES_SLOT)
+        )
+        strings = iter(map(encode_basestring_ascii, chain.from_iterable(entries)))
+        body = ",\n".join(map(_ENTRY_TEMPLATE.format, strings, strings))
+        return f"{head}[\n{body}\n    ]{tail}\n"
 
     def to_process(self) -> ProcessMatrix:
         layout = self._layout()
@@ -122,7 +139,7 @@ class PmxDocument:
             bad = int(np.flatnonzero(~np.isfinite(flat))[0])
             raise PmxFormatError(f"matrix entry {bad} is not finite: {entries[bad]!r}")
         m = flat.reshape(dim, dim)
-        if max_norm(m - m.conj().T) > 1e-9 * max(1.0, max_norm(m)):
+        if not is_hermitian(m, 1e-9):
             raise PmxFormatError("matrix is not Hermitian within 1e-9")
         return ProcessMatrix(layout, m)
 
@@ -159,6 +176,21 @@ class PmxDocument:
             )
         except ValueError as exc:
             raise PmxFormatError(f"inconsistent factor list: {exc}") from exc
+
+
+# matrix entries sit at depth 3 of the document, their strings at depth 4
+_ENTRIES_SLOT = "<pmx matrix entries>"
+_ENTRY_TEMPLATE = "      [\n        {},\n        {}\n      ]"
+
+
+def _is_string_pairs(entries) -> bool:
+    return (
+        isinstance(entries, list)
+        and len(entries) > 0
+        and set(map(type, entries)) <= {list, tuple}
+        and set(map(len, entries)) == {2}
+        and set(map(type, chain.from_iterable(entries))) == {str}
+    )
 
 
 def write_pmx(path: str, w: ProcessMatrix) -> None:

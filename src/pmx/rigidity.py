@@ -9,18 +9,28 @@ commutator of basis terms.  Commutators of Hermitian terms are
 anti-Hermitian, so the rows are purely imaginary and the system is real
 after dividing out ``i``.
 
+The rows are built for all pairs at once, as whole arrays.  The trace of a
+product of product terms is the product of per-factor traces, so row
+``(T, F)`` at pattern ``u`` is ``prod_k Tr(s_u s_T s_F) - prod_k Tr(s_T s_u
+s_F)`` over factors ``k``.  A table per factor dimension lists, for each
+``(t, f)``, the few ``u`` where either trace is nonzero (exactly one for
+qubits, at most three for qutrits); a pair's row is the Kronecker product of
+its per-factor entries, so a build costs a few array operations per factor
+rather than a dense row per pair.
+
 The kernel of the stacked system, restricted to traceless Hermitian
 operators, is computed by singular value decomposition after pruning
-identically zero rows and deduplicating parallel ones.  For qubit factors
-every ``Tr(sigma_a sigma_b sigma_c)`` has a single compatible first index,
-so each row touches exactly one coefficient and the deduplicated system
-stays small; the code does not rely on that and handles wider rows too.
+identically zero rows and deduplicating parallel ones (one ``np.unique``
+over the rows' rounded, normalized entries).  For qubit factors each row
+touches exactly one coefficient, so the deduplicated system stays small;
+the code does not rely on that and handles wider rows too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -66,9 +76,34 @@ class ConstraintSystem:
     pair_count: int
 
 
-def _triple_trace_tensor(d: int) -> np.ndarray:
+def _pattern_digits(qdims: tuple[int, ...]) -> np.ndarray:
+    """Every pattern's per-factor indices, one row per flat index."""
+    return np.stack(np.unravel_index(np.arange(math.prod(qdims)), qdims), axis=1)
+
+
+@lru_cache(maxsize=None)
+def _triple_trace_table(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sparse ``Tr(s_u s_t s_f)`` and ``Tr(s_t s_u s_f)`` for one factor dim.
+
+    Returns ``(u, left, right)``, each of shape ``(q, q, w)`` indexed by
+    ``(t, f, slot)``: the ascending ``u`` values where either trace is
+    nonzero, then the two traces there.  Entries are padded to the widest
+    ``(t, f)`` with ``u = 0`` and zero traces (``w = 1`` for qubits).
+    """
     s = build_su_basis(d).elements
-    return np.einsum("aij,bjk,cki->abc", s, s, s)
+    m = np.einsum("aij,bjk,cki->abc", s, s, s)
+    left = m.transpose(1, 2, 0)  # [t, f, u] = Tr(s_u s_t s_f)
+    right = m.transpose(0, 2, 1)  # [t, f, u] = Tr(s_t s_u s_f)
+    hit = (left != 0) | (right != 0)
+    width = max(int(hit.sum(axis=-1).max()), 1)
+    # a stable sort puts each (t, f)'s hits first, in ascending u
+    u = np.argsort(~hit, axis=-1, kind="stable")[..., :width]
+    real = np.take_along_axis(hit, u, axis=-1)
+    return (
+        np.where(real, u, 0),
+        np.where(real, np.take_along_axis(left, u, axis=-1), 0),
+        np.where(real, np.take_along_axis(right, u, axis=-1), 0),
+    )
 
 
 def build_constraints(layout: SpaceLayout) -> ConstraintSystem:
@@ -85,65 +120,78 @@ def build_constraints(layout: SpaceLayout) -> ConstraintSystem:
             f"{MAX_CONSTRAINT_PATTERNS}"
         )
     mask = allowed_mask(layout).reshape(-1)
-    all_patterns = [
-        tuple(int(v) for v in np.unravel_index(k, qdims)) for k in range(total)
-    ]
-    valid_idx = np.flatnonzero(mask)
-    forb_idx = np.flatnonzero(~mask)
-    valid_terms = tuple(all_patterns[k] for k in valid_idx)
-    forbidden_terms = tuple(all_patterns[k] for k in forb_idx)
-    triples = [_triple_trace_tensor(d) for d in layout.dims]
+    digits = _pattern_digits(qdims)
+    valid_digits = digits[mask]
+    forb_digits = digits[~mask]
+    n_valid, n_forb = len(valid_digits), len(forb_digits)
+    n_pairs = n_valid * n_forb
 
-    fidx = np.unravel_index(forb_idx, qdims)
-    n_forb = forb_idx.size
-    blocks = []
-    kept_pairs = []
-    for t_pos, t_pat in enumerate(valid_terms if n_forb else ()):
-        # row(F)[u] = prod_k Tr(s_u s_T s_F) - prod_k Tr(s_T s_u s_F),
-        # accumulated factor by factor on the forbidden columns only
-        left = np.ones((1, n_forb), dtype=complex)
-        right = np.ones((1, n_forb), dtype=complex)
-        for m, t, fk in zip(triples, t_pat, fidx):
-            left = (left[:, None, :] * m[:, t, fk][None, :, :]).reshape(-1, n_forb)
-            right = (right[:, None, :] * m[t][:, fk][None, :, :]).reshape(-1, n_forb)
-        rows_t = (left - right).T.imag
-        keep = np.abs(rows_t).max(axis=1) > _ROW_PRUNE_TOL
-        if not keep.any():
-            continue
-        blocks.append(scipy.sparse.csr_matrix(rows_t[keep]))
-        for f_pos in np.flatnonzero(keep):
-            kept_pairs.append((t_pos, int(f_pos)))
+    # row(T, F)[u] = prod_k Tr(s_u s_T s_F) - prod_k Tr(s_T s_u s_F): the
+    # Kronecker product over factors of each pair's nonzero entries, with
+    # all pairs at once in T-major order
+    cols = np.zeros((n_pairs, 1), dtype=np.int64)
+    left = np.ones((n_pairs, 1), dtype=complex)
+    right = np.ones((n_pairs, 1), dtype=complex)
+    for k, (d, q) in enumerate(zip(layout.dims, qdims)):
+        at = (valid_digits[:, k, None], forb_digits[None, :, k])
+        u_tab, l_tab, r_tab = (
+            tab[at].reshape(n_pairs, 1, tab.shape[-1]) for tab in _triple_trace_table(d)
+        )
+        width = cols.shape[1] * u_tab.shape[2]
+        cols = (cols[:, :, None] * q + u_tab).reshape(n_pairs, width)
+        left = (left[:, :, None] * l_tab).reshape(n_pairs, width)
+        right = (right[:, :, None] * r_tab).reshape(n_pairs, width)
+    values = (left - right).imag
+    del left, right
 
-    if blocks:
-        rows = scipy.sparse.vstack(blocks, format="csr")
-        pairs = np.array(kept_pairs, dtype=int)
-    else:
-        rows = scipy.sparse.csr_matrix((0, total))
-        pairs = np.zeros((0, 2), dtype=int)
+    # padding slots hold exact zeros, so dropping zeros leaves each row's
+    # columns ascending and unique
+    kept = np.flatnonzero(np.abs(values).max(axis=1) > _ROW_PRUNE_TOL)
+    values = values[kept]
+    nonzero = values != 0
+    indptr = np.zeros(kept.size + 1, dtype=np.int32)
+    np.cumsum(nonzero.sum(axis=1), out=indptr[1:])
+    rows = scipy.sparse.csr_matrix(
+        (values[nonzero], cols[kept][nonzero].astype(np.int32), indptr),
+        shape=(kept.size, total),
+    )
+    pairs = np.stack(np.divmod(kept, max(n_forb, 1)), axis=1)
     return ConstraintSystem(
         layout,
-        valid_terms,
-        forbidden_terms,
+        tuple(map(tuple, valid_digits.tolist())),
+        tuple(map(tuple, forb_digits.tolist())),
         rows,
         pairs,
-        len(valid_terms) * len(forbidden_terms),
+        n_pairs,
     )
 
 
 def _deduplicate_rows(rows: scipy.sparse.csr_matrix) -> np.ndarray:
-    """Keep one representative per direction; parallel rows are redundant."""
-    seen = {}
-    for r in range(rows.shape[0]):
-        start, stop = rows.indptr[r], rows.indptr[r + 1]
-        cols = rows.indices[start:stop]
-        data = rows.data[start:stop]
-        lead = data[np.argmax(np.abs(data))]
-        key = (tuple(cols), tuple(np.round(data / lead, 10)))
-        if key not in seen:
-            seen[key] = (cols, data / lead)
-    out = np.zeros((len(seen), rows.shape[1]))
-    for k, (cols, data) in enumerate(seen.values()):
-        out[k, cols] = data
+    """Keep one representative per direction; parallel rows are redundant.
+
+    Each row is scaled by its first largest-magnitude entry; rows whose
+    columns and scaled values rounded to 10 digits agree are parallel, and
+    the first of them is kept, in row order.
+    """
+    n_rows, n_cols = rows.shape
+    if n_rows == 0:
+        return np.zeros((0, n_cols))
+    lengths = np.diff(rows.indptr)
+    width = int(lengths.max())
+    slot = np.arange(width) < lengths[:, None]
+    cols = np.full((n_rows, width), -1, dtype=np.int64)
+    cols[slot] = rows.indices
+    data = np.zeros((n_rows, width))
+    data[slot] = rows.data
+    lead = data[np.arange(n_rows), np.argmax(np.where(slot, np.abs(data), -1.0), axis=1)]
+    scaled = data / np.where(lead == 0, 1.0, lead)[:, None]
+    # + 0.0 folds -0.0 into 0.0, which compare equal as dictionary keys did
+    key = np.concatenate([cols, np.round(scaled, 10) + 0.0], axis=1)
+    _, first = np.unique(key, axis=0, return_index=True)
+    keep = np.sort(first)
+    out = np.zeros((keep.size, n_cols))
+    kept_slot = slot[keep]
+    out[np.nonzero(kept_slot)[0], cols[keep][kept_slot]] = scaled[keep][kept_slot]
     return out
 
 
@@ -173,16 +221,21 @@ def generator_kernel(
 
 
 def single_body_patterns(layout: SpaceLayout) -> list[tuple[int, ...]]:
-    """Patterns nontrivial on exactly one factor, in flat-index order."""
+    """Patterns local to one party side, in flat-index order.
+
+    A party side is one party's joint inputs or its joint outputs; a pattern
+    is local to it when it is nontrivial on some factor of that side and on
+    no factor outside it.
+    """
     qdims = tuple(d * d for d in layout.dims)
-    out = []
-    for k, q in enumerate(qdims):
-        for a in range(1, q):
-            pat = [0] * len(qdims)
-            pat[k] = a
-            out.append(tuple(pat))
-    out.sort(key=lambda p: np.ravel_multi_index(p, qdims))
-    return out
+    digits = _pattern_digits(qdims)
+    touched = digits != 0
+    local = np.zeros(len(digits), dtype=bool)
+    for side in (s for p in layout.parties for s in (p.inputs, p.outputs)):
+        inside = np.zeros(len(qdims), dtype=bool)
+        inside[list(side)] = True
+        local |= touched[:, inside].any(axis=1) & ~touched[:, ~inside].any(axis=1)
+    return list(map(tuple, digits[local].tolist()))
 
 
 @dataclass(frozen=True)

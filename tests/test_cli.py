@@ -2,12 +2,15 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pmx.cli import PmxFormatError, load_pmx, main, write_pmx
-from pmx.process_space import quantum_switch, w_ocb
+from pmx.cli import PmxDocument, PmxFormatError, load_pmx, main, write_pmx
+from pmx.process_space import extended_switch, quantum_switch, w_ocb
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -55,6 +58,38 @@ class TestRoundTrip:
         assert isinstance(re, str) and isinstance(im, str)
         for f in doc["factors"]:
             assert f["role"] in ("input", "output")
+
+
+    def test_written_bytes_equal_json_dumps(self, tmp_path):
+        # the template encoder in to_json must match the stdlib encoder
+        w = extended_switch()
+        path = tmp_path / "w.pmx"
+        write_pmx(str(path), w)
+        doc = PmxDocument.of_process(w)
+        expected = json.dumps(
+            {
+                "format_version": doc.format_version,
+                "factors": list(doc.factors),
+                "matrix": doc.matrix,
+            },
+            indent=2,
+            sort_keys=True,
+        ) + "\n"
+        assert path.read_bytes() == expected.encode("ascii")
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[], [["1.0", "0.0"], ["2.0"]], [["1.0", 0.0]], [["a\"b", "\u00e9\n"]]],
+        ids=["empty", "short-pair", "non-string", "escaped"],
+    )
+    def test_to_json_of_other_entries_equals_json_dumps(self, entries):
+        doc = PmxDocument("1", ({"label": "A_I", "dim": 1},), {"dim": 1, "entries": entries})
+        expected = json.dumps(
+            {"format_version": "1", "factors": list(doc.factors), "matrix": doc.matrix},
+            indent=2,
+            sort_keys=True,
+        ) + "\n"
+        assert doc.to_json() == expected
 
 
 class TestBuildCommand:
@@ -210,6 +245,15 @@ class TestVerifyCommand:
         assert "kernel_dim=12 expected=12 PASS" in out
         assert "single_party_kernel_dim=6 expected=6 PASS" in out
         assert "suite=rigidity overall=PASS" in out
+
+    @pytest.mark.parametrize("suite", ["rigidity", "extremality"])
+    def test_output_matches_golden_text(self, suite, capsys):
+        # full standard output and exit code; hierarchy is left out because
+        # its idempotence residuals are rounding noise below 1e-15
+        code, out, err = run(capsys, "verify", suite)
+        assert code == 0
+        assert err == ""
+        assert out == (GOLDEN / f"verify_{suite}.txt").read_text()
 
 
 class TestSweepCommand:

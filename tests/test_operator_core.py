@@ -202,3 +202,24 @@ def test_norm_and_hermiticity_helpers():
     assert max_norm(np.zeros((2, 2))) == 0.0
     assert is_hermitian(SY)
     assert not is_hermitian(SY + 1e-6 * np.array([[0, 1], [0, 0]]))
+
+
+@pytest.mark.parametrize("n", [1, 5, 256, 600])
+def test_is_hermitian_matches_full_difference_across_tiles(n):
+    # the decision of the tiled check equals the full-matrix formula, also
+    # for a defect in a lower block past the first tile
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = g + g.conj().T
+    for m in (h, h * 1e-3, g):
+        full = max_norm(m - m.conj().T) <= 1e-9 * max(1.0, max_norm(m))
+        assert is_hermitian(m) == full
+    bad = h.copy()
+    bad[n - 1, 0] += 1e-6
+    assert is_hermitian(bad) == (n == 1)
+    assert is_hermitian(bad, 1e-6)
+
+
+def test_is_hermitian_rejects_non_square():
+    assert not is_hermitian(np.zeros((2, 3)))
+    assert not is_hermitian(np.zeros(4))

@@ -1,15 +1,18 @@
 """Generator-kernel computation against brute-force and hand oracles."""
 
 import dataclasses
+import math
 from functools import lru_cache
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from pmx.hs_algebra import (
     batch_coefficient_tensors,
     batch_from_coefficient_tensors,
+    build_su_basis,
     coefficient_tensor,
     from_coefficient_tensor,
     product_term,
@@ -28,6 +31,8 @@ from pmx.process_space import (
     w_ocb,
 )
 from pmx.rigidity import (
+    _ROW_PRUNE_TOL,
+    _deduplicate_rows,
     build_constraints,
     generator_kernel,
     single_body_patterns,
@@ -40,6 +45,89 @@ TRIPARTITE_ONE_SINK = SpaceLayout.build(
     [("A_I", 2), ("B_I", 2), ("C_I", 2), ("A_O", 2), ("B_O", 2)],
     [("A", ["A_I"], ["A_O"]), ("B", ["B_I"], ["B_O"]), ("C", ["C_I"], [])],
 )
+
+# party A has two input factors, then two output factors: a single-body
+# generator may act on a party's whole input (or output) side
+TWO_INPUT_PARTY = SpaceLayout.build(
+    [("A_I", 2), ("A_J", 2), ("A_O", 2), ("B_I", 2), ("B_O", 2)],
+    [("A", ["A_I", "A_J"], ["A_O"]), ("B", ["B_I"], ["B_O"])],
+)
+TWO_OUTPUT_PARTY = SpaceLayout.build(
+    [("A_I", 2), ("A_O", 2), ("A_P", 2), ("B_I", 2), ("B_O", 2)],
+    [("A", ["A_I"], ["A_O", "A_P"]), ("B", ["B_I"], ["B_O"])],
+)
+
+QUTRIT_322 = SpaceLayout.build(
+    [("A_I", 3), ("A_O", 2), ("B_I", 2)],
+    [("A", ["A_I"], ["A_O"]), ("B", ["B_I"], [])],
+)
+QUTRIT_33 = SpaceLayout.build([("A_I", 3), ("A_O", 3)], [("A", ["A_I"], ["A_O"])])
+
+
+def oracle_build_constraints(layout):
+    """The constraint build one allowed term at a time, as a reference.
+
+    Returns ``(valid_terms, forbidden_terms, rows, pairs, pair_count)``
+    with the same meaning as the fields of ``ConstraintSystem``.
+    """
+    qdims = tuple(d * d for d in layout.dims)
+    total = math.prod(qdims)
+    mask = allowed_mask(layout).reshape(-1)
+    all_patterns = [
+        tuple(int(v) for v in np.unravel_index(k, qdims)) for k in range(total)
+    ]
+    valid_idx = np.flatnonzero(mask)
+    forb_idx = np.flatnonzero(~mask)
+    valid_terms = tuple(all_patterns[k] for k in valid_idx)
+    forbidden_terms = tuple(all_patterns[k] for k in forb_idx)
+    triples = []
+    for d in layout.dims:
+        s = build_su_basis(d).elements
+        triples.append(np.einsum("aij,bjk,cki->abc", s, s, s))
+
+    fidx = np.unravel_index(forb_idx, qdims)
+    n_forb = forb_idx.size
+    blocks = []
+    kept_pairs = []
+    for t_pos, t_pat in enumerate(valid_terms if n_forb else ()):
+        left = np.ones((1, n_forb), dtype=complex)
+        right = np.ones((1, n_forb), dtype=complex)
+        for m, t, fk in zip(triples, t_pat, fidx):
+            left = (left[:, None, :] * m[:, t, fk][None, :, :]).reshape(-1, n_forb)
+            right = (right[:, None, :] * m[t][:, fk][None, :, :]).reshape(-1, n_forb)
+        rows_t = (left - right).T.imag
+        keep = np.abs(rows_t).max(axis=1) > _ROW_PRUNE_TOL
+        if not keep.any():
+            continue
+        blocks.append(scipy.sparse.csr_matrix(rows_t[keep]))
+        for f_pos in np.flatnonzero(keep):
+            kept_pairs.append((t_pos, int(f_pos)))
+
+    if blocks:
+        rows = scipy.sparse.vstack(blocks, format="csr")
+        pairs = np.array(kept_pairs, dtype=int)
+    else:
+        rows = scipy.sparse.csr_matrix((0, total))
+        pairs = np.zeros((0, 2), dtype=int)
+    pair_count = len(valid_terms) * len(forbidden_terms)
+    return valid_terms, forbidden_terms, rows, pairs, pair_count
+
+
+def oracle_deduplicate_rows(rows):
+    """One representative per direction, found row by row."""
+    seen = {}
+    for r in range(rows.shape[0]):
+        start, stop = rows.indptr[r], rows.indptr[r + 1]
+        cols = rows.indices[start:stop]
+        data = rows.data[start:stop]
+        lead = data[np.argmax(np.abs(data))]
+        key = (tuple(cols), tuple(np.round(data / lead, 10)))
+        if key not in seen:
+            seen[key] = (cols, data / lead)
+    out = np.zeros((len(seen), rows.shape[1]))
+    for k, (cols, data) in enumerate(seen.values()):
+        out[k, cols] = data
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -129,6 +217,49 @@ class TestConstraintSystem:
     def test_size_guard_rejects_switch_layout(self):
         with pytest.raises(ValueError, match="pattern"):
             build_constraints(switch_layout())
+
+
+ORACLE_LAYOUTS = {
+    "bipartite": BIP,
+    "tripartite-one-sink": TRIPARTITE_ONE_SINK,
+    "two-input-party": TWO_INPUT_PARTY,
+    "qutrit-3x2x2": QUTRIT_322,
+    "qutrit-3x3": QUTRIT_33,
+}
+
+
+class TestAgainstPerTermOracle:
+    @pytest.mark.parametrize(
+        "layout", list(ORACLE_LAYOUTS.values()), ids=list(ORACLE_LAYOUTS)
+    )
+    def test_build_and_deduplication_match_oracle(self, layout):
+        valid, forbidden, rows, pairs, pair_count = oracle_build_constraints(layout)
+        system = cached_system(layout)
+        assert system.valid_terms == valid
+        assert system.forbidden_terms == forbidden
+        assert system.pair_count == pair_count
+        np.testing.assert_array_equal(system.pairs, pairs)
+        # the same CSR arrays, value for value
+        assert system.rows.shape == rows.shape
+        np.testing.assert_array_equal(system.rows.indptr, rows.indptr)
+        np.testing.assert_array_equal(system.rows.indices, rows.indices)
+        np.testing.assert_array_equal(system.rows.data, rows.data)
+        # so the SVD input, and with it the kernel, is bit-identical
+        np.testing.assert_array_equal(
+            _deduplicate_rows(system.rows), oracle_deduplicate_rows(rows)
+        )
+
+    def test_deduplication_of_shuffled_rows_matches_oracle(self, bip_system):
+        perm = np.random.default_rng(4).permutation(bip_system.rows.shape[0])
+        shuffled = bip_system.rows[perm].tocsr()
+        np.testing.assert_array_equal(
+            _deduplicate_rows(shuffled), oracle_deduplicate_rows(shuffled)
+        )
+
+    def test_qutrit_rows_touch_several_coefficients(self):
+        widths = np.diff(cached_system(QUTRIT_33).rows.indptr)
+        assert widths.min() >= 1
+        assert widths.max() > 1
 
 
 class TestGeneratorKernel:
@@ -271,6 +402,36 @@ class TestVerifyRigidity:
         rep = verify_rigidity(TRIPARTITE_ONE_SINK)
         assert rep.passed
         assert rep.kernel_dim == 15
+
+    @pytest.mark.parametrize(
+        "layout", [TWO_INPUT_PARTY, TWO_OUTPUT_PARTY],
+        ids=["two-input-party", "two-output-party"],
+    )
+    def test_party_with_two_factors_on_one_side_passes(self, layout):
+        # A's two-factor side carries 4 * 4 - 1 = 15 local generators, and
+        # the other three sides 3 each
+        rep = verify_rigidity(layout)
+        assert rep.kernel_dim == rep.single_body_dim == 15 + 3 * 3
+        assert rep.kernel_in_span_residual <= 1e-8
+        assert rep.span_in_kernel_residual <= 1e-8
+        assert rep.passed
+
+    def test_single_body_patterns_on_a_joint_input(self):
+        patterns = single_body_patterns(TWO_INPUT_PARTY)
+        assert len(patterns) == len(set(patterns)) == 24
+        # nontrivial on both of A's inputs, and on nothing else
+        assert (1, 2, 0, 0, 0) in patterns
+        assert (1, 0, 2, 0, 0) not in patterns
+        flat = [np.ravel_multi_index(p, (4,) * 5) for p in patterns]
+        assert flat == sorted(flat)
+
+    def test_single_body_patterns_match_kernel_on_qutrit_layouts(self):
+        for layout in (QUTRIT_322, QUTRIT_33):
+            kern = cached_kernel(layout)
+            sb = indicator_basis(single_body_patterns(layout), layout)
+            assert kern.shape[0] == sb.shape[0]
+            resid = sb - sb @ kern.T @ kern
+            assert np.linalg.norm(resid, axis=1).max() <= 1e-9
 
 
 class TestConjugationVerdicts:
