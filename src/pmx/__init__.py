@@ -10,23 +10,16 @@ from .operator_core import (
     Factor,
     Party,
     SpaceLayout,
-    eig_hermitian,
     partial_trace,
     partial_transpose,
     permute_factors,
     real_kernel,
     tensor,
 )
-from .hs_algebra import (
-    SuBasis,
-    StructureTensors,
-    build_su_basis,
-    hs_decompose,
-    hs_recompose,
-    structure_constants,
-)
+from .hs_algebra import SuBasis, build_su_basis
 from .process_space import (
     CausalOrderFlag,
+    HierarchyLevel,
     Instrument,
     ProcessMatrix,
     TermClass,
@@ -55,7 +48,6 @@ from .process_space import (
     w_ocb,
 )
 from .supermaps import (
-    HierarchyLevel,
     Supermap,
     apply,
     c_swap_unitary,

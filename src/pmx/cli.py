@@ -119,6 +119,8 @@ class PmxDocument:
     def to_process(self) -> ProcessMatrix:
         layout = self._layout()
         dim = self.matrix.get("dim")
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise PmxFormatError(f"matrix dim must be an int: {dim!r}")
         if dim != layout.dim:
             raise PmxFormatError(
                 f"matrix dim {dim} does not match factor product {layout.dim}"
@@ -129,11 +131,18 @@ class PmxDocument:
                 f"matrix needs {dim * dim} entries, found "
                 f"{len(entries) if isinstance(entries, list) else 'none'}"
             )
+        # bool is an int subclass, so float(true) would read as 1.0; the
+        # exact type test keeps true and false out
+        if (
+            set(map(type, entries)) != {list}
+            or set(map(len, entries)) != {2}
+            or not set(map(type, chain.from_iterable(entries))) <= {str, int, float}
+        ):
+            raise PmxFormatError("matrix entries must be [re, im] numbers or strings")
         try:
-            flat = np.array(
-                [complex(float(re), float(im)) for re, im in entries]
-            )
-        except (TypeError, ValueError) as exc:
+            parts = map(float, chain.from_iterable(entries))
+            flat = np.fromiter(parts, float, 2 * len(entries)).view(complex)
+        except (ValueError, OverflowError) as exc:
             raise PmxFormatError(f"bad matrix entry: {exc}") from exc
         if not np.all(np.isfinite(flat)):
             bad = int(np.flatnonzero(~np.isfinite(flat))[0])
@@ -162,6 +171,8 @@ class PmxDocument:
                 )
             except (KeyError, TypeError) as exc:
                 raise PmxFormatError(f"malformed factor record: {f!r}") from exc
+            if not isinstance(label, str) or not isinstance(party, str):
+                raise PmxFormatError(f"factor label and party must be strings: {f!r}")
             if role not in ("input", "output"):
                 raise PmxFormatError(f"factor role must be input/output: {f!r}")
             # bool is an int subclass, so "dim": true would read as 1
@@ -204,13 +215,17 @@ def load_pmx(path: str) -> ProcessMatrix:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise PmxFormatError(f"not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise PmxFormatError(f"not ASCII text: {exc}") from exc
     if not isinstance(raw, dict):
         raise PmxFormatError("top level must be an object")
-    doc = PmxDocument(
-        str(raw.get("format_version")),
-        tuple(raw.get("factors") or ()),
-        raw.get("matrix") or {},
-    )
+    factors = raw.get("factors") or []
+    matrix = raw.get("matrix") or {}
+    if not isinstance(factors, list):
+        raise PmxFormatError("factors must be a list")
+    if not isinstance(matrix, dict):
+        raise PmxFormatError("matrix must be an object")
+    doc = PmxDocument(str(raw.get("format_version")), tuple(factors), matrix)
     return doc.to_process()
 
 

@@ -15,37 +15,30 @@ tuples ``(a_0, ..., a_{n-1})`` with ``a_k`` choosing the basis element on
 factor ``k``.  Any operator ``M`` expands as ``M = sum_t c_t sigma_t`` with
 ``c_t = Tr(sigma_t M) / 2**n``, and the coefficients are real iff ``M`` is
 Hermitian.
+
+Rigidity and extremality work in these coordinates: the first builds its
+constraint rows from traces of basis triples, the second compares subspaces
+of coefficient vectors.  Order-structure checks (validity, causal order)
+need no basis and go through partial traces instead.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .operator_core import SpaceLayout, is_hermitian, tensor
-
-TermPattern = tuple[int, ...]
+from .operator_core import SpaceLayout, _as_dims
 
 __all__ = [
-    "TermPattern",
     "SuBasis",
-    "StructureTensors",
     "build_su_basis",
-    "structure_constants",
-    "enumerate_patterns",
-    "product_term",
     "term_stack",
-    "coefficient_tensor",
     "from_coefficient_tensor",
     "batch_coefficient_tensors",
-    "batch_from_coefficient_tensors",
-    "hs_decompose",
-    "hs_recompose",
 ]
 
 
@@ -58,21 +51,6 @@ class SuBasis:
 
     def __len__(self) -> int:
         return self.d**2
-
-
-@dataclass(frozen=True)
-class StructureTensors:
-    """Antisymmetric and symmetric structure constants of one factor basis.
-
-    ``f[m, n, r] = Tr([sigma_m, sigma_n] sigma_r) / 4i`` is totally
-    antisymmetric; ``dsym`` is the anticommutator analogue
-    ``Tr({sigma_m, sigma_n} sigma_r) / 4``, totally symmetric with vanishing
-    partial trace ``sum_i dsym[i, i, k] = 0``.  Both are defined to be zero
-    whenever any index is 0.
-    """
-
-    f: np.ndarray
-    dsym: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -109,57 +87,10 @@ def build_su_basis(d: int) -> SuBasis:
     return SuBasis(d, elements)
 
 
-@lru_cache(maxsize=None)
-def structure_constants(d: int) -> StructureTensors:
-    """Structure tensors of the dimension-``d`` basis (see class docstring)."""
-    sig = build_su_basis(d).elements
-    prod = np.einsum("aij,bjk->abik", sig, sig)
-    comm = prod - prod.transpose(1, 0, 2, 3)
-    anti = prod + prod.transpose(1, 0, 2, 3)
-    f = np.einsum("abij,cji->abc", comm, sig) / 4.0j
-    dsym = np.einsum("abij,cji->abc", anti, sig) / 4.0
-    if max(np.max(np.abs(f.imag)), np.max(np.abs(dsym.imag))) > 1e-12:
-        raise AssertionError("structure constants came out non-real")
-    f = f.real.copy()
-    dsym = dsym.real.copy()
-    for t in (f, dsym):
-        t[0, :, :] = 0.0
-        t[:, 0, :] = 0.0
-        t[:, :, 0] = 0.0
-    f.setflags(write=False)
-    dsym.setflags(write=False)
-    return StructureTensors(f, dsym)
-
-
-def _as_dims(dims: "Sequence[int] | SpaceLayout") -> tuple[int, ...]:
-    if isinstance(dims, SpaceLayout):
-        return dims.dims
-    return tuple(int(d) for d in dims)
-
-
-def enumerate_patterns(dims: "Sequence[int] | SpaceLayout") -> Iterator[TermPattern]:
-    """All term patterns for the given factor dimensions, in C order."""
-    dims = _as_dims(dims)
-    return itertools.product(*(range(d * d) for d in dims))
-
-
-def product_term(pattern: TermPattern, dims: "Sequence[int] | SpaceLayout") -> np.ndarray:
-    """The product basis matrix ``sigma_{a_0} (x) ... (x) sigma_{a_{n-1}}``."""
-    dims = _as_dims(dims)
-    if len(pattern) != len(dims):
-        raise ValueError(f"pattern length {len(pattern)} != {len(dims)} factors")
-    mats = []
-    for a, d in zip(pattern, dims):
-        if not 0 <= a < d * d:
-            raise ValueError(f"basis index {a} out of range for dimension {d}")
-        mats.append(build_su_basis(d).elements[a])
-    return tensor(*mats)
-
-
 def term_stack(dims: "Sequence[int] | SpaceLayout") -> np.ndarray:
     """All product terms stacked as an array of shape ``(prod d_k^2, d, d)``.
 
-    Pattern order matches :func:`enumerate_patterns`.  Intended for small
+    Patterns run in C order over ``(d_0^2, ..., d_{n-1}^2)``.  Intended for small
     layouts (the array holds ``prod d_k^4`` entries).
     """
     dims = _as_dims(dims)
@@ -174,123 +105,43 @@ def term_stack(dims: "Sequence[int] | SpaceLayout") -> np.ndarray:
     return stack
 
 
-@lru_cache(maxsize=None)
-def _factor_stack(d: int) -> np.ndarray:
-    return build_su_basis(d).elements
-
-
-def _decompose(arr: np.ndarray, dims: tuple[int, ...], nbatch: int) -> np.ndarray:
-    n = len(dims)
-    t = arr.reshape(arr.shape[:nbatch] + dims + dims)
-    for k in range(n):
-        # after k steps the axes are: batch, a_0..a_{k-1}, r_k..r_{n-1}, c_k..c_{n-1}
-        pos_r = nbatch + k
-        pos_c = nbatch + k + (n - k)
-        t = np.tensordot(_factor_stack(dims[k]), t, axes=([2, 1], [pos_r, pos_c]))
-        t = np.moveaxis(t, 0, nbatch + k)
-    return t / (2.0**n)
-
-
-def _recompose(c: np.ndarray, dims: tuple[int, ...], nbatch: int) -> np.ndarray:
-    n = len(dims)
-    t = np.asarray(c, dtype=complex)
-    for k in range(n):
-        # axes: batch, (r_0, c_0) .. (r_{k-1}, c_{k-1}), a_k..a_{n-1}
-        pos_a = nbatch + 2 * k
-        t = np.tensordot(_factor_stack(dims[k]), t, axes=([0], [pos_a]))
-        t = np.moveaxis(t, [0, 1], [pos_a, pos_a + 1])
-    perm = (
-        list(range(nbatch))
-        + [nbatch + 2 * k for k in range(n)]
-        + [nbatch + 2 * k + 1 for k in range(n)]
-    )
-    d = math.prod(dims)
-    return t.transpose(perm).reshape(c.shape[:nbatch] + (d, d))
-
-
-def coefficient_tensor(
-    m: np.ndarray, dims: "Sequence[int] | SpaceLayout"
-) -> np.ndarray:
-    """Dense coefficient tensor of shape ``(d_0^2, ..., d_{n-1}^2)``.
-
-    Entry ``[a_0, ..., a_{n-1}]`` is ``Tr(sigma_t M) / 2**n`` for the product
-    term ``t = (a_0, ..., a_{n-1})``.  The result is complex; it is real (up
-    to rounding) exactly when ``m`` is Hermitian.
-    """
-    dims = _as_dims(dims)
-    d = math.prod(dims)
-    if m.shape != (d, d):
-        raise ValueError(f"operator shape {m.shape} does not match dims {dims}")
-    return _decompose(np.asarray(m, dtype=complex), dims, 0)
-
-
 def from_coefficient_tensor(
     c: np.ndarray, dims: "Sequence[int] | SpaceLayout"
 ) -> np.ndarray:
-    """Inverse of :func:`coefficient_tensor`."""
+    """The operator ``sum_t c_t sigma_t`` of a coefficient tensor.
+
+    ``c`` has shape ``(d_0^2, ..., d_{n-1}^2)``, one axis per factor.
+    """
     dims = _as_dims(dims)
     q = tuple(d * d for d in dims)
     if c.shape != q:
         raise ValueError(f"coefficient shape {c.shape} does not match {q}")
-    return _recompose(c, dims, 0)
+    n = len(dims)
+    t = np.asarray(c, dtype=complex)
+    for k, d in enumerate(dims):
+        # axes: (r_0, c_0) .. (r_{k-1}, c_{k-1}), a_k..a_{n-1}
+        t = np.tensordot(build_su_basis(d).elements, t, axes=([0], [2 * k]))
+        t = np.moveaxis(t, [0, 1], [2 * k, 2 * k + 1])
+    d = math.prod(dims)
+    return t.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(d, d)
 
 
 def batch_coefficient_tensors(
     ms: np.ndarray, dims: "Sequence[int] | SpaceLayout"
 ) -> np.ndarray:
-    """Coefficient tensors of a stack of operators, shape ``(B, d_0^2, ...)``."""
+    """Coefficient tensors of a stack of operators, shape ``(B, d_0^2, ...)``.
+
+    Entry ``[b, a_0, ..., a_{n-1}]`` is ``Tr(sigma_t M_b) / 2**n`` for the
+    product term ``t = (a_0, ..., a_{n-1})``.
+    """
     dims = _as_dims(dims)
     d = math.prod(dims)
     if ms.ndim != 3 or ms.shape[1:] != (d, d):
         raise ValueError(f"stack shape {ms.shape} does not match dims {dims}")
-    return _decompose(np.asarray(ms, dtype=complex), dims, 1)
-
-
-def batch_from_coefficient_tensors(
-    cs: np.ndarray, dims: "Sequence[int] | SpaceLayout"
-) -> np.ndarray:
-    """Inverse of :func:`batch_coefficient_tensors`."""
-    dims = _as_dims(dims)
-    return _recompose(cs, dims, 1)
-
-
-def hs_decompose(
-    m: np.ndarray,
-    dims: "Sequence[int] | SpaceLayout",
-    threshold: float = 1e-12,
-) -> dict[TermPattern, float]:
-    """Sparse real expansion of a Hermitian operator over product terms.
-
-    Args:
-        m: Hermitian operator on the product space.
-        dims: factor dimensions (or a layout supplying them).
-        threshold: coefficients with magnitude at most this are dropped.
-
-    Returns:
-        Mapping from term pattern to real coefficient, containing exactly the
-        coefficients with ``|c| > threshold``.
-    """
-    dims = _as_dims(dims)
-    if not is_hermitian(m):
-        raise ValueError("hs_decompose expects a Hermitian operator")
-    c = coefficient_tensor(m, dims)
-    out: dict[TermPattern, float] = {}
-    hits = np.argwhere(np.abs(c) > threshold)
-    for idx in hits:
-        pattern = tuple(int(i) for i in idx)
-        out[pattern] = float(c[pattern].real)
-    return out
-
-
-def hs_recompose(
-    coeffs: Mapping[TermPattern, float], dims: "Sequence[int] | SpaceLayout"
-) -> np.ndarray:
-    """Operator with the given sparse coefficients; empty input gives zero."""
-    dims = _as_dims(dims)
-    q = tuple(d * d for d in dims)
-    c = np.zeros(q, dtype=complex)
-    for pattern, value in coeffs.items():
-        if len(pattern) != len(dims):
-            raise ValueError(f"pattern {pattern!r} has wrong length")
-        c[tuple(pattern)] = value
-    return from_coefficient_tensor(c, dims)
+    n = len(dims)
+    t = np.asarray(ms, dtype=complex).reshape(ms.shape[:1] + dims + dims)
+    for k, dk in enumerate(dims):
+        # after k steps the axes are: batch, a_0..a_{k-1}, r_k..r_{n-1}, c_k..c_{n-1}
+        t = np.tensordot(build_su_basis(dk).elements, t, axes=([2, 1], [1 + k, 1 + n]))
+        t = np.moveaxis(t, 0, 1 + k)
+    return t / (2.0**n)

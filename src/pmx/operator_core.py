@@ -38,7 +38,6 @@ __all__ = [
     "partial_transpose",
     "permute_factors",
     "PaddedOperator",
-    "eig_hermitian",
     "real_kernel",
     "max_norm",
     "is_hermitian",
@@ -159,9 +158,6 @@ class SpaceLayout:
             if f.label == label:
                 return k
         raise KeyError(f"no factor labelled {label!r}")
-
-    def output_indices(self) -> tuple[int, ...]:
-        return tuple(k for p in self.parties for k in p.outputs)
 
 
 def _as_dims(dims: "Sequence[int] | SpaceLayout") -> tuple[int, ...]:
@@ -318,6 +314,11 @@ class PaddedOperator:
         return cls(dims, range(len(dims)), vector=v)
 
     @property
+    def vector(self) -> np.ndarray | None:
+        """``v`` while the operator is still held as ``|v><v|``, else None."""
+        return self._vector
+
+    @property
     def g(self) -> np.ndarray:
         if self._g is None:
             v = self._vector
@@ -413,25 +414,6 @@ def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
             lower = m[j : j + step, i : i + step]
             worst = max(worst, max_norm(upper - lower.conj().T))
     return worst <= tol * max(1.0, biggest)
-
-
-def eig_hermitian(
-    m: np.ndarray, check_tol: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Args:
-        m: matrix to decompose; must be Hermitian within ``check_tol``
-            (scaled by its max-norm), otherwise ``ValueError`` is raised.
-
-    Returns:
-        ``(w, v)`` with ``w`` real eigenvalues sorted descending and ``v``
-        the matching orthonormal eigenvectors as columns.
-    """
-    if not is_hermitian(m, check_tol):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    return w[::-1], v[:, ::-1]
 
 
 def real_kernel(rows: np.ndarray, rtol: float = DEFAULT_TOL) -> np.ndarray:

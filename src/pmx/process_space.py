@@ -16,6 +16,17 @@ output; such terms would let a party signal to itself or create a closed
 signalling loop, breaking probability normalization.  Everything else -
 shared input states and one-way signalling patterns - is allowed.
 
+The same three conditions define validity at every level of the order
+hierarchy (``HierarchyLevel``): processes at level 1, maps of processes at
+level 2, and so on up.  One projector, :func:`forbidden_part`, computes the
+forbidden part of an operator at any level by partial traces, and one core,
+``_validity_report``, turns an operator and its level into the three
+residuals; ``validate`` here and ``validate_supermap`` / ``validate_order_n``
+in :mod:`pmx.supermaps` check their input and call it.  Causal order
+(:func:`comb_order_satisfied`) is a partial-trace condition as well, so no
+check needs the product-term basis; ``allowed_mask`` states the term rule
+over that basis for the code that works in it (rigidity, extremality).
+
 The CJ convention used throughout: ``C_N = (1 (x) N)|1>><<1|`` with the
 unnormalized maximally entangled vector ``|1>> = sum_i |ii>``, so a map acts
 on a state as ``N(rho) = Tr_in(C_N (rho^T (x) 1))`` and trace preservation
@@ -30,11 +41,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
+import scipy.sparse.linalg
 
-from .hs_algebra import TermPattern, coefficient_tensor
 from .operator_core import (
     DEFAULT_TOL,
     PaddedOperator,
@@ -46,6 +57,8 @@ from .operator_core import (
     tensor,
 )
 
+TermPattern = tuple[int, ...]
+
 __all__ = [
     "TermClass",
     "CausalOrderFlag",
@@ -53,6 +66,7 @@ __all__ = [
     "Instrument",
     "ConditionReport",
     "ValidationReport",
+    "HierarchyLevel",
     "bipartite_qubit_layout",
     "single_party_layout",
     "switch_layout",
@@ -61,7 +75,7 @@ __all__ = [
     "allowed_mask",
     "project_valid",
     "project_valid_matrix",
-    "project_valid_closed_form",
+    "forbidden_part",
     "validate",
     "born_probabilities",
     "cj_of_map",
@@ -211,6 +225,61 @@ class ValidationReport:
         return self.condition("subspace")
 
 
+@dataclass(frozen=True)
+class HierarchyLevel:
+    """A node of the order hierarchy.
+
+    ``n = 1`` wraps a process layout; ``n >= 2`` pairs two level-``(n-1)``
+    nodes (input side, output side).
+    """
+
+    n: int
+    layout: SpaceLayout | None = None
+    slot1: "HierarchyLevel | None" = None
+    slot2: "HierarchyLevel | None" = None
+
+    def __post_init__(self) -> None:
+        if self.n == 1:
+            if self.layout is None or self.slot1 is not None or self.slot2 is not None:
+                raise ValueError("level 1 wraps exactly one layout")
+        elif self.n >= 2:
+            if self.layout is not None or self.slot1 is None or self.slot2 is None:
+                raise ValueError("higher levels pair two sub-levels")
+            if self.slot1.n != self.n - 1 or self.slot2.n != self.n - 1:
+                raise ValueError("both slots must sit one level below")
+        else:
+            raise ValueError(f"level must be positive, got {self.n}")
+
+    @classmethod
+    def process(cls, layout: SpaceLayout) -> "HierarchyLevel":
+        return cls(1, layout=layout)
+
+    @classmethod
+    def pair(cls, slot1: "HierarchyLevel", slot2: "HierarchyLevel") -> "HierarchyLevel":
+        return cls(slot1.n + 1, slot1=slot1, slot2=slot2)
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        if self.n == 1:
+            return self.layout.dims
+        return self.slot1.dims + self.slot2.dims
+
+    @property
+    def dim(self) -> int:
+        return math.prod(self.dims)
+
+    @property
+    def trace_constant(self) -> float:
+        """Trace of any object satisfying this level's conditions.
+
+        ``d_out`` for processes; ``dim(H_1) * t_2 / t_1`` one level up, the
+        trace forced by the trace-rescaling condition.
+        """
+        if self.n == 1:
+            return float(self.layout.d_out)
+        return self.slot1.dim * self.slot2.trace_constant / self.slot1.trace_constant
+
+
 # ---------------------------------------------------------------------------
 # layout presets
 # ---------------------------------------------------------------------------
@@ -332,14 +401,14 @@ def allowed_mask(layout: SpaceLayout) -> np.ndarray:
 
 
 def forbidden_part(
-    op: PaddedOperator, layout: SpaceLayout, offset: int = 0
+    op: PaddedOperator, level: HierarchyLevel, offset: int = 0
 ) -> PaddedOperator:
-    """Apply the forbidden-term projector ``Q_L = 1 - P_L`` by depolarization.
+    """Apply the forbidden-term projector ``Q^(n) = 1 - P^(n)`` of a level.
 
-    Whether a term is allowed depends only on which factors it touches, so
-    ``Q_L`` factorizes over parties.  With ``D_X`` the depolarization of
-    factor set ``X`` (trace it out, put back ``1_X / d_X``) and ``I_p``,
-    ``O_p`` party p's input and output factors,
+    At level 1 whether a term is allowed depends only on which factors it
+    touches, so ``Q_L`` factorizes over parties.  With ``D_X`` the
+    depolarization of factor set ``X`` (trace it out, put back
+    ``1_X / d_X``) and ``I_p``, ``O_p`` party p's input and output factors,
 
         Q_L = prod_p (1 - D_{O_p}(1 - D_{I_p})) - D_{all factors},
 
@@ -350,13 +419,21 @@ def forbidden_part(
     output-less parties' ``D_{I_p}`` go first: they shrink ``op``, so the
     identity they imply is never expanded.
 
-    The layout's factors sit at ``offset, offset + 1, ...`` of ``op``'s
-    factors, so the projector can act on one slot of a joint space.  ``op``
-    is consumed: the result may share and overwrite its storage.
+    One level up, ``Q^(n) = (1 - Q^(n-1)_1) (x) Q^(n-1)_2`` over the two
+    slots.  The output slot goes first, so the factors it depolarizes are
+    gone before the input slot's projector copies the operator.
+
+    The level's factors sit at ``offset, offset + 1, ...`` of ``op``'s
+    factors.  ``op`` is consumed: the result may share and overwrite its
+    storage.
     """
+    if level.n > 1:
+        h = forbidden_part(op, level.slot2, offset + len(level.slot1.dims))
+        h.subtract(forbidden_part(h.alias(), level.slot1, offset))
+        return h
     parties = [
         ([offset + k for k in p.inputs], [offset + k for k in p.outputs])
-        for p in layout.parties
+        for p in level.layout.parties
     ]
     for ins, outs in parties:
         if not outs:
@@ -366,25 +443,19 @@ def forbidden_part(
             leak = op.depolarized(outs)
             leak.subtract(leak.depolarized(ins))
             op.subtract(leak)
-    op.subtract(op.depolarized(range(offset, offset + layout.n_factors)))
+    op.subtract(op.depolarized(range(offset, offset + level.layout.n_factors)))
     return op
 
 
 def project_valid_matrix(m: np.ndarray, layout: SpaceLayout) -> np.ndarray:
     """Projector onto the span of allowed terms, applied to a bare matrix.
 
-    Computed in closed form as ``M - Q_L(M)``, with ``D_X`` the
-    depolarization of factor set ``X`` and
-
-        Q_L = prod_{p: O_p nonempty} (1 - D_{O_p}(1 - D_{I_p}))
-              * prod_{p: O_p empty} D_{I_p}  -  D_{all factors}
-
-    (see :func:`forbidden_part`).  It agrees with zeroing the forbidden
-    entries of the coefficient tensor (``allowed_mask``), the term-level
-    definition, for any factor dimensions.
+    Computed as ``M - Q_L(M)`` (see :func:`forbidden_part`).  It agrees
+    with zeroing the coefficients of the forbidden terms (``allowed_mask``),
+    the term-level definition, for any factor dimensions.
     """
-    op = forbidden_part(PaddedOperator.of_matrix(m, layout), layout)
-    return m - op.dense()
+    level = HierarchyLevel.process(layout)
+    return m - forbidden_part(PaddedOperator.of_matrix(m, layout), level).dense()
 
 
 def project_valid(w: ProcessMatrix) -> ProcessMatrix:
@@ -392,36 +463,63 @@ def project_valid(w: ProcessMatrix) -> ProcessMatrix:
     return ProcessMatrix(w.layout, project_valid_matrix(w.matrix, w.layout))
 
 
-def _depolarize(m: np.ndarray, layout: SpaceLayout, facs: Sequence[int]) -> np.ndarray:
-    """Replace the listed factors with normalized identity."""
-    return PaddedOperator.of_matrix(m, layout).depolarized(facs).dense()
+def _lowest_eigenvalue(m: np.ndarray) -> float:
+    if m.shape[0] <= 1024:
+        return float(np.linalg.eigvalsh(m)[0])
+    try:
+        w = scipy.sparse.linalg.eigsh(
+            m, k=1, which="SA", tol=1e-10, maxiter=10_000, return_eigenvectors=False
+        )
+        return float(w[0])
+    except scipy.sparse.linalg.ArpackError:
+        return float(np.linalg.eigvalsh(m)[0])
 
 
-def project_valid_closed_form(m: np.ndarray, layout: SpaceLayout) -> np.ndarray:
-    """Two-party closed form of the valid-subspace projector.
+def _validity_report(
+    op: PaddedOperator, level: HierarchyLevel, tol: float
+) -> ValidationReport:
+    """The three validity conditions of a Hermitian operator at any level.
 
-    Writing ``_X W`` for the depolarize-factors operation on factor set X,
-    the projector is
-
-        _AO W + _BO W - _AIAO W - _BIBO W - _AOBO W + _AOBIBO W + _BOAIAO W
-
-    with A, B the layout's two parties.  Agrees with the term-rule projector
-    on every product term; used as an independent cross-check.
+    Residuals: the most negative eigenvalue (clipped to 0; a rank-one
+    operator held by its vector is positive by representation); for the
+    trace, ``|Tr X - t|`` at level 1 and the max-norm of
+    ``Tr_2(X) - (t_2 / t_1) 1`` above, with ``t`` the levels' trace
+    constants; and the max-norm of the forbidden part ``Q^(n)(X)``.  Each
+    tolerance is ``tol`` scaled by the relevant magnitude (the trace, the
+    trace target, the operator max-norm).  ``op`` is consumed.
     """
-    if len(layout.parties) != 2:
-        raise ValueError("closed form applies to two-party layouts")
-    a, b = layout.parties
-    ai, ao = list(a.inputs), list(a.outputs)
-    bi, bo = list(b.inputs), list(b.outputs)
-    return (
-        _depolarize(m, layout, ao)
-        + _depolarize(m, layout, bo)
-        - _depolarize(m, layout, ai + ao)
-        - _depolarize(m, layout, bi + bo)
-        - _depolarize(m, layout, ao + bo)
-        + _depolarize(m, layout, ao + bi + bo)
-        + _depolarize(m, layout, bo + ai + ao)
+    d = level.dim
+    v = op.vector
+    if v is None:
+        m = op.g.reshape(d, d)
+        trace = float(np.trace(m).real)
+        pos_resid = max(0.0, -_lowest_eigenvalue(m))
+    else:
+        trace = float(np.vdot(v, v).real)
+        pos_resid = 0.0
+    pos_tol = tol * max(1.0, abs(trace))
+    if level.n == 1:
+        target = level.trace_constant
+        tr_resid = abs(trace - target)
+        tr_tol = tol * max(1.0, target)
+    else:
+        d1 = level.slot1.dim
+        ratio = level.slot2.trace_constant / level.slot1.trace_constant
+        if v is None:
+            marg = partial_trace(m, (d1, d // d1), [1])
+        else:
+            v2 = v.reshape(d1, d // d1)
+            marg = v2 @ v2.conj().T
+        tr_resid = max_norm(marg - ratio * np.eye(d1))
+        tr_tol = tol * max(1.0, ratio)
+    sub_tol = tol * max(1.0, op.max_norm())
+    sub_resid = forbidden_part(op, level).max_norm()
+    conds = (
+        ConditionReport("positivity", pos_resid, pos_tol, pos_resid <= pos_tol),
+        ConditionReport("trace", tr_resid, tr_tol, tr_resid <= tr_tol),
+        ConditionReport("subspace", sub_resid, sub_tol, sub_resid <= sub_tol),
     )
+    return ValidationReport(conds, all(c.passed for c in conds))
 
 
 def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -433,23 +531,8 @@ def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidationReport:
     ``tol`` scaled by the relevant magnitude (trace for positivity, ``d_out``
     for the trace condition, the matrix max-norm for the subspace condition).
     """
-    m = w.matrix
-    trace = float(np.trace(m).real)
-    lo = float(np.linalg.eigvalsh(m)[0])
-    pos_resid = max(0.0, -lo)
-    pos_tol = tol * max(1.0, abs(trace))
-    d_out = w.layout.d_out
-    tr_resid = abs(trace - d_out)
-    tr_tol = tol * max(1.0, float(d_out))
-    forbidden = forbidden_part(PaddedOperator.of_matrix(m, w.layout), w.layout)
-    sub_resid = forbidden.max_norm()
-    sub_tol = tol * max(1.0, max_norm(m))
-    conds = (
-        ConditionReport("positivity", pos_resid, pos_tol, pos_resid <= pos_tol),
-        ConditionReport("trace", tr_resid, tr_tol, tr_resid <= tr_tol),
-        ConditionReport("subspace", sub_resid, sub_tol, sub_resid <= sub_tol),
-    )
-    return ValidationReport(conds, all(c.passed for c in conds))
+    op = PaddedOperator.of_matrix(w.matrix, w.layout)
+    return _validity_report(op, HierarchyLevel.process(w.layout), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -573,15 +656,20 @@ def shared_state(rho: np.ndarray, layout: SpaceLayout | None = None) -> ProcessM
     if layout is None:
         layout = bipartite_qubit_layout()
     in_facs = [k for p in layout.parties for k in p.inputs]
-    out_facs = [k for p in layout.parties for k in p.outputs]
     d_in = math.prod(layout.dims[k] for k in in_facs)
     rho = _check_state(rho, d_in, "shared state")
-    d_out = math.prod(layout.dims[k] for k in out_facs) if out_facs else 1
-    big = np.kron(rho, np.eye(d_out))
-    current = in_facs + out_facs
+    return ProcessMatrix(layout, _padded(rho, in_facs, layout))
+
+
+def _padded(
+    core: np.ndarray, facs: Sequence[int], layout: SpaceLayout
+) -> np.ndarray:
+    """``core`` on the factors ``facs``, the identity on the rest, in layout order."""
+    rest = [k for k in range(layout.n_factors) if k not in facs]
+    big = np.kron(core, np.eye(math.prod(layout.dims[k] for k in rest)))
+    current = list(facs) + rest
     perm = [current.index(j) for j in range(layout.n_factors)]
-    dims_current = [layout.dims[k] for k in current]
-    return ProcessMatrix(layout, permute_factors(big, dims_current, perm))
+    return permute_factors(big, [layout.dims[k] for k in current], perm)
 
 
 def channel_with_memory(
@@ -604,22 +692,15 @@ def channel_with_memory(
     a, b = layout.parties
     if direction == "a_to_b":
         core_facs = list(a.inputs) + list(b.inputs) + list(a.outputs)
-        id_facs = list(b.outputs)
     elif direction == "b_to_a":
         core_facs = list(a.inputs) + list(b.inputs) + list(b.outputs)
-        id_facs = list(a.outputs)
     else:
         raise ValueError(f"direction must be 'a_to_b' or 'b_to_a', got {direction!r}")
     core = np.asarray(core, dtype=complex)
     d_core = math.prod(layout.dims[k] for k in core_facs)
     if core.shape != (d_core, d_core):
         raise ValueError(f"core shape {core.shape}, expected {(d_core, d_core)}")
-    d_id = math.prod(layout.dims[k] for k in id_facs) if id_facs else 1
-    big = np.kron(core, np.eye(d_id))
-    current = core_facs + id_facs
-    perm = [current.index(j) for j in range(layout.n_factors)]
-    dims_current = [layout.dims[k] for k in current]
-    return ProcessMatrix(layout, permute_factors(big, dims_current, perm))
+    return ProcessMatrix(layout, _padded(core, core_facs, layout))
 
 
 def memory_channel(
@@ -712,6 +793,19 @@ def grandfather_instrument() -> Instrument:
     return Instrument("A", (tensor(p0, p1), tensor(p1, p0)), 2, 2)
 
 
+def _target_state(psi: np.ndarray | None, d: int) -> np.ndarray:
+    """A switch's initial target state: ``psi`` checked, or |0> when None."""
+    if psi is None:
+        psi = np.zeros(d)
+        psi[0] = 1.0
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    if psi.shape != (d,):
+        raise ValueError(f"psi must have length {d}")
+    if abs(np.linalg.norm(psi) - 1.0) > DEFAULT_TOL:
+        raise ValueError("psi must be normalized")
+    return psi
+
+
 def switch_branch_vectors(psi: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The two wiring branches of the switch as vectors on (A_I, B_I, A_O, B_O, C_T).
 
@@ -735,14 +829,7 @@ def quantum_switch(psi: np.ndarray | None = None, d: int = 2) -> ProcessMatrix:
         psi: normalized initial target state (defaults to |0>).
         d: target dimension.
     """
-    if psi is None:
-        psi = np.zeros(d)
-        psi[0] = 1.0
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.shape != (d,):
-        raise ValueError(f"psi must have length {d}")
-    if abs(np.linalg.norm(psi) - 1.0) > DEFAULT_TOL:
-        raise ValueError("psi must be normalized")
+    psi = _target_state(psi, d)
     abc, bac = switch_branch_vectors(psi, d)
     n_t = d**5
     vec = np.zeros(n_t * 2, dtype=complex)
@@ -770,14 +857,7 @@ def switch_input_channel(
         control: normalized control-qubit amplitudes (defaults to |+>).
         d: target dimension.
     """
-    if psi is None:
-        psi = np.zeros(d)
-        psi[0] = 1.0
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.shape != (d,):
-        raise ValueError(f"psi must have length {d}")
-    if abs(np.linalg.norm(psi) - 1.0) > DEFAULT_TOL:
-        raise ValueError("psi must be normalized")
+    psi = _target_state(psi, d)
     if control is None:
         control = np.full(2, 1.0 / np.sqrt(2.0))
     control = np.asarray(control, dtype=complex).reshape(-1)
@@ -815,14 +895,7 @@ def extended_switch(psi: np.ndarray | None = None) -> ProcessMatrix:
     channel a rotation by ``lambda`` reduces this process to a
     ``cos/sin``-weighted superposition of the two switch branches.
     """
-    if psi is None:
-        psi = np.array([1.0, 0.0])
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.shape != (2,):
-        raise ValueError("psi must be a qubit state")
-    if abs(np.linalg.norm(psi) - 1.0) > DEFAULT_TOL:
-        raise ValueError("psi must be normalized")
-    v1, v2 = extended_branch_vectors(psi)
+    v1, v2 = extended_branch_vectors(_target_state(psi, 2))
     vec = v1 + v2
     return ProcessMatrix(extended_switch_layout(), np.outer(vec, vec.conj()))
 
@@ -830,14 +903,6 @@ def extended_switch(psi: np.ndarray | None = None) -> ProcessMatrix:
 # ---------------------------------------------------------------------------
 # causal order
 # ---------------------------------------------------------------------------
-
-
-def _nonzero_patterns(
-    w: ProcessMatrix, threshold: float
-) -> tuple[np.ndarray, np.ndarray]:
-    c = coefficient_tensor(w.matrix, w.layout)
-    scale = max(1.0, float(np.max(np.abs(c))))
-    return c, np.abs(c) > threshold * scale
 
 
 def causal_order_flags(
@@ -877,39 +942,30 @@ def causal_order_flags(
 def comb_order_satisfied(
     w: ProcessMatrix, order: Sequence[str], threshold: float = 1e-12
 ) -> bool:
-    """Whether the term support is compatible with a fixed party order.
+    """Whether ``w`` is compatible with a fixed party order.
 
-    For the order ``X_1 <= ... <= X_n`` (earlier parties act first), every
-    nonzero term that is trivial on all factors of the later parties
-    ``X_{k+1}, ..., X_n`` must be trivial on ``X_k``'s outputs: once
-    everything downstream is discarded, what remains cannot depend on
-    ``X_k``'s output.
+    For the order ``X_1 <= ... <= X_n`` (earlier parties act first), once
+    the later parties ``X_{k+1}, ..., X_n`` are discarded what remains may
+    not depend on ``X_k``'s output.  With ``D_S`` the depolarization of
+    factor set ``S`` and ``L_k`` the factors of the later parties, this is
+    the comb condition ``D_{O_k}(X) = X`` for ``X = D_{L_k}(W)``, checked
+    from the last party to the first by partial traces alone.
+
+    The check fails when some ``max_norm(X - D_{O_k}(X))`` exceeds
+    ``threshold * max(1, max_norm(W))``: the threshold is relative to the
+    operator's max-norm.
     """
     layout = w.layout
     names = [p.name for p in layout.parties]
     if sorted(order) != sorted(names):
         raise ValueError(f"order {order!r} must list the parties {names} exactly once")
-    _, support = _nonzero_patterns(w, threshold)
-    n = layout.n_factors
-    qdims = tuple(d * d for d in layout.dims)
-
-    def axis_flag(k: int) -> np.ndarray:
-        shape = [1] * n
-        shape[k] = qdims[k]
-        return (np.arange(qdims[k]) > 0).reshape(shape)
-
-    parties = [layout.party(name) for name in order]
-    for k in range(len(parties) - 1, -1, -1):
-        later: list[int] = []
-        for q in parties[k + 1 :]:
-            later.extend(q.inputs)
-            later.extend(q.outputs)
-        trivial_later = np.ones((1,) * n, dtype=bool)
-        for f in later:
-            trivial_later = trivial_later & ~axis_flag(f)
-        out_nontrivial = np.zeros((1,) * n, dtype=bool)
-        for f in parties[k].outputs:
-            out_nontrivial = out_nontrivial | axis_flag(f)
-        if np.any(support & trivial_later & out_nontrivial):
-            return False
+    x = PaddedOperator.of_matrix(w.matrix, layout)
+    bound = threshold * max(1.0, x.max_norm())
+    for party in reversed([layout.party(name) for name in order]):
+        if party.outputs:
+            leak = x.alias()
+            leak.subtract(x.depolarized(party.outputs))
+            if leak.max_norm() > bound:
+                return False
+        x = x.depolarized(party.inputs + party.outputs)
     return True

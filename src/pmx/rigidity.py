@@ -37,7 +37,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .hs_algebra import build_su_basis, from_coefficient_tensor
-from .operator_core import SpaceLayout
+from .operator_core import SpaceLayout, real_kernel
 from .process_space import ProcessMatrix, allowed_mask, project_valid_matrix, validate
 
 __all__ = [
@@ -205,16 +205,9 @@ def generator_kernel(
     fixed at zero).  Singular values at or below ``threshold`` times the
     largest one count as zero.
     """
-    qdims = tuple(d * d for d in system.layout.dims)
-    total = math.prod(qdims)
+    total = system.rows.shape[1]
     cols = np.arange(1, total)  # drop the identity pattern
-    dense = _deduplicate_rows(system.rows)[:, cols]
-    if dense.shape[0] == 0:
-        basis = np.eye(total - 1)
-    else:
-        _, svals, vt = np.linalg.svd(dense, full_matrices=True)
-        rank = int(np.sum(svals > threshold * svals[0]))
-        basis = vt[rank:]
+    basis = real_kernel(_deduplicate_rows(system.rows)[:, cols], threshold)
     out = np.zeros((basis.shape[0], total))
     out[:, cols] = basis
     return out

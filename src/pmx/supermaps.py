@@ -24,23 +24,15 @@ three-condition template yields projectors ``P^(n)`` for maps of maps: at
 every level ``P^(n) = 1 (x) 1 - P^(n-1) (x) 1 + P^(n-1) (x) P^(n-1)``, which
 stays diagonal in the product-term basis and hence idempotent.
 
-Every check computes the forbidden part ``Q = 1 - P`` in closed form, by
-partial traces rather than a basis transform.  With ``D_X`` the
-depolarization of factor set ``X`` (trace it out, put back ``1_X / d_X``)
-and ``I_p``, ``O_p`` party p's input and output factors, a layout's
-forbidden-term projector is
-
-    Q_L = prod_{p: O_p nonempty} (1 - D_{O_p}(1 - D_{I_p}))
-          * prod_{p: O_p empty} D_{I_p}  -  D_{all factors},
-
-all factors commuting (``pmx.process_space.forbidden_part``), and one level
-up ``Q^(n) = (1 - Q^(n-1)_1) (x) Q^(n-1)_2``; condition (c) is
-``(1 - Q_in) (x) Q_out (C) = 0``.  A depolarization reads and writes only
-diagonal entries, an output-less party shrinks the operator instead of
-padding it with an identity, and a pure CJ ``|v><v|`` enters through
-``Tr_X |v><v| = V V^dag``, so the rank-one CJ is never formed.  The
-coefficient-tensor masks (``allowed_mask``, ``hierarchy_mask``) remain the
-term-level definition that the closed form reproduces.
+The hierarchy levels, the one forbidden-part projector and the one validity
+core live in :mod:`pmx.process_space`: one level up the forbidden-term
+projector is ``Q^(n) = (1 - Q^(n-1)_1) (x) Q^(n-1)_2``, and condition (c)
+reads ``(1 - Q_in) (x) Q_out (C) = 0``.  :func:`validate_supermap` and
+:func:`validate_order_n` check their input and hand the CJ to that core.  A
+depolarization reads and writes only diagonal entries, an output-less party
+shrinks the operator instead of padding it with an identity, and a pure CJ
+``|v><v|`` enters through ``Tr_X |v><v| = V V^dag``, so the rank-one CJ is
+never formed.
 
 Large CJ operators (the 8-factor reduction supermaps) are never
 materialized; such supermaps carry a structured action instead and raise a
@@ -50,13 +42,10 @@ size error if their CJ is requested.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .operator_core import (
     DEFAULT_TOL,
@@ -69,10 +58,11 @@ from .operator_core import (
     tensor,
 )
 from .process_space import (
-    ConditionReport,
+    HierarchyLevel,
     ProcessMatrix,
     ValidationReport,
-    allowed_mask,
+    _validity_report,
+    cj_of_map,
     forbidden_part,
     switch_layout,
 )
@@ -94,7 +84,6 @@ __all__ = [
     "v_lambda_unitary",
     "v_lambda",
     "hierarchy_projector",
-    "hierarchy_mask",
     "validate_order_n",
 ]
 
@@ -172,18 +161,6 @@ class Supermap:
         )
 
 
-def _lowest_eigenvalue(m: np.ndarray) -> float:
-    if m.shape[0] <= 1024:
-        return float(np.linalg.eigvalsh(m)[0])
-    try:
-        w = scipy.sparse.linalg.eigsh(
-            m, k=1, which="SA", tol=1e-10, maxiter=10_000, return_eigenvectors=False
-        )
-        return float(w[0])
-    except scipy.sparse.linalg.ArpackError:
-        return float(np.linalg.eigvalsh(m)[0])
-
-
 def validate_supermap(s: Supermap, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check the three supermap validity conditions on the CJ operator.
 
@@ -191,48 +168,23 @@ def validate_supermap(s: Supermap, tol: float = DEFAULT_TOL) -> ValidationReport
     ``trace`` (max-norm of ``Tr_out_side(C) - (d_out'/d_in') 1``), and
     ``subspace`` (max-norm of ``(P_in (x) Q_out)(C)``, the part that
     projecting the input side only keeps and projecting both sides drops).
+    This is :func:`validate_order_n` at the level pairing the two layouts.
 
     A pure supermap is checked from its CJ vector alone; the rank-one CJ is
     never formed, but the ``MAX_CJ_DIM`` size limit still applies.
     """
     s._check_cj_size()
-    d1 = s.in_layout.dim
-    d2 = s.out_layout.dim
-    ratio = s.out_layout.d_out / s.in_layout.d_out
-
+    level = HierarchyLevel.pair(
+        HierarchyLevel.process(s.in_layout), HierarchyLevel.process(s.out_layout)
+    )
     if s.is_pure:
-        # rank-one CJ |v><v| is PSD by representation; marginal from the vector
-        v = s._cj_vector
-        v2 = v.reshape(d1, d2)
-        pos_resid = 0.0
-        trace_c = float(np.vdot(v, v).real)
-        marg = v2 @ v2.conj().T
-        op = PaddedOperator.of_vector(v, s.in_layout.dims + s.out_layout.dims)
+        op = PaddedOperator.of_vector(s._cj_vector, level.dims)
     else:
         c = s.cj
         if not is_hermitian(c):
             raise ValueError("supermap CJ is not Hermitian")
-        lo = _lowest_eigenvalue(c)
-        pos_resid = max(0.0, -lo)
-        trace_c = float(np.trace(c).real)
-        marg = partial_trace(c, (d1, d2), [1])
-        op = PaddedOperator.of_matrix(c, s.in_layout.dims + s.out_layout.dims)
-    pos_tol = tol * max(1.0, abs(trace_c))
-    tr_resid = max_norm(marg - ratio * np.eye(d1))
-    tr_tol = tol * max(1.0, ratio)
-
-    level = HierarchyLevel.pair(
-        HierarchyLevel.process(s.in_layout), HierarchyLevel.process(s.out_layout)
-    )
-    sub_tol = tol * max(1.0, op.max_norm())
-    sub_resid = _forbidden_part(op, level).max_norm()
-
-    conds = (
-        ConditionReport("positivity", pos_resid, pos_tol, pos_resid <= pos_tol),
-        ConditionReport("trace", tr_resid, tr_tol, tr_resid <= tr_tol),
-        ConditionReport("subspace", sub_resid, sub_tol, sub_resid <= sub_tol),
-    )
-    return ValidationReport(conds, all(cd.passed for cd in conds))
+        op = PaddedOperator.of_matrix(c, level.dims)
+    return _validity_report(op, level, tol)
 
 
 def apply(s: Supermap, w: ProcessMatrix) -> ProcessMatrix:
@@ -262,10 +214,13 @@ def apply(s: Supermap, w: ProcessMatrix) -> ProcessMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _max_entangled_vector(d: int) -> np.ndarray:
-    v = np.zeros(d * d, dtype=complex)
-    v[:: d + 1] = 1.0
-    return v
+def _block_diagonal(block: np.ndarray, copies: int) -> np.ndarray:
+    """``1_copies (x) block``, written block by block into one zeroed array."""
+    d = block.shape[0]
+    out = np.zeros((copies * d, copies * d), dtype=complex)
+    for i in range(0, copies * d, d):
+        out[i : i + d, i : i + d] = block
+    return out
 
 
 def constant_map(w_tilde: ProcessMatrix, in_layout: SpaceLayout) -> Supermap:
@@ -274,11 +229,8 @@ def constant_map(w_tilde: ProcessMatrix, in_layout: SpaceLayout) -> Supermap:
     ``C = 1_in (x) w_tilde / d_in'``; valid exactly when ``w_tilde`` is a
     valid process.
     """
-    d1 = in_layout.dim
-    cj = np.kron(np.eye(d1), w_tilde.matrix) / in_layout.d_out
-    return Supermap(
-        in_layout, w_tilde.layout, cj=cj, label="constant"
-    )
+    cj = _block_diagonal(w_tilde.matrix / in_layout.d_out, in_layout.dim)
+    return Supermap(in_layout, w_tilde.layout, cj=cj, label="constant")
 
 
 def interpolation_map(w_tilde: ProcessMatrix, p: float) -> Supermap:
@@ -292,10 +244,9 @@ def interpolation_map(w_tilde: ProcessMatrix, p: float) -> Supermap:
         raise ValueError(f"mixing weight must lie in [0, 1], got {p}")
     layout = w_tilde.layout
     d = layout.dim
-    v = _max_entangled_vector(d)
-    cj = (1.0 - p) * np.outer(v, v.conj()) + p * np.kron(
-        np.eye(d), w_tilde.matrix
-    ) / layout.d_out
+    cj = _block_diagonal(p * w_tilde.matrix / layout.d_out, d)
+    # |1>> = sum_i |ii> sits at the flat indices i (d + 1)
+    cj[:: d + 1, :: d + 1] += 1.0 - p
     return Supermap(layout, layout, cj=cj, label=f"interpolation(p={p})")
 
 
@@ -396,8 +347,6 @@ def instrument_reduction(
         g4 = embedded.reshape(d_rest, d_x, d_rest, d_x)
         s6 = np.einsum("kprq,sl->klrqsp", g4, np.eye(d_rest))
         smat = s6.reshape(d_rest * d_rest, (d_rest * d_x) ** 2)
-        from .process_space import cj_of_map
-
         cj_p = cj_of_map(smat, d_rest * d_x, d_rest)
         # input side is currently ordered (kept..., party...); restore layout order
         joint_dims = dims_p + list(reduced.dims)
@@ -489,109 +438,18 @@ def v_lambda(lam: float, d: int = 2) -> Supermap:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HierarchyLevel:
-    """A node of the order hierarchy.
-
-    ``n = 1`` wraps a process layout; ``n >= 2`` pairs two level-``(n-1)``
-    nodes (input side, output side).
-    """
-
-    n: int
-    layout: SpaceLayout | None = None
-    slot1: "HierarchyLevel | None" = None
-    slot2: "HierarchyLevel | None" = None
-
-    def __post_init__(self) -> None:
-        if self.n == 1:
-            if self.layout is None or self.slot1 is not None or self.slot2 is not None:
-                raise ValueError("level 1 wraps exactly one layout")
-        elif self.n >= 2:
-            if self.layout is not None or self.slot1 is None or self.slot2 is None:
-                raise ValueError("higher levels pair two sub-levels")
-            if self.slot1.n != self.n - 1 or self.slot2.n != self.n - 1:
-                raise ValueError("both slots must sit one level below")
-        else:
-            raise ValueError(f"level must be positive, got {self.n}")
-
-    @classmethod
-    def process(cls, layout: SpaceLayout) -> "HierarchyLevel":
-        return cls(1, layout=layout)
-
-    @classmethod
-    def pair(cls, slot1: "HierarchyLevel", slot2: "HierarchyLevel") -> "HierarchyLevel":
-        return cls(slot1.n + 1, slot1=slot1, slot2=slot2)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        if self.n == 1:
-            return self.layout.dims
-        return self.slot1.dims + self.slot2.dims
-
-    @property
-    def dim(self) -> int:
-        return math.prod(self.dims)
-
-    @property
-    def trace_constant(self) -> float:
-        """Trace of any object satisfying this level's conditions.
-
-        ``d_out`` for processes; ``dim(H_1) * t_2 / t_1`` one level up, the
-        trace forced by the trace-rescaling condition.
-        """
-        if self.n == 1:
-            return float(self.layout.d_out)
-        return self.slot1.dim * self.slot2.trace_constant / self.slot1.trace_constant
-
-
-@lru_cache(maxsize=None)
-def hierarchy_mask(level: HierarchyLevel) -> np.ndarray:
-    """Diagonal 0/1 action of ``P^(n)`` over product-term patterns.
-
-    Level 1 is the allowed-term mask; level ``n`` keeps a coefficient unless
-    its input-side pattern is kept by the level below while its output-side
-    pattern is not: ``mask = ~m_1 | m_2`` over the slot masks.
-    """
-    if level.n == 1:
-        return allowed_mask(level.layout)
-    m1 = hierarchy_mask(level.slot1)
-    m2 = hierarchy_mask(level.slot2)
-    q1 = m1.shape
-    q2 = m2.shape
-    out = ~m1.reshape(q1 + (1,) * len(q2)) | m2.reshape((1,) * len(q1) + q2)
-    out = np.array(np.broadcast_to(out, q1 + q2))
-    out.setflags(write=False)
-    return out
-
-
-def _forbidden_part(
-    op: PaddedOperator, level: HierarchyLevel, offset: int = 0
-) -> PaddedOperator:
-    """Apply ``Q^(n) = 1 - P^(n)`` to ``op`` (consumed, see ``forbidden_part``).
-
-    ``Q^(1)`` is the layout's forbidden-term projector and
-    ``Q^(n) = (1 - Q^(n-1)_1) (x) Q^(n-1)_2`` over the two slots.  The output
-    slot goes first, so the factors it depolarizes are gone before the input
-    slot's projector copies the operator.
-    """
-    if level.n == 1:
-        return forbidden_part(op, level.layout, offset)
-    h = _forbidden_part(op, level.slot2, offset + len(level.slot1.dims))
-    h.subtract(_forbidden_part(h.alias(), level.slot1, offset))
-    return h
-
-
 def hierarchy_projector(level: HierarchyLevel) -> Callable[[np.ndarray], np.ndarray]:
     """The projector ``P^(n)`` as a function on operators.
 
-    Computed as ``M - Q^(n)(M)`` by depolarization; it agrees with keeping
-    the coefficients that ``hierarchy_mask`` marks, and is idempotent at
-    every level.
+    Computed as ``M - Q^(n)(M)`` by depolarization (see
+    :func:`pmx.process_space.forbidden_part`); over product terms it keeps
+    a coefficient unless the input-side pattern is kept by the level below
+    while the output-side one is not, and it is idempotent at every level.
     """
     dims = level.dims
 
     def project(m: np.ndarray) -> np.ndarray:
-        return m - _forbidden_part(PaddedOperator.of_matrix(m, dims), level).dense()
+        return m - forbidden_part(PaddedOperator.of_matrix(m, dims), level).dense()
 
     return project
 
@@ -605,32 +463,7 @@ def validate_order_n(
     process layouts it coincides with :func:`validate_supermap` on the CJ.
     """
     x = np.asarray(x, dtype=complex)
-    d = level.dim
-    if x.shape != (d, d):
-        raise ValueError(f"operator shape {x.shape}, expected {(d, d)}")
+    op = PaddedOperator.of_matrix(x, level.dims)  # checks the shape
     if not is_hermitian(x):
         raise ValueError("operator must be Hermitian")
-    trace = float(np.trace(x).real)
-    lo = _lowest_eigenvalue(x)
-    pos_resid = max(0.0, -lo)
-    pos_tol = tol * max(1.0, abs(trace))
-    if level.n == 1:
-        target = level.trace_constant
-        tr_resid = abs(trace - target)
-        tr_tol = tol * max(1.0, target)
-    else:
-        d1 = level.slot1.dim
-        d2 = level.slot2.dim
-        ratio = level.slot2.trace_constant / level.slot1.trace_constant
-        marg = partial_trace(x, (d1, d2), [1])
-        tr_resid = max_norm(marg - ratio * np.eye(d1))
-        tr_tol = tol * max(1.0, ratio)
-    forbidden = _forbidden_part(PaddedOperator.of_matrix(x, level.dims), level)
-    sub_resid = forbidden.max_norm()
-    sub_tol = tol * max(1.0, max_norm(x))
-    conds = (
-        ConditionReport("positivity", pos_resid, pos_tol, pos_resid <= pos_tol),
-        ConditionReport("trace", tr_resid, tr_tol, tr_resid <= tr_tol),
-        ConditionReport("subspace", sub_resid, sub_tol, sub_resid <= sub_tol),
-    )
-    return ValidationReport(conds, all(c.passed for c in conds))
+    return _validity_report(op, level, tol)

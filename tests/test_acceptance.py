@@ -12,7 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from pmx.hs_algebra import coefficient_tensor, term_stack
+from oracles import coefficient_tensor, project_valid_closed_form
+from pmx.hs_algebra import term_stack
 from pmx.operator_core import max_norm, tensor
 from pmx.process_space import (
     Instrument,
@@ -26,7 +27,6 @@ from pmx.process_space import (
     extended_switch_layout,
     grandfather_instrument,
     memory_channel,
-    project_valid_closed_form,
     project_valid_matrix,
     quantum_switch,
     shared_state,

@@ -187,6 +187,43 @@ class TestValidateCommand:
         assert err.startswith("error:") and "not finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "malform",
+        [
+            lambda doc: json.dumps({**doc, "matrix": [1, 2]}),
+            lambda doc: json.dumps({**doc, "factors": 5}),
+            lambda doc: json.dumps(doc).replace('"label": "A_I"', '"label": ["A_I"]'),
+            lambda doc: json.dumps(doc).replace('"party": "A"', '"party": ["A"]', 1),
+            lambda doc: json.dumps(doc).replace('"dim": 16', '"dim": 16.0'),
+            lambda doc: json.dumps(doc).replace('"0.0"', "false", 1),
+            lambda doc: json.dumps(doc).replace('"A_I"', '"A_\u00ef"', 1),
+            lambda doc: json.dumps(doc).replace('"0.0"', "1" + "0" * 400, 1),
+        ],
+        ids=[
+            "matrix-list",
+            "factors-int",
+            "label-list",
+            "party-list",
+            "matrix-dim-float",
+            "boolean-entry",
+            "non-ascii-bytes",
+            "entry-beyond-float-range",
+        ],
+    )
+    def test_malformed_document_exits_2(self, tmp_path, capsys, malform):
+        path = tmp_path / "w.pmx"
+        write_pmx(str(path), w_ocb())
+        doc = json.loads(path.read_text())
+        text = malform(doc)
+        assert text != json.dumps(doc)
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(PmxFormatError):
+            load_pmx(str(path))
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_boolean_factor_dim_rejected(self, tmp_path, capsys):
         path = tmp_path / "w.pmx"
         write_pmx(str(path), w_ocb())
@@ -246,7 +283,7 @@ class TestVerifyCommand:
         assert "single_party_kernel_dim=6 expected=6 PASS" in out
         assert "suite=rigidity overall=PASS" in out
 
-    @pytest.mark.parametrize("suite", ["rigidity", "extremality"])
+    @pytest.mark.parametrize("suite", ["rigidity", "extremality", "switch"])
     def test_output_matches_golden_text(self, suite, capsys):
         # full standard output and exit code; hierarchy is left out because
         # its idempotence residuals are rounding noise below 1e-15

@@ -11,7 +11,7 @@ from pmx.extremality import (
     support_intersection_dim,
     support_rank,
 )
-from pmx.hs_algebra import coefficient_tensor
+from oracles import coefficient_tensor
 from pmx.operator_core import tensor
 from pmx.process_space import (
     ProcessMatrix,

@@ -5,7 +5,6 @@ import pytest
 
 from pmx.operator_core import (
     SpaceLayout,
-    eig_hermitian,
     is_hermitian,
     max_norm,
     partial_trace,
@@ -124,26 +123,6 @@ def test_permute_factors_roundtrip():
     np.testing.assert_allclose(permute_factors(m, (2, 3, 2), [2, 0, 1]), tensor(c, a, b))
     back = permute_factors(permute_factors(m, (2, 3, 2), [2, 0, 1]), (2, 2, 3), [1, 2, 0])
     np.testing.assert_allclose(back, m)
-
-
-def test_eig_hermitian_descending():
-    w, v = eig_hermitian(SZ)
-    np.testing.assert_allclose(w, [1.0, -1.0])
-    np.testing.assert_allclose(SZ @ v, v @ np.diag(w))
-
-
-def test_eig_hermitian_reconstruction():
-    rng = np.random.default_rng(19)
-    m = random_hermitian(rng, 6)
-    w, v = eig_hermitian(m)
-    assert np.all(np.diff(w) <= 1e-12)
-    np.testing.assert_allclose(v @ np.diag(w) @ v.conj().T, m, atol=1e-12)
-    np.testing.assert_allclose(np.sum(w), np.trace(m).real)
-
-
-def test_eig_hermitian_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_real_kernel_empty_rows_full_space():

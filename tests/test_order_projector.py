@@ -1,21 +1,32 @@
-"""The depolarization closed form of the order-structure projector.
+"""The depolarization closed forms of the order structure.
 
 Every validity check computes the forbidden part ``Q = 1 - P`` by partial
-traces.  These properties compare it with the term-level definition, the
-coefficient-tensor mask (``allowed_mask`` / ``hierarchy_mask``), which is
-kept here as the oracle.
+traces, and the causal-order check compares partial traces as well.  These
+properties compare them with the term-level definitions in ``oracles``: the
+coefficient-tensor masks (``allowed_mask`` / ``hierarchy_mask``) and the
+coefficient support of a causally ordered process.  They also check that
+the one validity core gives the same report through every entry point.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmx.hs_algebra import coefficient_tensor, from_coefficient_tensor
+from oracles import (
+    coefficient_tensor,
+    comb_order_by_support,
+    hierarchy_mask,
+    order_mask,
+)
+from pmx.hs_algebra import from_coefficient_tensor
 from pmx.operator_core import PaddedOperator, SpaceLayout, max_norm
 from pmx.process_space import (
     ProcessMatrix,
     allowed_mask,
+    comb_order_satisfied,
     project_valid_matrix,
     single_party_layout,
     validate,
@@ -23,7 +34,6 @@ from pmx.process_space import (
 from pmx.supermaps import (
     HierarchyLevel,
     Supermap,
-    hierarchy_mask,
     hierarchy_projector,
     v_lambda,
     validate_order_n,
@@ -206,3 +216,78 @@ def test_pure_switch_validation_never_forms_cj():
     assert dense.positivity.residual <= 1e-12 and report.positivity.residual == 0.0
     assert not report.subspace.passed
     assert report.subspace.tolerance == pytest.approx(dense.subspace.tolerance, rel=1e-12)
+
+
+def normalized_psd(m, layout):
+    """Shift ``m`` by the identity until positive, then fix the trace.
+
+    The identity is allowed and causally ordered in every order, so the
+    shift keeps whatever term structure ``m`` has.
+    """
+    lo = float(np.linalg.eigvalsh(m)[0])
+    m = m + (abs(lo) + 0.1) * np.eye(layout.dim)
+    return ProcessMatrix(layout, m * (layout.d_out / np.trace(m).real))
+
+
+def random_valid(rng, layout):
+    m = project_valid_matrix(random_hermitian(rng, layout.dim), layout)
+    return normalized_psd(m, layout)
+
+
+def random_ordered(rng, layout, order):
+    """A random valid process causally ordered as ``order``."""
+    c = coefficient_tensor(random_hermitian(rng, layout.dim), layout.dims)
+    m = from_coefficient_tensor(np.where(order_mask(layout, order), c, 0.0), layout.dims)
+    return normalized_psd((m + m.conj().T) / 2, layout)
+
+
+@PROPERTY_SETTINGS
+@given(layout=layouts(max_dim=36), seed=st.integers(0, 2**32 - 1))
+def test_comb_order_matches_coefficient_support(layout, seed):
+    rng = np.random.default_rng(seed)
+    orders = list(itertools.permutations([p.name for p in layout.parties]))
+    processes = [random_valid(rng, layout)]
+    processes += [random_ordered(rng, layout, order) for order in orders]
+    for w in processes:
+        for order in orders:
+            assert comb_order_satisfied(w, order) == comb_order_by_support(w, order)
+    # a process built in one order passes that order
+    for w, order in zip(processes[1:], orders):
+        assert comb_order_satisfied(w, order)
+
+
+@PROPERTY_SETTINGS
+@given(layout=layouts(max_dim=36), seed=st.integers(0, 2**32 - 1))
+def test_validate_is_validate_order_n_at_level1(layout, seed):
+    rng = np.random.default_rng(seed)
+    level = HierarchyLevel.process(layout)
+    hermitian = ProcessMatrix(layout, random_hermitian(rng, layout.dim))
+    for w in (hermitian, random_valid(rng, layout)):
+        assert validate(w) == validate_order_n(w.matrix, level)
+
+
+@PROPERTY_SETTINGS
+@given(
+    l1=layouts(max_dim=8),
+    l2=layouts(max_dim=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_validate_supermap_is_validate_order_n_at_level2(l1, l2, seed):
+    rng = np.random.default_rng(seed)
+    level = HierarchyLevel.pair(HierarchyLevel.process(l1), HierarchyLevel.process(l2))
+    d = level.dim
+    dense = Supermap(l1, l2, cj=random_hermitian(rng, d))
+    assert validate_supermap(dense) == validate_order_n(dense.cj, level)
+    vectors = [rng.standard_normal(d) + 1j * rng.standard_normal(d)]
+    if l1 == l2:
+        # |1>>, the identity supermap: valid
+        vectors.append(np.eye(l1.dim).reshape(-1))
+    for v in vectors:
+        report = validate_supermap(Supermap(l1, l2, cj_vector=v))
+        want = validate_order_n(np.outer(v, v.conj()), level)
+        scale = max(1.0, max_norm(np.outer(v, v.conj())))
+        for got, ref in zip(report.conditions, want.conditions):
+            assert got.name == ref.name
+            assert got.passed == ref.passed
+            assert abs(got.residual - ref.residual) <= 1e-12 * scale
+            assert got.tolerance == pytest.approx(ref.tolerance, rel=1e-12)

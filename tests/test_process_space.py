@@ -6,11 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from pmx.hs_algebra import (
-    coefficient_tensor,
+from oracles import (
     enumerate_patterns,
     hs_decompose,
     product_term,
+    project_valid_closed_form,
 )
 from pmx.operator_core import partial_trace, tensor
 from pmx.process_space import (
@@ -31,7 +31,6 @@ from pmx.process_space import (
     grandfather_instrument,
     memory_channel,
     project_valid,
-    project_valid_closed_form,
     project_valid_matrix,
     quantum_switch,
     shared_state,

@@ -9,13 +9,11 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+from oracles import batch_from_coefficient_tensors, coefficient_tensor, product_term
 from pmx.hs_algebra import (
     batch_coefficient_tensors,
-    batch_from_coefficient_tensors,
     build_su_basis,
-    coefficient_tensor,
     from_coefficient_tensor,
-    product_term,
 )
 from pmx.operator_core import SpaceLayout, max_norm
 from pmx.process_space import (

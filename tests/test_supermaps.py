@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from pmx.hs_algebra import (
-    coefficient_tensor,
-    from_coefficient_tensor,
-    product_term,
-)
+from oracles import coefficient_tensor, product_term
+from pmx.hs_algebra import from_coefficient_tensor
 from pmx.operator_core import SpaceLayout, max_norm, partial_trace, tensor
 from pmx.process_space import (
     CausalOrderFlag,
