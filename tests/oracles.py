@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,6 +83,45 @@ def hs_decompose(
         for idx in np.argwhere(np.abs(c) > threshold)
     }
 
+
+
+def hs_recompose(
+    coeffs: Mapping[TermPattern, float], dims: "Sequence[int] | SpaceLayout"
+) -> np.ndarray:
+    """Operator with the given sparse coefficients; empty input gives zero."""
+    dims = _as_dims(dims)
+    c = np.zeros(tuple(d * d for d in dims), dtype=complex)
+    for pattern, value in coeffs.items():
+        if len(pattern) != len(dims):
+            raise ValueError(f"pattern {pattern!r} has wrong length")
+        c[tuple(pattern)] = value
+    return from_coefficient_tensor(c, dims)
+
+
+# ---------------------------------------------------------------------------
+# structure constants of one factor basis
+# ---------------------------------------------------------------------------
+
+
+class StructureTensors(NamedTuple):
+    """``f[m, n, r] = Tr([s_m, s_n] s_r) / 4i`` and ``dsym``, its
+    anticommutator analogue ``Tr({s_m, s_n} s_r) / 4``; both zero whenever
+    an index is 0."""
+
+    f: np.ndarray
+    dsym: np.ndarray
+
+
+def structure_constants(d: int) -> StructureTensors:
+    """Structure tensors of :func:`pmx.hs_algebra.build_su_basis` at dimension ``d``."""
+    sig = build_su_basis(d).elements
+    prod = np.einsum("aij,bjk->abik", sig, sig)
+    swapped = prod.transpose(1, 0, 2, 3)
+    f = np.einsum("abij,cji->abc", prod - swapped, sig) / 4.0j
+    dsym = np.einsum("abij,cji->abc", prod + swapped, sig) / 4.0
+    for t in (f, dsym):
+        t[0, :, :] = t[:, 0, :] = t[:, :, 0] = 0.0
+    return StructureTensors(f.real, dsym.real)
 
 # ---------------------------------------------------------------------------
 # term masks

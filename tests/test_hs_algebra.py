@@ -9,7 +9,9 @@ from oracles import (
     coefficient_tensor,
     enumerate_patterns,
     hs_decompose,
+    hs_recompose,
     product_term,
+    structure_constants,
 )
 from pmx.hs_algebra import (
     batch_coefficient_tensors,
@@ -61,6 +63,12 @@ def test_basis_orthogonality_and_tracelessness(d):
         np.testing.assert_allclose(el, el.conj().T, atol=1e-14)
 
 
+def test_qubit_structure_constants_are_levi_civita():
+    st = structure_constants(2)
+    np.testing.assert_allclose(st.f, EPSILON, atol=1e-14)
+    np.testing.assert_allclose(st.dsym, 0.0, atol=1e-14)
+
+
 def test_qubit_product_relation():
     """sigma_i sigma_j = delta_ij 1 + i eps_ijk sigma_k for qubit elements."""
     els = build_su_basis(2).elements
@@ -70,6 +78,37 @@ def test_qubit_product_relation():
             for k in range(1, 4):
                 expected = expected + 1j * EPSILON[i, j, k] * els[k]
             np.testing.assert_allclose(els[i] @ els[j], expected, atol=1e-14)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_structure_constant_trace_identities(d):
+    """Tr([s_m, s_n] s_r) = 4i f and Tr({s_m, s_n} s_r) = 4 dsym (latin)."""
+    els = build_su_basis(d).elements
+    st = structure_constants(d)
+    q = d * d
+    for m in range(1, q):
+        for n in range(1, q):
+            comm = els[m] @ els[n] - els[n] @ els[m]
+            anti = els[m] @ els[n] + els[n] @ els[m]
+            for r in range(1, q):
+                np.testing.assert_allclose(
+                    np.trace(comm @ els[r]), 4j * st.f[m, n, r], atol=1e-12
+                )
+                np.testing.assert_allclose(
+                    np.trace(anti @ els[r]), 4 * st.dsym[m, n, r], atol=1e-12
+                )
+
+
+def test_structure_constants_symmetries():
+    st = structure_constants(3)
+    np.testing.assert_allclose(st.f, -np.swapaxes(st.f, 0, 1), atol=1e-12)
+    np.testing.assert_allclose(st.f, np.moveaxis(st.f, [0, 1, 2], [1, 2, 0]), atol=1e-12)
+    np.testing.assert_allclose(st.dsym, np.swapaxes(st.dsym, 0, 1), atol=1e-12)
+    # traceless: sum_i d_iik = 0
+    np.testing.assert_allclose(np.einsum("iik->k", st.dsym), 0.0, atol=1e-11)
+    # one frozen standard value: d_118 = 1/sqrt(3) in the usual Gell-Mann
+    # numbering, which is element (1, 1, 8) here as well
+    np.testing.assert_allclose(st.dsym[1, 1, 8], 1.0 / np.sqrt(3.0), atol=1e-12)
 
 
 def test_product_terms_orthogonal_dims_2222():
@@ -118,6 +157,13 @@ def test_roundtrip_random_hermitian():
         np.testing.assert_allclose(from_coefficient_tensor(c, dims), m, atol=1e-10)
 
 
+def test_roundtrip_sparse_api():
+    rng = np.random.default_rng(6)
+    m = random_hermitian(rng, 8)
+    coeffs = hs_decompose(m, (2, 2, 2))
+    np.testing.assert_allclose(hs_recompose(coeffs, (2, 2, 2)), m, atol=1e-10)
+
+
 def test_decompose_pauli_string():
     """A bare Pauli string decomposes to the single matching pattern."""
     m = tensor(np.eye(2), SZ, SZ, np.eye(2))
@@ -139,6 +185,10 @@ def test_decompose_two_party_fixed_point_combination():
     np.testing.assert_allclose(coeffs[(0, 0, 0, 0)], 0.25)
     np.testing.assert_allclose(coeffs[(0, 3, 3, 0)], 0.25 / np.sqrt(2.0))
     np.testing.assert_allclose(coeffs[(3, 1, 0, 3)], 0.25 / np.sqrt(2.0))
+
+
+def test_recompose_empty_is_zero():
+    np.testing.assert_array_equal(hs_recompose({}, (2, 2)), np.zeros((4, 4)))
 
 
 def test_decompose_rejects_non_hermitian():
