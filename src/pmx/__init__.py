@@ -13,7 +13,6 @@ from .operator_core import (
     partial_trace,
     partial_transpose,
     permute_factors,
-    real_kernel,
     tensor,
 )
 from .hs_algebra import SuBasis, build_su_basis
@@ -62,9 +61,7 @@ from .supermaps import (
     validate_supermap,
 )
 from .rigidity import (
-    ConstraintSystem,
     RigidityReport,
-    build_constraints,
     generator_kernel,
     single_body_patterns,
     verify_rigidity,

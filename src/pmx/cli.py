@@ -40,6 +40,7 @@ from .process_space import (
     shared_state,
     single_party_layout,
     switch_input_channel,
+    switch_layout,
     validate,
     w_ll,
     w_ocb,
@@ -338,6 +339,15 @@ def _verify_rigidity(seed: int) -> int:
     checks.line(
         f"single_party_kernel_dim={small.kernel_dim} expected=6",
         small.kernel_dim == 6 and small.passed,
+    )
+    switch = verify_rigidity(switch_layout(), seed=seed)
+    checks.line(
+        f"switch_kernel_dim={switch.kernel_dim} expected=27",
+        switch.kernel_dim == 27 and switch.spans_match,
+    )
+    checks.line(
+        f"switch_conjugation_ok={str(switch.conjugation_ok).lower()}",
+        switch.conjugation_ok,
     )
     return checks.finish("rigidity")
 

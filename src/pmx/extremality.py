@@ -9,17 +9,22 @@ signalling only from the first party to the second is extremal iff a
 Hermitian basis of ``L(supp(W))`` stays linearly independent after
 adjoining a fixed list of product terms attached to the causal order.
 
-Both are evaluated on the real vector space of Hermitian operators in
-product-term coordinates, where the valid-span projector is diagonal.
+Both live on the real vector space of Hermitian operators in product-term
+coordinates, where the valid-span projector is diagonal.  The intersection
+is counted on the forbidden coordinates alone: an ``|F| x |F|`` Gram of the
+forbidden terms compressed to the support, so its cost follows the number
+of forbidden terms rather than ``rank(W)**2`` coefficient vectors.  The
+independence test stacks the coefficient vectors themselves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hs_algebra import batch_coefficient_tensors, term_stack
+from .hs_algebra import batch_coefficient_tensors, build_su_basis, term_stack
 from .operator_core import SpaceLayout
 from .process_space import (
     ProcessMatrix,
@@ -110,33 +115,72 @@ def subspace_pair(w: ProcessMatrix, threshold: float = SUPPORT_TOL) -> SubspaceP
     return SubspacePair(p_t, p_v, dims)
 
 
+def _forbidden_gram(vecs: np.ndarray, layout: SpaceLayout) -> np.ndarray:
+    """``G[f, g] = Tr(A_f A_g) / 2**n`` with ``A_f = V^dag sigma_f V``.
+
+    ``V`` holds the support vectors as columns and ``f``, ``g`` run over the
+    forbidden product terms.  Each ``sigma_f`` is applied to ``V`` factor by
+    factor, so no product term is formed as a matrix: the leading axis is
+    acted on, then rotated to the back, which after every factor leaves
+    ``(sigma_f V)^T`` and hence ``A_f^T``, with the same Gram.
+    """
+    dims = layout.dims
+    forbidden = np.flatnonzero(~allowed_mask(layout).reshape(-1))
+    digits = np.unravel_index(forbidden, tuple(d * d for d in dims))
+    r = vecs.shape[1]
+    size = layout.dim * r
+    y = vecs.reshape(1, dims[0], size // dims[0])
+    for k, d in enumerate(dims):
+        y = build_su_basis(d).elements[digits[k]] @ y.reshape(-1, d, size // d)
+        y = y.transpose(0, 2, 1)
+    a = y.reshape(len(forbidden), r, layout.dim) @ vecs.conj()
+    # Tr(A_f A_g) = Re sum A_f conj(A_g) over entries, one real product
+    a = a.view(float).reshape(len(forbidden), 2 * r * r)
+    return a @ a.T / 2.0 ** len(dims)
+
+
+def _intersection(w: ProcessMatrix, tol: float) -> tuple[int, int, float]:
+    """Intersection dimension, support rank and the count's margin."""
+    if not validate(w).valid:
+        raise ValueError("support_intersection_dim needs a valid process")
+    vecs = _support_vectors(w.matrix)
+    r = vecs.shape[1]
+    mu = np.linalg.eigvalsh(_forbidden_gram(vecs, w.layout))
+    above = mu[mu > 2 * tol]
+    margin = float(above.min() - 2 * tol) if above.size else math.inf
+    return r * r - above.size, r, margin
+
+
 def support_intersection_dim(w: ProcessMatrix, tol: float = 1e-8) -> int:
     """Dimension of ``T`` intersected with ``V`` for a valid process ``W``.
 
-    Counts the eigenvalue-1 eigenspace of the averaged projector
-    ``(P_T + P_V)/2`` within ``|lambda - 1| <= tol``.  Any eigenvalue-1
-    eigenvector lies in both ranges, so the count is taken on the
-    compression to ``T``, which carries the full eigenspace.
+    ``T`` is the ``r**2``-dimensional space of Hermitian operators on
+    ``supp(W)``; ``T`` meets ``V`` in the kernel of ``R_F``, the map to the
+    forbidden coefficients.  So the dimension is ``r**2`` minus the number
+    of eigenvalues of the ``|F| x |F|`` Gram ``R_F^T R_F`` (see
+    ``_forbidden_gram``) above ``2 tol``; ``R_F R_F^T`` has the same nonzero
+    eigenvalues.  This is the decision ``|lambda - 1| <= tol`` on the
+    averaged projector ``(P_T + P_V)/2`` compressed to ``T``, whose
+    eigenvalues are ``1 - mu/2``.
     """
-    if not validate(w).valid:
-        raise ValueError("support_intersection_dim needs a valid process")
-    rows = _coefficient_rows(
-        _support_operator_basis(_support_vectors(w.matrix)), w.layout
-    )
-    masked = rows[:, allowed_mask(w.layout).reshape(-1)]
-    avg = (np.eye(rows.shape[0]) + masked @ masked.T) / 2
-    vals = np.linalg.eigvalsh(avg)
-    return int(np.sum(np.abs(vals - 1.0) <= tol))
+    return _intersection(w, tol)[0]
 
 
 @dataclass(frozen=True)
 class ExtremalityCertificate:
-    """Verdict plus the intersection dimension that produced it."""
+    """Verdict plus the intersection dimension that produced it.
+
+    ``margin`` is the distance from the threshold ``2 tol`` up to the
+    nearest eigenvalue of the forbidden-term Gram that the intersection
+    count left out (``inf`` when every eigenvalue is counted): how far a
+    larger tolerance would have to move before the count grows.
+    """
 
     extremal: bool
     intersection_dim: int
     support_rank: int
     tolerance: float
+    margin: float
 
     def __bool__(self) -> bool:
         return self.extremal
@@ -144,8 +188,8 @@ class ExtremalityCertificate:
 
 def is_extremal(w: ProcessMatrix, tol: float = 1e-8) -> ExtremalityCertificate:
     """A valid process is extremal iff the intersection is one dimensional."""
-    dim = support_intersection_dim(w, tol)
-    return ExtremalityCertificate(dim == 1, dim, support_rank(w), tol)
+    dim, rank, margin = _intersection(w, tol)
+    return ExtremalityCertificate(dim == 1, dim, rank, tol, margin)
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,12 @@ factor ``k``.  Any operator ``M`` expands as ``M = sum_t c_t sigma_t`` with
 ``c_t = Tr(sigma_t M) / 2**n``, and the coefficients are real iff ``M`` is
 Hermitian.
 
-Rigidity and extremality work in these coordinates: the first builds its
-constraint rows from traces of basis triples, the second compares subspaces
-of coefficient vectors.  Order-structure checks (validity, causal order)
-need no basis and go through partial traces instead.
+Extremality works in these coordinates: its independence test stacks
+coefficient vectors, and its intersection count takes the forbidden terms
+from the per-factor bases.  Rigidity uses the Weyl (clock-and-shift) basis
+instead, whose patterns follow the same support classes.  Order-structure
+checks (validity, causal order) need no basis and go through partial traces
+instead.
 """
 
 from __future__ import annotations

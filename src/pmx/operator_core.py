@@ -38,7 +38,6 @@ __all__ = [
     "partial_transpose",
     "permute_factors",
     "PaddedOperator",
-    "real_kernel",
     "max_norm",
     "is_hermitian",
 ]
@@ -414,30 +413,3 @@ def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
             lower = m[j : j + step, i : i + step]
             worst = max(worst, max_norm(upper - lower.conj().T))
     return worst <= tol * max(1.0, biggest)
-
-
-def real_kernel(rows: np.ndarray, rtol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the kernel of a real row system.
-
-    Args:
-        rows: real array of shape ``(m, n)``; each row is one linear
-            functional.  ``m = 0`` is allowed and returns the full space.
-        rtol: relative singular-value threshold; singular values at most
-            ``rtol`` times the largest count toward the kernel.
-
-    Returns:
-        Array of shape ``(k, n)`` whose rows form an orthonormal basis of the
-        kernel, with ``k = n - rank``.
-    """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2:
-        raise ValueError("rows must be a 2-d array")
-    n = rows.shape[1]
-    if rows.shape[0] == 0:
-        return np.eye(n)
-    _, s, vh = np.linalg.svd(rows, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > rtol * s[0]))
-    return vh[rank:]

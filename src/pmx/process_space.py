@@ -466,9 +466,13 @@ def project_valid(w: ProcessMatrix) -> ProcessMatrix:
 def _lowest_eigenvalue(m: np.ndarray) -> float:
     if m.shape[0] <= 1024:
         return float(np.linalg.eigvalsh(m)[0])
+    # a fixed random start makes ARPACK repeat its result exactly; a constant
+    # vector could be orthogonal to the lowest eigenspace
+    v0 = np.random.default_rng(0).standard_normal(m.shape[0])
     try:
         w = scipy.sparse.linalg.eigsh(
-            m, k=1, which="SA", tol=1e-10, maxiter=10_000, return_eigenvectors=False
+            m, k=1, which="SA", tol=1e-10, maxiter=10_000, v0=v0,
+            return_eigenvectors=False,
         )
         return float(w[0])
     except scipy.sparse.linalg.ArpackError:

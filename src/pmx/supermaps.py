@@ -332,18 +332,22 @@ def instrument_reduction(
     dims_p = [layout.dims[k] for k in perm]
     d_rest = reduced.dim
     n_rest = len(keep)
-    embedded = np.kron(np.eye(d_rest), element_cj)
 
     def action(w: np.ndarray) -> np.ndarray:
-        # reorder to (kept..., reduced party...), then trace the tail
+        # reorder to (kept..., reduced party...), apply 1 (x) C_M one
+        # diagonal block at a time, then trace the tail
         wp = permute_factors(w, layout, perm)
+        dim = d_rest * d_x
         return partial_trace(
-            embedded @ wp, dims_p, range(n_rest, len(dims_p))
+            (element_cj @ wp.reshape(d_rest, d_x, dim)).reshape(dim, dim),
+            dims_p,
+            range(n_rest, len(dims_p)),
         )
 
     def build_cj() -> np.ndarray:
         # superoperator of X -> Tr_X(G X) for G = 1 (x) C_M on (rest, X):
         # S[(K, L), ((r, e), (r', e'))] = G[(K, e'), (r, e)] delta_{r' L}
+        embedded = np.kron(np.eye(d_rest), element_cj)
         g4 = embedded.reshape(d_rest, d_x, d_rest, d_x)
         s6 = np.einsum("kprq,sl->klrqsp", g4, np.eye(d_rest))
         smat = s6.reshape(d_rest * d_rest, (d_rest * d_x) ** 2)

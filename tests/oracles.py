@@ -6,15 +6,24 @@ over the product basis of :mod:`pmx.hs_algebra`: which product terms an
 operator contains, and which of them a layout forbids.  This module keeps
 those definitions, computed the slow and obvious way, so the tests can check
 the closed forms against them.
+
+The same holds for the two certificates.  The rigidity kernel is decided
+exactly in the Weyl basis; here it is the SVD of the Gell-Mann constraint
+rows ``Tr(H [T, F]) = 0``.  The support/valid-span intersection is counted
+on a Gram of forbidden terms; here it is the eigenvalue-1 count of the
+averaged projector.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
+import scipy.sparse
 
 from pmx.hs_algebra import (
     batch_coefficient_tensors,
@@ -22,13 +31,21 @@ from pmx.hs_algebra import (
     from_coefficient_tensor,
 )
 from pmx.operator_core import (
+    DEFAULT_TOL,
     PaddedOperator,
     SpaceLayout,
     _as_dims,
     is_hermitian,
     tensor,
 )
-from pmx.process_space import HierarchyLevel, ProcessMatrix, TermPattern, allowed_mask
+from pmx.extremality import _coefficient_rows, _support_operator_basis, _support_vectors
+from pmx.process_space import (
+    HierarchyLevel,
+    ProcessMatrix,
+    TermPattern,
+    allowed_mask,
+    validate,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -225,3 +242,216 @@ def project_valid_closed_form(m: np.ndarray, layout: SpaceLayout) -> np.ndarray:
         + _depolarize(m, layout, ao + bi + bo)
         + _depolarize(m, layout, bo + ai + ao)
     )
+
+
+# ---------------------------------------------------------------------------
+# the rigidity constraint system and its SVD kernel
+# ---------------------------------------------------------------------------
+
+# pattern-pair count grows with the square of the term count; this caps the
+# build at five qubit-sized factors
+MAX_CONSTRAINT_PATTERNS = 1024
+
+ROW_PRUNE_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class ConstraintSystem:
+    """The linear system ``Tr(H [T, F]) = 0`` over traceless Hermitian H.
+
+    ``rows`` stacks one real row per surviving (allowed, forbidden) pair in
+    Gell-Mann pattern-coefficient coordinates (identity pattern included as
+    an always empty column); ``pairs[r]`` holds the indices of row ``r``'s
+    terms into ``valid_terms`` and ``forbidden_terms``.  ``pair_count`` is
+    the number of pairs before identically zero rows were dropped.
+    """
+
+    layout: SpaceLayout
+    valid_terms: tuple[tuple[int, ...], ...]
+    forbidden_terms: tuple[tuple[int, ...], ...]
+    rows: scipy.sparse.csr_matrix
+    pairs: np.ndarray
+    pair_count: int
+
+
+@lru_cache(maxsize=None)
+def triple_trace_table(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sparse ``Tr(s_u s_t s_f)`` and ``Tr(s_t s_u s_f)`` for one factor dim.
+
+    Returns ``(u, left, right)``, each of shape ``(q, q, w)`` indexed by
+    ``(t, f, slot)``: the ascending ``u`` values where either trace is
+    nonzero, then the two traces there.  Entries are padded to the widest
+    ``(t, f)`` with ``u = 0`` and zero traces (``w = 1`` for qubits).
+    """
+    s = build_su_basis(d).elements
+    m = np.einsum("aij,bjk,cki->abc", s, s, s)
+    left = m.transpose(1, 2, 0)  # [t, f, u] = Tr(s_u s_t s_f)
+    right = m.transpose(0, 2, 1)  # [t, f, u] = Tr(s_t s_u s_f)
+    hit = (left != 0) | (right != 0)
+    width = max(int(hit.sum(axis=-1).max()), 1)
+    # a stable sort puts each (t, f)'s hits first, in ascending u
+    u = np.argsort(~hit, axis=-1, kind="stable")[..., :width]
+    real = np.take_along_axis(hit, u, axis=-1)
+    return (
+        np.where(real, u, 0),
+        np.where(real, np.take_along_axis(left, u, axis=-1), 0),
+        np.where(real, np.take_along_axis(right, u, axis=-1), 0),
+    )
+
+
+def build_constraints(layout: SpaceLayout) -> ConstraintSystem:
+    """Rows ``H -> Tr([H, T] F)`` for all allowed ``T``, forbidden ``F``.
+
+    Row ``(T, F)`` at Gell-Mann pattern ``u`` is ``prod_k Tr(s_u s_T s_F) -
+    prod_k Tr(s_T s_u s_F)``: the Kronecker product over factors of each
+    pair's nonzero table entries, built for all pairs at once in T-major
+    order.  Zero rows are dropped; the surviving rows keep their pair
+    bookkeeping.
+    """
+    qdims = tuple(d * d for d in layout.dims)
+    total = math.prod(qdims)
+    if total > MAX_CONSTRAINT_PATTERNS:
+        raise ValueError(
+            f"layout has {total} basis patterns, giving {total * total} "
+            f"constraint pairs; build_constraints caps the pattern count at "
+            f"{MAX_CONSTRAINT_PATTERNS}"
+        )
+    mask = allowed_mask(layout).reshape(-1)
+    digits = np.stack(np.unravel_index(np.arange(total), qdims), axis=1)
+    valid_digits = digits[mask]
+    forb_digits = digits[~mask]
+    n_valid, n_forb = len(valid_digits), len(forb_digits)
+    n_pairs = n_valid * n_forb
+
+    cols = np.zeros((n_pairs, 1), dtype=np.int64)
+    left = np.ones((n_pairs, 1), dtype=complex)
+    right = np.ones((n_pairs, 1), dtype=complex)
+    for k, (d, q) in enumerate(zip(layout.dims, qdims)):
+        at = (valid_digits[:, k, None], forb_digits[None, :, k])
+        u_tab, l_tab, r_tab = (
+            tab[at].reshape(n_pairs, 1, tab.shape[-1]) for tab in triple_trace_table(d)
+        )
+        width = cols.shape[1] * u_tab.shape[2]
+        cols = (cols[:, :, None] * q + u_tab).reshape(n_pairs, width)
+        left = (left[:, :, None] * l_tab).reshape(n_pairs, width)
+        right = (right[:, :, None] * r_tab).reshape(n_pairs, width)
+    values = (left - right).imag
+    del left, right
+
+    # padding slots hold exact zeros, so dropping zeros leaves each row's
+    # columns ascending and unique
+    kept = np.flatnonzero(np.abs(values).max(axis=1) > ROW_PRUNE_TOL)
+    values = values[kept]
+    nonzero = values != 0
+    indptr = np.zeros(kept.size + 1, dtype=np.int32)
+    np.cumsum(nonzero.sum(axis=1), out=indptr[1:])
+    rows = scipy.sparse.csr_matrix(
+        (values[nonzero], cols[kept][nonzero].astype(np.int32), indptr),
+        shape=(kept.size, total),
+    )
+    pairs = np.stack(np.divmod(kept, max(n_forb, 1)), axis=1)
+    return ConstraintSystem(
+        layout,
+        tuple(map(tuple, valid_digits.tolist())),
+        tuple(map(tuple, forb_digits.tolist())),
+        rows,
+        pairs,
+        n_pairs,
+    )
+
+
+def deduplicate_rows(rows: scipy.sparse.csr_matrix) -> np.ndarray:
+    """Keep one representative per direction; parallel rows are redundant.
+
+    Each row is scaled by its first largest-magnitude entry; rows whose
+    columns and scaled values rounded to 10 digits agree are parallel, and
+    the first of them is kept, in row order.
+    """
+    n_rows, n_cols = rows.shape
+    if n_rows == 0:
+        return np.zeros((0, n_cols))
+    lengths = np.diff(rows.indptr)
+    width = int(lengths.max())
+    slot = np.arange(width) < lengths[:, None]
+    cols = np.full((n_rows, width), -1, dtype=np.int64)
+    cols[slot] = rows.indices
+    data = np.zeros((n_rows, width))
+    data[slot] = rows.data
+    lead = data[np.arange(n_rows), np.argmax(np.where(slot, np.abs(data), -1.0), axis=1)]
+    scaled = data / np.where(lead == 0, 1.0, lead)[:, None]
+    # + 0.0 folds -0.0 into 0.0, which compare equal as dictionary keys did
+    key = np.concatenate([cols, np.round(scaled, 10) + 0.0], axis=1)
+    _, first = np.unique(key, axis=0, return_index=True)
+    keep = np.sort(first)
+    out = np.zeros((keep.size, n_cols))
+    kept_slot = slot[keep]
+    out[np.nonzero(kept_slot)[0], cols[keep][kept_slot]] = scaled[keep][kept_slot]
+    return out
+
+
+def real_kernel(rows: np.ndarray, rtol: float = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of the kernel of a real row system.
+
+    Args:
+        rows: real array of shape ``(m, n)``; each row is one linear
+            functional.  ``m = 0`` is allowed and returns the full space.
+        rtol: relative singular-value threshold; singular values at most
+            ``rtol`` times the largest count toward the kernel.
+
+    Returns:
+        Array of shape ``(k, n)`` whose rows form an orthonormal basis of the
+        kernel, with ``k = n - rank``.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError("rows must be a 2-d array")
+    n = rows.shape[1]
+    if rows.shape[0] == 0:
+        return np.eye(n)
+    _, s, vh = np.linalg.svd(rows, full_matrices=True)
+    if s.size == 0 or s[0] == 0.0:
+        rank = 0
+    else:
+        rank = int(np.count_nonzero(s > rtol * s[0]))
+    return vh[rank:]
+
+
+def svd_generator_kernel(
+    system: ConstraintSystem, threshold: float = 1e-9
+) -> np.ndarray:
+    """Orthonormal basis of traceless Hermitian generators killing all rows.
+
+    Returns an array of shape ``(kernel_dim, total_patterns)`` of real
+    Gell-Mann coefficient vectors (identity coefficient fixed at zero).
+    Singular values at or below ``threshold`` times the largest one count as
+    zero.
+    """
+    total = system.rows.shape[1]
+    cols = np.arange(1, total)  # drop the identity pattern
+    basis = real_kernel(deduplicate_rows(system.rows)[:, cols], threshold)
+    out = np.zeros((basis.shape[0], total))
+    out[:, cols] = basis
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the support/valid-span intersection by the averaged projector
+# ---------------------------------------------------------------------------
+
+
+def averaged_projector_intersection_dim(w: ProcessMatrix, tol: float = 1e-8) -> int:
+    """Dimension of ``L(supp W)`` intersected with the allowed span.
+
+    Counts the eigenvalue-1 eigenspace of the averaged projector
+    ``(P_T + P_V)/2`` within ``|lambda - 1| <= tol``, taken on the
+    compression to ``T``, which carries the full eigenspace.
+    """
+    if not validate(w).valid:
+        raise ValueError("support_intersection_dim needs a valid process")
+    rows = _coefficient_rows(
+        _support_operator_basis(_support_vectors(w.matrix)), w.layout
+    )
+    masked = rows[:, allowed_mask(w.layout).reshape(-1)]
+    avg = (np.eye(rows.shape[0]) + masked @ masked.T) / 2
+    vals = np.linalg.eigvalsh(avg)
+    return int(np.sum(np.abs(vals - 1.0) <= tol))

@@ -1,0 +1,21 @@
+"""Smoke test of the benchmark harness against the package's public API."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_quick_certify_run_passes():
+    # the harness imports pmx from this checkout and checks every output,
+    # so a moved or renamed public name fails here first
+    done = subprocess.run(
+        [sys.executable, "benchmarks/run.py", "--quick", "--workload", "certify"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "quick overall=PASS" in done.stdout.splitlines()

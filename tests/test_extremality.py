@@ -1,9 +1,16 @@
 """Support-intersection and linear-independence extremality criteria."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmx.extremality import (
+    _coefficient_rows,
+    _support_operator_basis,
+    _support_vectors,
     dariano_test,
     is_extremal,
     non_reachability_report,
@@ -11,10 +18,12 @@ from pmx.extremality import (
     support_intersection_dim,
     support_rank,
 )
-from oracles import coefficient_tensor
-from pmx.operator_core import tensor
+from oracles import averaged_projector_intersection_dim, coefficient_tensor
+from pmx.operator_core import permute_factors, tensor
+from test_order_projector import layouts
 from pmx.process_space import (
     ProcessMatrix,
+    allowed_mask,
     bipartite_qubit_layout,
     cj_of_unitary,
     memory_channel,
@@ -98,6 +107,70 @@ class TestSupportIntersection:
                 assert support_intersection_dim(moved) == dim
 
 
+def random_density(rng, d, rank):
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def random_channel_cj(rng, d_in, d_out, kraus):
+    """CJ of a random channel of the given Kraus rank, input factor first."""
+    ks = rng.standard_normal((kraus, d_out, d_in)) + 1j * rng.standard_normal(
+        (kraus, d_out, d_in)
+    )
+    vals, vecs = np.linalg.eigh(np.einsum("kij,kil->jl", ks.conj(), ks))
+    ks = ks @ (vecs / np.sqrt(vals)) @ vecs.conj().T
+    v = ks.transpose(0, 2, 1).reshape(kraus, -1)
+    return v.T @ v.conj()
+
+
+def random_ordered_process(rng, layout):
+    """A channel from one party's outputs to another's inputs, of random rank.
+
+    The other inputs share a random state of random rank and the other
+    outputs are discarded, so the process is valid; with one party the
+    channel is empty and every input is in the state.
+    """
+    parties = list(layout.parties)
+    first, second = (
+        rng.choice(len(parties), size=2, replace=False) if len(parties) > 1 else (0, 0)
+    )
+    wire_in = list(parties[first].outputs) if first != second else []
+    wire_out = list(parties[second].inputs) if first != second else []
+    inputs = [k for p in parties for k in p.inputs if k not in wire_out]
+    outputs = [k for p in parties for k in p.outputs if k not in wire_in]
+    dims = layout.dims
+    a, b = (math.prod(dims[k] for k in fs) for fs in (wire_in, wire_out))
+    d_rest = math.prod(dims[k] for k in inputs)
+    m = tensor(
+        # a channel needs k * b >= a Kraus operators
+        random_channel_cj(rng, a, b, int(rng.integers(-(-a // b), a * b + 1))),
+        random_density(rng, d_rest, int(rng.integers(1, d_rest + 1))),
+        np.eye(math.prod(dims[k] for k in outputs)),
+    )
+    built = wire_in + wire_out + inputs + outputs
+    perm = [built.index(k) for k in range(layout.n_factors)]
+    return permute_factors(m, [dims[k] for k in built], perm)
+
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@PROPERTY_SETTINGS
+@given(
+    layout=layouts(max_dim=16),
+    parts=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_count_matches_averaged_projector(layout, parts, seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(parts))
+    m = sum(p * random_ordered_process(rng, layout) for p in weights)
+    w = ProcessMatrix(layout, m)
+    assert validate(w).valid
+    assert support_intersection_dim(w) == averaged_projector_intersection_dim(w)
+
+
 class TestIsExtremal:
     def test_ocb_process_extremal_with_certificate(self):
         cert = is_extremal(w_ocb())
@@ -126,6 +199,28 @@ class TestIsExtremal:
         cert = is_extremal(identity_channel())
         assert not cert.extremal
         assert cert.intersection_dim == 4
+
+    @pytest.mark.parametrize(
+        "w",
+        [w_ocb(), quantum_switch(), identity_channel(), ProcessMatrix(BIP, np.eye(16) / 4)],
+        ids=["wocb", "switch", "identity-channel", "maximally-mixed"],
+    )
+    def test_margin_is_the_distance_to_the_threshold(self, w):
+        # eigenvalues of R_F R_F^T from the coefficient rows, an independent
+        # route to the spectrum the count thresholds
+        cert = is_extremal(w, tol=1e-8)
+        rows = _coefficient_rows(
+            _support_operator_basis(_support_vectors(w.matrix)), w.layout
+        )
+        r_f = rows[:, ~allowed_mask(w.layout).reshape(-1)]
+        mu = np.linalg.eigvalsh(r_f @ r_f.T)
+        assert cert.intersection_dim == int(np.sum(mu <= 2e-8))
+        left_out = mu[mu > 2e-8]
+        if left_out.size:
+            assert abs(cert.margin - (left_out.min() - 2e-8)) <= 1e-12
+            assert cert.margin > 0.01
+        else:
+            assert cert.margin == math.inf
 
     def test_pure_input_unitary_channel_extremal(self):
         w = identity_channel(rho=np.diag([1.0, 0.0]))

@@ -10,9 +10,9 @@ from pmx.operator_core import (
     partial_trace,
     partial_transpose,
     permute_factors,
-    real_kernel,
     tensor,
 )
+from oracles import real_kernel
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 from functools import lru_cache
 
 import numpy as np
@@ -9,7 +10,15 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from oracles import batch_from_coefficient_tensors, coefficient_tensor, product_term
+from oracles import (
+    ROW_PRUNE_TOL,
+    batch_from_coefficient_tensors,
+    build_constraints,
+    coefficient_tensor,
+    deduplicate_rows,
+    product_term,
+    svd_generator_kernel,
+)
 from pmx.hs_algebra import (
     batch_coefficient_tensors,
     build_su_basis,
@@ -20,6 +29,7 @@ from pmx.process_space import (
     ProcessMatrix,
     allowed_mask,
     bipartite_qubit_layout,
+    extended_switch_layout,
     project_valid_matrix,
     quantum_switch,
     single_party_layout,
@@ -29,9 +39,8 @@ from pmx.process_space import (
     w_ocb,
 )
 from pmx.rigidity import (
-    _ROW_PRUNE_TOL,
-    _deduplicate_rows,
-    build_constraints,
+    _weyl_exponents,
+    _weyl_term,
     generator_kernel,
     single_body_patterns,
     verify_rigidity,
@@ -60,6 +69,18 @@ QUTRIT_322 = SpaceLayout.build(
     [("A", ["A_I"], ["A_O"]), ("B", ["B_I"], [])],
 )
 QUTRIT_33 = SpaceLayout.build([("A_I", 3), ("A_O", 3)], [("A", ["A_I"], ["A_O"])])
+QUTRIT_333 = SpaceLayout.build(
+    [("A_I", 3), ("A_O", 3), ("B_I", 3)],
+    [("A", ["A_I"], ["A_O"]), ("B", ["B_I"], [])],
+)
+TRIVIAL_FACTOR = SpaceLayout.build([("A_I", 2), ("A_O", 1)], [("A", ["A_I"], ["A_O"])])
+# d = 4 is not prime: its nontrivial Weyl patterns fall into two orbits
+# (order 2 and order 4), so the kernel need not be a union of support classes
+QUART_42 = SpaceLayout.build([("A_I", 4), ("A_O", 2)], [("A", ["A_I"], ["A_O"])])
+QUART_242 = SpaceLayout.build(
+    [("A_I", 2), ("A_O", 4), ("B_I", 2)],
+    [("A", ["A_I"], ["A_O"]), ("B", ["B_I"], [])],
+)
 
 
 def oracle_build_constraints(layout):
@@ -94,7 +115,7 @@ def oracle_build_constraints(layout):
             left = (left[:, None, :] * m[:, t, fk][None, :, :]).reshape(-1, n_forb)
             right = (right[:, None, :] * m[t][:, fk][None, :, :]).reshape(-1, n_forb)
         rows_t = (left - right).T.imag
-        keep = np.abs(rows_t).max(axis=1) > _ROW_PRUNE_TOL
+        keep = np.abs(rows_t).max(axis=1) > ROW_PRUNE_TOL
         if not keep.any():
             continue
         blocks.append(scipy.sparse.csr_matrix(rows_t[keep]))
@@ -135,7 +156,12 @@ def cached_system(layout):
 
 @lru_cache(maxsize=None)
 def cached_kernel(layout):
-    return generator_kernel(cached_system(layout))
+    return generator_kernel(layout)
+
+
+@lru_cache(maxsize=None)
+def cached_svd_kernel(layout):
+    return svd_generator_kernel(cached_system(layout))
 
 
 @pytest.fixture(scope="module")
@@ -244,20 +270,102 @@ class TestAgainstPerTermOracle:
         np.testing.assert_array_equal(system.rows.data, rows.data)
         # so the SVD input, and with it the kernel, is bit-identical
         np.testing.assert_array_equal(
-            _deduplicate_rows(system.rows), oracle_deduplicate_rows(rows)
+            deduplicate_rows(system.rows), oracle_deduplicate_rows(rows)
         )
 
     def test_deduplication_of_shuffled_rows_matches_oracle(self, bip_system):
         perm = np.random.default_rng(4).permutation(bip_system.rows.shape[0])
         shuffled = bip_system.rows[perm].tocsr()
         np.testing.assert_array_equal(
-            _deduplicate_rows(shuffled), oracle_deduplicate_rows(shuffled)
+            deduplicate_rows(shuffled), oracle_deduplicate_rows(shuffled)
         )
 
     def test_qutrit_rows_touch_several_coefficients(self):
         widths = np.diff(cached_system(QUTRIT_33).rows.indptr)
         assert widths.min() >= 1
         assert widths.max() > 1
+
+
+CROSS_CHECK_LAYOUTS = {
+    **ORACLE_LAYOUTS,
+    "single-party": single_party_layout(),
+    "two-output-party": TWO_OUTPUT_PARTY,
+    "trivial-factor": TRIVIAL_FACTOR,
+    "qutrit-3x3x3": QUTRIT_333,
+    "quart-4x2": QUART_42,
+    "quart-2x4x2": QUART_242,
+}
+
+
+def weyl_kernel_in_gell_mann(layout):
+    """Real Gell-Mann coefficients of the Hermitian parts of the kernel terms."""
+    qdims = tuple(d * d for d in layout.dims)
+    out = []
+    for u in np.flatnonzero(generator_kernel(layout).any(axis=0)):
+        w = _weyl_term(tuple(np.unravel_index(u, qdims)), layout.dims)
+        for h in (w + w.conj().T, 1j * (w - w.conj().T)):
+            c = coefficient_tensor(h, layout).reshape(-1)
+            assert np.abs(c.imag).max() <= 1e-12
+            out.append(c.real)
+    return np.array(out).reshape(-1, math.prod(qdims))
+
+
+def span_residual(vectors, orthonormal):
+    """Largest distance of a row of ``vectors`` from the span of ``orthonormal``."""
+    if vectors.shape[0] == 0:
+        return 0.0
+    return float(
+        np.linalg.norm(vectors - vectors @ orthonormal.T @ orthonormal, axis=1).max()
+    )
+
+
+class TestExactKernelAgainstSvdOracle:
+    @pytest.mark.parametrize(
+        "layout", list(CROSS_CHECK_LAYOUTS.values()), ids=list(CROSS_CHECK_LAYOUTS)
+    )
+    def test_dimension_and_span_match_oracle(self, layout):
+        exact = cached_kernel(layout)
+        oracle = cached_svd_kernel(layout)
+        assert exact.shape[0] == oracle.shape[0]
+        # the Weyl kernel's Hermitian operators span the oracle's kernel
+        mapped = weyl_kernel_in_gell_mann(layout)
+        assert np.linalg.matrix_rank(mapped, tol=1e-8) == oracle.shape[0]
+        assert span_residual(mapped, oracle) <= 1e-8
+        if all(d in (1, 2, 3) for d in layout.dims):
+            # prime factors: a union of support classes, so the same index
+            # set in both numberings
+            assert span_residual(exact, oracle) <= 1e-8
+            assert span_residual(oracle, exact) <= 1e-8
+
+    def test_extended_switch_kernel_is_single_body(self):
+        layout = extended_switch_layout()
+        start = time.perf_counter()
+        kernel = generator_kernel(layout)
+        elapsed = time.perf_counter() - start
+        patterns = single_body_patterns(layout)
+        assert kernel.shape[0] == len(patterns) == 33
+        qdims = tuple(d * d for d in layout.dims)
+        flat = [int(np.ravel_multi_index(p, qdims)) for p in patterns]
+        np.testing.assert_array_equal(np.flatnonzero(kernel.any(axis=0)), flat)
+        assert elapsed < 3.0
+
+    def test_weyl_terms_commute_up_to_the_symplectic_phase(self):
+        dims = (2, 3, 4)
+        qdims = tuple(d * d for d in dims)
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            a, b = (tuple(int(rng.integers(q)) for q in qdims) for _ in range(2))
+            phase = sum(
+                (ea[0] * eb[1] - ea[1] * eb[0]) % d / d
+                for d, ea, eb in (
+                    (d, _weyl_exponents(d)[x], _weyl_exponents(d)[y])
+                    for d, x, y in zip(dims, a, b)
+                )
+            )
+            wa, wb = _weyl_term(a, dims), _weyl_term(b, dims)
+            np.testing.assert_allclose(
+                wa @ wb, np.exp(-2j * np.pi * phase) * (wb @ wa), atol=1e-12
+            )
 
 
 class TestGeneratorKernel:
@@ -332,10 +440,8 @@ class TestGeneratorKernel:
         assert kern.shape[0] == 15 == 3 * 5
 
     def test_trivial_factor_contributes_nothing(self):
-        layout = SpaceLayout.build(
-            [("A_I", 2), ("A_O", 1)], [("A", ["A_I"], ["A_O"])]
-        )
-        kern = generator_kernel(build_constraints(layout))
+        layout = TRIVIAL_FACTOR
+        kern = generator_kernel(layout)
         assert kern.shape[0] == 3
         assert len(single_body_patterns(layout)) == 3
 
@@ -346,7 +452,7 @@ class TestGeneratorKernel:
         other = dataclasses.replace(
             bip_system, rows=shuffled.tocsr(), pairs=bip_system.pairs[perm]
         )
-        kern2 = generator_kernel(other)
+        kern2 = svd_generator_kernel(other)
         assert kern2.shape == bip_kernel.shape
         resid = bip_kernel - bip_kernel @ kern2.T @ kern2
         assert np.linalg.norm(resid, axis=1).max() <= 1e-9

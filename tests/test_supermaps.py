@@ -5,7 +5,13 @@ import pytest
 
 from oracles import coefficient_tensor, product_term
 from pmx.hs_algebra import from_coefficient_tensor
-from pmx.operator_core import SpaceLayout, max_norm, partial_trace, tensor
+from pmx.operator_core import (
+    SpaceLayout,
+    max_norm,
+    partial_trace,
+    permute_factors,
+    tensor,
+)
 from pmx.process_space import (
     CausalOrderFlag,
     ProcessMatrix,
@@ -394,6 +400,35 @@ def test_oversized_reduction_cj_is_refused_but_applies():
         red.cj
     out = apply(red, extended_switch())
     assert validate(out).valid
+
+
+def test_blockwise_reduction_equals_the_dense_embedding():
+    # the action applies 1 (x) C_M block by block; the dense product with
+    # the embedded operator sums the same products plus exact zeros, so only
+    # the summation order may differ
+    rng = np.random.default_rng(23)
+    lay_e = extended_switch_layout()
+    c_m = random_channel_cj(rng, 2)
+    w4 = extended_switch()
+    party = lay_e.party("D")
+    removed = [*party.inputs, *party.outputs]
+    perm = [k for k in range(lay_e.n_factors) if k not in removed] + removed
+    wp = permute_factors(w4.matrix, lay_e, perm)
+    dense = partial_trace(
+        np.kron(np.eye(64), c_m) @ wp, [lay_e.dims[k] for k in perm], [6, 7]
+    )
+    out = apply(instrument_reduction(lay_e, "D", c_m), w4)
+    assert max_norm(out.matrix - dense) <= 1e-14
+
+
+def test_dense_positivity_residual_repeats_exactly():
+    # ARPACK starts from a fixed vector, so the residual is reproducible
+    first, second = (
+        validate_supermap(interpolation_map(quantum_switch(), 0.4))
+        for _ in range(2)
+    )
+    assert first.positivity.residual == second.positivity.residual
+    assert first.valid and second.valid
 
 
 def test_oversized_pure_supermap_is_refused_by_validation():
