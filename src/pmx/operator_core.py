@@ -274,8 +274,8 @@ class PaddedOperator:
     A rank-one operator ``|v><v|`` may be held by its vector: its first
     depolarization forms ``Tr_X |v><v| = V V^dag`` without the outer product.
 
-    ``subtract`` works in place.  An instance that shares its array with a
-    caller (``owned`` false) copies it before the first write.
+    ``add`` and ``subtract`` work in place.  An instance that shares its
+    array with a caller (``owned`` false) copies it before the first write.
     """
 
     def __init__(
@@ -326,6 +326,18 @@ class PaddedOperator:
             self.owned = True
         return self._g
 
+    def matrix(self) -> np.ndarray:
+        """``g`` as a square matrix on the kept factors."""
+        k = math.prod(self.dims[f] for f in self.kept)
+        return self.g.reshape(k, k)
+
+    def trace(self) -> float:
+        """Real part of the trace of the whole operator, padding included."""
+        if self._vector is not None:
+            return float(np.vdot(self._vector, self._vector).real)
+        m = self.matrix()
+        return float(np.trace(m).real) * (math.prod(self.dims) // m.shape[0])
+
     def alias(self) -> "PaddedOperator":
         """The same operator, sharing storage and copying before any write."""
         return PaddedOperator(self.dims, self.kept, self._g, self._vector)
@@ -349,16 +361,26 @@ class PaddedOperator:
         # a full trace gives a numpy scalar; keep a writable 0-d array
         return PaddedOperator(self.dims, kept, g=np.asarray(g), owned=True)
 
+    def add(self, other: "PaddedOperator") -> None:
+        """``self += other`` in place."""
+        self._update(other, np.add)
+
     def subtract(self, other: "PaddedOperator") -> None:
-        """``self -= other`` in place; ``other`` may pad more factors."""
+        """``self -= other`` in place."""
+        self._update(other, np.subtract)
+
+    def _update(self, other: "PaddedOperator", ufunc: np.ufunc) -> None:
+        # other may pad more factors; where it keeps one self pads, self's
+        # block is first widened over that factor
         if not set(other.kept) <= set(self.kept):
-            raise ValueError("subtrahend keeps a factor the operator pads")
+            kept = sorted(set(self.kept) | set(other.kept))
+            self._g, self.kept, self.owned = self._widened(kept), tuple(kept), True
         g = self.g  # a vector-held operator materializes into a fresh array
         if not self.owned:
             self._g = g.copy()
             self.owned = True
         view, rhs = other._aligned(self._g, self.kept)
-        view -= rhs
+        ufunc(view, rhs, out=view)
 
     def _aligned(
         self, target: np.ndarray, target_kept: Sequence[int]
@@ -376,11 +398,18 @@ class PaddedOperator:
 
     def dense(self) -> np.ndarray:
         """The full ``d x d`` matrix, identity padding included."""
-        full = np.zeros(self.dims + self.dims, dtype=complex)
-        view, rhs = self._aligned(full, range(len(self.dims)))
-        view[...] = rhs
+        if self._vector is not None:
+            return np.outer(self._vector, self._vector.conj())
         d = math.prod(self.dims)
-        return full.reshape(d, d)
+        return self._widened(range(len(self.dims))).reshape(d, d)
+
+    def _widened(self, kept: Sequence[int]) -> np.ndarray:
+        """A fresh block on the factors ``kept``, a superset of ``self.kept``."""
+        kept_dims = tuple(self.dims[f] for f in kept)
+        full = np.zeros(kept_dims * 2, dtype=complex)
+        view, rhs = self._aligned(full, kept)
+        view[...] = rhs
+        return full
 
 
 def max_norm(m: np.ndarray) -> float:

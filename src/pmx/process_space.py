@@ -463,7 +463,16 @@ def project_valid(w: ProcessMatrix) -> ProcessMatrix:
     return ProcessMatrix(w.layout, project_valid_matrix(w.matrix, w.layout))
 
 
-def _lowest_eigenvalue(m: np.ndarray) -> float:
+def _lowest_eigenvalue(op: PaddedOperator) -> float:
+    """Lowest eigenvalue of ``g (x) 1_R``, which is that of ``g``.
+
+    A rank-one ``|v><v|`` held by its vector has 0 (``|v|^2`` on a
+    one-dimensional space) without a solve.
+    """
+    v = op.vector
+    if v is not None:
+        return float(np.vdot(v, v).real) if v.size == 1 else 0.0
+    m = op.matrix()
     if m.shape[0] <= 1024:
         return float(np.linalg.eigvalsh(m)[0])
     # a fixed random start makes ARPACK repeat its result exactly; a constant
@@ -479,45 +488,63 @@ def _lowest_eigenvalue(m: np.ndarray) -> float:
         return float(np.linalg.eigvalsh(m)[0])
 
 
-def _validity_report(
-    op: PaddedOperator, level: HierarchyLevel, tol: float
-) -> ValidationReport:
-    """The three validity conditions of a Hermitian operator at any level.
+def _slot1_marginal(op: PaddedOperator, n1: int) -> np.ndarray:
+    """``Tr_2`` of an operator, dense on its first ``n1`` factors (slot 1)."""
+    d1 = math.prod(op.dims[:n1])
+    if op.vector is not None:
+        v2 = op.vector.reshape(d1, -1)
+        return v2 @ v2.conj().T
+    kept1 = [f for f in op.kept if f < n1]
+    m = op.matrix()
+    k1 = math.prod(op.dims[f] for f in kept1)
+    g1 = partial_trace(m, (k1, m.shape[0] // k1), [1])
+    # the slot-2 padding multiplies the trace by its dimension
+    g1 = g1 * (math.prod(op.dims[n1:]) * k1 // m.shape[0])
+    kept_dims = tuple(op.dims[f] for f in kept1)
+    return PaddedOperator(op.dims[:n1], kept1, g=g1.reshape(kept_dims * 2)).dense()
 
-    Residuals: the most negative eigenvalue (clipped to 0; a rank-one
-    operator held by its vector is positive by representation); for the
-    trace, ``|Tr X - t|`` at level 1 and the max-norm of
-    ``Tr_2(X) - (t_2 / t_1) 1`` above, with ``t`` the levels' trace
-    constants; and the max-norm of the forbidden part ``Q^(n)(X)``.  Each
-    tolerance is ``tol`` scaled by the relevant magnitude (the trace, the
-    trace target, the operator max-norm).  ``op`` is consumed.
+
+def _validity_report(
+    terms: Sequence[PaddedOperator], level: HierarchyLevel, tol: float
+) -> ValidationReport:
+    """The three validity conditions of a sum of Hermitian operators.
+
+    The operator is the sum of ``terms``, each ``g (x) 1_R`` or ``|v><v|``
+    (see :class:`PaddedOperator`); a dense operator is a one-term sum.  The
+    terms are checked one at a time, so no padding is ever expanded:
+
+    * positivity: ``max(0, -sum_k lambda_min(term_k))``.  Since
+      ``lambda_min`` of a sum is at least the sum of the ``lambda_min``, this
+      is an upper bound on the most negative eigenvalue of the sum, exact
+      for one term and whenever the terms share a lowest eigenvector;
+    * trace: ``|Tr X - t|`` at level 1 and the max-norm of
+      ``Tr_2(X) - (t_2 / t_1) 1`` above, with ``t`` the levels' trace
+      constants; traces and marginals add over the terms;
+    * subspace: the max-norm of the forbidden part ``Q^(n)(X)``, which is
+      linear, so it is summed from the terms' forbidden parts.
+
+    Each tolerance is ``tol`` scaled by the relevant magnitude (the trace,
+    the trace target, the sum of the terms' max-norms, which bounds the
+    operator's).  The terms are consumed.
     """
-    d = level.dim
-    v = op.vector
-    if v is None:
-        m = op.g.reshape(d, d)
-        trace = float(np.trace(m).real)
-        pos_resid = max(0.0, -_lowest_eigenvalue(m))
-    else:
-        trace = float(np.vdot(v, v).real)
-        pos_resid = 0.0
+    trace = sum(t.trace() for t in terms)
+    pos_resid = max(0.0, -sum(_lowest_eigenvalue(t) for t in terms))
     pos_tol = tol * max(1.0, abs(trace))
     if level.n == 1:
         target = level.trace_constant
         tr_resid = abs(trace - target)
         tr_tol = tol * max(1.0, target)
     else:
-        d1 = level.slot1.dim
+        n1 = len(level.slot1.dims)
         ratio = level.slot2.trace_constant / level.slot1.trace_constant
-        if v is None:
-            marg = partial_trace(m, (d1, d // d1), [1])
-        else:
-            v2 = v.reshape(d1, d // d1)
-            marg = v2 @ v2.conj().T
-        tr_resid = max_norm(marg - ratio * np.eye(d1))
+        marg = sum(_slot1_marginal(t, n1) for t in terms)
+        tr_resid = max_norm(marg - ratio * np.eye(level.slot1.dim))
         tr_tol = tol * max(1.0, ratio)
-    sub_tol = tol * max(1.0, op.max_norm())
-    sub_resid = forbidden_part(op, level).max_norm()
+    sub_tol = tol * max(1.0, sum(t.max_norm() for t in terms))
+    forbidden = forbidden_part(terms[0], level)
+    for t in terms[1:]:
+        forbidden.add(forbidden_part(t, level))
+    sub_resid = forbidden.max_norm()
     conds = (
         ConditionReport("positivity", pos_resid, pos_tol, pos_resid <= pos_tol),
         ConditionReport("trace", tr_resid, tr_tol, tr_resid <= tr_tol),
@@ -536,7 +563,7 @@ def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidationReport:
     for the trace condition, the matrix max-norm for the subspace condition).
     """
     op = PaddedOperator.of_matrix(w.matrix, w.layout)
-    return _validity_report(op, HierarchyLevel.process(w.layout), tol)
+    return _validity_report([op], HierarchyLevel.process(w.layout), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,13 @@ shrinks the operator instead of padding it with an identity, and a pure CJ
 ``|v><v|`` enters through ``Tr_X |v><v| = V V^dag``, so the rank-one CJ is
 never formed.
 
-Large CJ operators (the 8-factor reduction supermaps) are never
-materialized; such supermaps carry a structured action instead and raise a
-size error if their CJ is requested.
+A :class:`Supermap` holds its CJ as a sum of positive terms, and
+validation and application read only the terms: a pure CJ is one vector,
+``constant_map`` keeps ``1_in (x) w_tilde / d'`` by its output block, and
+``interpolation_map`` keeps both of its terms.  So only a dense CJ handed
+in by the caller is ever checked as one matrix.  The reduction supermaps
+carry a structured action; their CJ is built on request and refused above
+``MAX_CJ_DIM`` (the 8-factor ones), so they cannot be validated there.
 """
 
 from __future__ import annotations
@@ -91,10 +95,24 @@ __all__ = [
 class Supermap:
     """A process-matrix transformation, canonically a CJ operator.
 
-    The CJ may be stored dense, as a pure vector (rank one, the case for
-    unitary conjugation), or left implicit behind a structured action.  The
-    ``cj`` property materializes on demand and refuses dimensions beyond
-    ``MAX_CJ_DIM`` with a size error.
+    The CJ is held as a sum of positive terms, each a ``PaddedOperator`` on
+    the joint factors (input layout, then output layout): a dense matrix is
+    one term, a pure CJ ``|v><v|`` (unitary conjugation) one term held by
+    its vector, and ``interpolation_map`` keeps its rank-one identity part
+    and its ``1_in (x) g`` constant part as two terms.  A supermap may
+    instead carry a structured action and build its CJ only on demand.  The
+    ``cj`` property sums the terms into a matrix, caches it for later
+    ``cj`` reads only, and refuses dimensions beyond ``MAX_CJ_DIM`` with a
+    size error.
+
+    :func:`validate_supermap` checks the terms one at a time.  Its
+    positivity residual ``-sum_k lambda_min(term_k)`` (see
+    ``process_space._validity_report``) is exact for a one-term CJ.  For the
+    interpolation map ``a|1>><<1| + 1_in (x) g`` it is exact as well: with
+    ``d_in >= 2`` the lowest eigenvalue of ``1_in (x) g`` has multiplicity at
+    least ``d_in``, and a positive rank-one term lifts at most one of those
+    eigenvalues (interlacing); with ``d_in = 1`` both terms are scalars.
+    For any other sum it is an upper bound, so a passed check stays sound.
     """
 
     def __init__(
@@ -108,22 +126,42 @@ class Supermap:
         cj_builder: Callable[[], np.ndarray] | None = None,
         label: str = "",
     ) -> None:
-        if cj is None and cj_vector is None and cj_builder is None:
+        d = in_layout.dim * out_layout.dim
+        dims = in_layout.dims + out_layout.dims
+        terms = None
+        if cj is not None:
+            cj = np.asarray(cj, dtype=complex)
+            if cj.shape != (d, d):
+                raise ValueError(f"CJ shape {cj.shape}, expected {(d, d)}")
+            terms = (PaddedOperator.of_matrix(cj, dims),)
+        elif cj_vector is not None:
+            v = np.asarray(cj_vector, dtype=complex)
+            if v.shape != (d,):
+                raise ValueError(f"CJ vector length {v.shape}, expected {d}")
+            terms = (PaddedOperator.of_vector(v, dims),)
+        elif cj_builder is None:
             raise ValueError("supermap needs a CJ operator, vector, or builder")
         self.in_layout = in_layout
         self.out_layout = out_layout
         self.label = label
-        self._cj = None if cj is None else np.asarray(cj, dtype=complex)
-        self._cj_vector = (
-            None if cj_vector is None else np.asarray(cj_vector, dtype=complex)
-        )
+        self._terms = terms
         self._action = action
         self._cj_builder = cj_builder
-        d = in_layout.dim * out_layout.dim
-        if self._cj is not None and self._cj.shape != (d, d):
-            raise ValueError(f"CJ shape {self._cj.shape}, expected {(d, d)}")
-        if self._cj_vector is not None and self._cj_vector.shape != (d,):
-            raise ValueError(f"CJ vector length {self._cj_vector.shape}, expected {d}")
+        self._cj = cj
+
+    @classmethod
+    def _of_terms(
+        cls,
+        in_layout: SpaceLayout,
+        out_layout: SpaceLayout,
+        terms: tuple[PaddedOperator, ...],
+        label: str,
+    ) -> "Supermap":
+        """A supermap whose CJ is the sum of the positive ``terms``."""
+        s = cls.__new__(cls)
+        s.in_layout, s.out_layout, s.label = in_layout, out_layout, label
+        s._terms, s._action, s._cj_builder, s._cj = terms, None, None, None
+        return s
 
     @property
     def cj_dim(self) -> int:
@@ -131,19 +169,41 @@ class Supermap:
 
     @property
     def is_pure(self) -> bool:
-        return self._cj_vector is not None and self._cj is None
+        """Whether the CJ is one rank-one term held by its vector."""
+        return (
+            self._terms is not None
+            and len(self._terms) == 1
+            and self._terms[0].vector is not None
+        )
 
     @property
     def cj(self) -> np.ndarray:
         if self._cj is None:
             d = self._check_cj_size()
-            if self._cj_vector is not None:
-                self._cj = np.outer(self._cj_vector, self._cj_vector.conj())
+            if self._terms is not None:
+                self._cj = self._sum_terms()
             else:
                 self._cj = self._cj_builder()
                 if self._cj.shape != (d, d):
                     raise ValueError("CJ builder returned a wrong-shaped operator")
         return self._cj
+
+    def _sum_terms(self) -> np.ndarray:
+        first, *rest = self._terms
+        dims = first.dims
+        total = PaddedOperator(
+            dims, range(len(dims)), g=first.dense().reshape(dims * 2), owned=True
+        )
+        for t in rest:
+            total.add(t)
+        return total.matrix()
+
+    def _term_operators(self) -> list[PaddedOperator]:
+        """The CJ's terms, as aliases the caller may consume."""
+        if self._terms is None:
+            dims = self.in_layout.dims + self.out_layout.dims
+            self._terms = (PaddedOperator.of_matrix(self.cj, dims),)
+        return [t.alias() for t in self._terms]
 
     def _check_cj_size(self) -> int:
         d = self.cj_dim
@@ -170,41 +230,60 @@ def validate_supermap(s: Supermap, tol: float = DEFAULT_TOL) -> ValidationReport
     projecting the input side only keeps and projecting both sides drops).
     This is :func:`validate_order_n` at the level pairing the two layouts.
 
-    A pure supermap is checked from its CJ vector alone; the rank-one CJ is
-    never formed, but the ``MAX_CJ_DIM`` size limit still applies.
+    The CJ's terms are checked one at a time and never summed into one
+    matrix; a supermap known only by its CJ builder is one dense term.  A
+    rank-one term is positive by representation, and any other term's
+    lowest eigenvalue is that of its stored block, so for a pure supermap
+    or ``constant_map`` (one term) and for ``interpolation_map`` (see
+    :class:`Supermap` for the interlacing argument) the positivity residual
+    is exact; for other sums it is an upper bound.  Trace, marginal and
+    forbidden part are linear and are summed from the terms.  The
+    ``MAX_CJ_DIM`` size limit still applies.
     """
     s._check_cj_size()
     level = HierarchyLevel.pair(
         HierarchyLevel.process(s.in_layout), HierarchyLevel.process(s.out_layout)
     )
-    if s.is_pure:
-        op = PaddedOperator.of_vector(s._cj_vector, level.dims)
-    else:
-        c = s.cj
-        if not is_hermitian(c):
-            raise ValueError("supermap CJ is not Hermitian")
-        op = PaddedOperator.of_matrix(c, level.dims)
-    return _validity_report(op, level, tol)
+    terms = s._term_operators()
+    if any(t.vector is None and not is_hermitian(t.matrix()) for t in terms):
+        raise ValueError("supermap CJ is not Hermitian")
+    return _validity_report(terms, level, tol)
+
+
+def _term_action(t: PaddedOperator, w: np.ndarray, n_in: int) -> np.ndarray:
+    """``Tr_in(T (W^T (x) 1_out))`` for one CJ term ``T``."""
+    d1 = w.shape[0]
+    if t.vector is not None:
+        v2 = t.vector.reshape(d1, -1)
+        return v2.T @ w @ v2.conj()
+    if all(f >= n_in for f in t.kept):
+        # T = 1_in (x) G, so the action is Tr(W) G
+        out_kept = [f - n_in for f in t.kept]
+        return np.trace(w) * PaddedOperator(t.dims[n_in:], out_kept, g=t.g).dense()
+    full = t.matrix() if len(t.kept) == len(t.dims) else t.dense()
+    d2 = full.shape[0] // d1
+    return np.einsum("abcd,ac->bd", full.reshape(d1, d2, d1, d2), w)
 
 
 def apply(s: Supermap, w: ProcessMatrix) -> ProcessMatrix:
     """Act with a supermap on a process matrix.
 
     The input layout must match the supermap's; the result lives on the
-    output layout.  Structured actions (reductions, pure CJ vectors) are
-    used when available, the dense contraction otherwise.
+    output layout.  A structured action (reductions) is used when available;
+    otherwise each CJ term acts on its own: a rank-one ``|v>><<v|`` term as
+    ``V^T W V^*``, a term ``1_in (x) g`` as ``Tr(W) g``, and any other
+    term by the dense contraction.
     """
     if w.layout != s.in_layout:
         raise ValueError("process layout does not match the supermap input layout")
     if s._action is not None:
         out = s._action(w.matrix)
-    elif s.is_pure:
-        v2 = s._cj_vector.reshape(s.in_layout.dim, s.out_layout.dim)
-        out = v2.T @ w.matrix @ v2.conj()
     else:
-        d1, d2 = s.in_layout.dim, s.out_layout.dim
-        c4 = s.cj.reshape(d1, d2, d1, d2)
-        out = np.einsum("abcd,ac->bd", c4, w.matrix)
+        first, *rest = (
+            _term_action(t, w.matrix, s.in_layout.n_factors)
+            for t in s._term_operators()
+        )
+        out = sum(rest, first)
     out = (out + out.conj().T) / 2
     return ProcessMatrix(s.out_layout, out)
 
@@ -214,23 +293,28 @@ def apply(s: Supermap, w: ProcessMatrix) -> ProcessMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _block_diagonal(block: np.ndarray, copies: int) -> np.ndarray:
-    """``1_copies (x) block``, written block by block into one zeroed array."""
-    d = block.shape[0]
-    out = np.zeros((copies * d, copies * d), dtype=complex)
-    for i in range(0, copies * d, d):
-        out[i : i + d, i : i + d] = block
-    return out
+def _constant_term(
+    w_tilde: ProcessMatrix, in_layout: SpaceLayout, weight: float
+) -> PaddedOperator:
+    """``weight * 1_in (x) w_tilde / d_in'``, stored by its output block."""
+    n_in = in_layout.n_factors
+    out_dims = w_tilde.layout.dims
+    g = (weight / in_layout.d_out) * w_tilde.matrix
+    return PaddedOperator(
+        in_layout.dims + out_dims,
+        range(n_in, n_in + len(out_dims)),
+        g=g.reshape(out_dims * 2),
+    )
 
 
 def constant_map(w_tilde: ProcessMatrix, in_layout: SpaceLayout) -> Supermap:
     """Supermap sending every process on ``in_layout`` to ``w_tilde``.
 
     ``C = 1_in (x) w_tilde / d_in'``; valid exactly when ``w_tilde`` is a
-    valid process.
+    valid process.  The CJ is held by ``w_tilde / d_in'`` alone.
     """
-    cj = _block_diagonal(w_tilde.matrix / in_layout.d_out, in_layout.dim)
-    return Supermap(in_layout, w_tilde.layout, cj=cj, label="constant")
+    term = _constant_term(w_tilde, in_layout, 1.0)
+    return Supermap._of_terms(in_layout, w_tilde.layout, (term,), "constant")
 
 
 def interpolation_map(w_tilde: ProcessMatrix, p: float) -> Supermap:
@@ -238,16 +322,19 @@ def interpolation_map(w_tilde: ProcessMatrix, p: float) -> Supermap:
 
     ``C = (1 - p)|1>><<1| + p (1 (x) w_tilde / d')`` on a shared layout;
     at ``p = 0`` this is the identity transformation, at ``p = 1`` the
-    constant one.
+    constant one.  The CJ is held as those two terms, the first by the
+    vector ``sqrt(1 - p)|1>>``; a term of weight 0 is left out.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {p}")
     layout = w_tilde.layout
-    d = layout.dim
-    cj = _block_diagonal(p * w_tilde.matrix / layout.d_out, d)
-    # |1>> = sum_i |ii> sits at the flat indices i (d + 1)
-    cj[:: d + 1, :: d + 1] += 1.0 - p
-    return Supermap(layout, layout, cj=cj, label=f"interpolation(p={p})")
+    terms = []
+    if p < 1.0:
+        identity = math.sqrt(1.0 - p) * np.eye(layout.dim).reshape(-1)
+        terms.append(PaddedOperator.of_vector(identity, layout.dims * 2))
+    if p > 0.0:
+        terms.append(_constant_term(w_tilde, layout, p))
+    return Supermap._of_terms(layout, layout, tuple(terms), f"interpolation(p={p})")
 
 
 def unitary_supermap(u: np.ndarray, layout: SpaceLayout, label: str = "") -> Supermap:
@@ -470,4 +557,4 @@ def validate_order_n(
     op = PaddedOperator.of_matrix(x, level.dims)  # checks the shape
     if not is_hermitian(x):
         raise ValueError("operator must be Hermitian")
-    return _validity_report(op, level, tol)
+    return _validity_report([op], level, tol)

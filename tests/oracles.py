@@ -11,7 +11,8 @@ The same holds for the two certificates.  The rigidity kernel is decided
 exactly in the Weyl basis; here it is the SVD of the Gell-Mann constraint
 rows ``Tr(H [T, F]) = 0``.  The support/valid-span intersection is counted
 on a Gram of forbidden terms; here it is the eigenvalue-1 count of the
-averaged projector.
+averaged projector.  The constant and interpolation supermaps hold their CJ
+as a sum of terms; here it is written out as one dense array.
 """
 
 from __future__ import annotations
@@ -242,6 +243,35 @@ def project_valid_closed_form(m: np.ndarray, layout: SpaceLayout) -> np.ndarray:
         + _depolarize(m, layout, ao + bi + bo)
         + _depolarize(m, layout, bo + ai + ao)
     )
+
+
+# ---------------------------------------------------------------------------
+# dense supermap CJs
+# ---------------------------------------------------------------------------
+
+
+def block_diagonal(block: np.ndarray, copies: int) -> np.ndarray:
+    """``1_copies (x) block``, written block by block into one zeroed array."""
+    d = block.shape[0]
+    out = np.zeros((copies * d, copies * d), dtype=complex)
+    for i in range(0, copies * d, d):
+        out[i : i + d, i : i + d] = block
+    return out
+
+
+def dense_constant_cj(w_tilde: ProcessMatrix, in_layout: SpaceLayout) -> np.ndarray:
+    """``1_in (x) w_tilde / d_in'`` as one dense array."""
+    return block_diagonal(w_tilde.matrix / in_layout.d_out, in_layout.dim)
+
+
+def dense_interpolation_cj(w_tilde: ProcessMatrix, p: float) -> np.ndarray:
+    """``(1 - p)|1>><<1| + p (1 (x) w_tilde / d')`` as one dense array."""
+    layout = w_tilde.layout
+    d = layout.dim
+    cj = block_diagonal(p * w_tilde.matrix / layout.d_out, d)
+    # |1>> = sum_i |ii> sits at the flat indices i (d + 1)
+    cj[:: d + 1, :: d + 1] += 1.0 - p
+    return cj
 
 
 # ---------------------------------------------------------------------------

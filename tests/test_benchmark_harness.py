@@ -4,14 +4,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_quick_certify_run_passes():
+@pytest.mark.parametrize("workload", ["sweep", "files", "supermap", "certify"])
+def test_quick_run_passes(workload):
     # the harness imports pmx from this checkout and checks every output,
-    # so a moved or renamed public name fails here first
+    # so a moved or renamed public name or a broken check fails here first
     done = subprocess.run(
-        [sys.executable, "benchmarks/run.py", "--quick", "--workload", "certify"],
+        [sys.executable, "benchmarks/run.py", "--quick", "--workload", workload],
         capture_output=True,
         text=True,
         cwd=ROOT,

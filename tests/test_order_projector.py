@@ -22,9 +22,10 @@ from oracles import (
     order_mask,
 )
 from pmx.hs_algebra import from_coefficient_tensor
-from pmx.operator_core import PaddedOperator, SpaceLayout, max_norm
+from pmx.operator_core import DEFAULT_TOL, PaddedOperator, SpaceLayout, max_norm
 from pmx.process_space import (
     ProcessMatrix,
+    _validity_report,
     allowed_mask,
     comb_order_satisfied,
     project_valid_matrix,
@@ -138,6 +139,38 @@ def test_pure_supermap_residual_matches_dense(l1, l2, seed):
     assert abs(r_dense.residual - oracle) <= 1e-12 * scale
     assert r_pure.tolerance == pytest.approx(r_dense.tolerance, rel=1e-12)
     assert pure._cj is None
+
+
+@PROPERTY_SETTINGS
+@given(
+    l1=layouts(max_dim=8),
+    l2=layouts(max_dim=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_term_sum_report_matches_its_dense_sum(l1, l2, seed):
+    # a rank-one term plus two Hermitian blocks padded on random factor sets,
+    # which need not nest
+    rng = np.random.default_rng(seed)
+    level = HierarchyLevel.pair(HierarchyLevel.process(l1), HierarchyLevel.process(l2))
+    dims = level.dims
+    v = rng.standard_normal(level.dim) + 1j * rng.standard_normal(level.dim)
+    terms = [PaddedOperator.of_vector(v, dims)]
+    for _ in range(2):
+        kept = sorted(rng.permutation(len(dims))[: rng.integers(len(dims) + 1)])
+        kept_dims = tuple(dims[f] for f in kept)
+        g = random_hermitian(rng, int(np.prod(kept_dims)))
+        terms.append(PaddedOperator(dims, kept, g=g.reshape(kept_dims * 2)))
+    dense = sum(t.dense() for t in terms)
+    want = validate_order_n(dense, level)
+    got = _validity_report(terms, level, DEFAULT_TOL)
+    scale = max(1.0, max_norm(dense))
+    for name in ("trace", "subspace"):
+        assert abs(got.condition(name).residual - want.condition(name).residual) <= (
+            1e-12 * scale
+        )
+    # the sum of lowest eigenvalues bounds the lowest eigenvalue from below
+    assert got.positivity.residual >= want.positivity.residual - 1e-12 * scale
+    assert got.subspace.tolerance >= want.subspace.tolerance
 
 
 # one fixed layout with every feature: an output-less party, an input-less

@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import coefficient_tensor, product_term
+from oracles import (
+    coefficient_tensor,
+    dense_constant_cj,
+    dense_interpolation_cj,
+    product_term,
+)
 from pmx.hs_algebra import from_coefficient_tensor
 from pmx.operator_core import (
     SpaceLayout,
@@ -49,10 +56,12 @@ from pmx.supermaps import (
     validate_order_n,
     validate_supermap,
 )
+from test_order_projector import layouts
 
 BIP = bipartite_qubit_layout()
 SWITCH = switch_layout()
 TOY = single_party_layout()
+ONE_DIM = SpaceLayout.build([("E", 1)], [("E", ["E"], [])])
 E0 = np.array([1.0, 0.0])
 E1 = np.array([0.0, 1.0])
 
@@ -234,6 +243,76 @@ def test_pure_and_dense_application_paths_agree():
     out_d = apply(dense, w).matrix
     assert max_norm(out_p - out_d) <= 1e-12
     assert max_norm(out_p - u @ w.matrix @ u.conj().T) <= 1e-12
+
+
+def target_processes(rng, layout):
+    """A valid process, a span-violating one and one with a negative eigenvalue.
+
+    Each has entries of modulus at most ``d_out``.  The negative one mixes in
+    ``d_out (|0><0| + |0><1| + |1><0|)``, whose eigenvalue
+    ``(1 - sqrt 5) / 2`` the mixture cannot lift, and keeps the trace
+    ``d_out`` of the other two; on a one-dimensional layout it is
+    ``-0.8 d_out`` instead.
+    """
+    d, d_out = layout.dim, layout.d_out
+    valid = random_valid_process(rng, layout).matrix
+    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    psi /= np.linalg.norm(psi)
+    x = np.zeros((d, d))
+    if d >= 2:
+        x[0, 0] = x[0, 1] = x[1, 0] = 1.0
+    else:
+        x[0, 0] = -1.0
+    targets = [
+        valid,
+        0.5 * valid + 0.5 * d_out * np.outer(psi, psi.conj()),
+        0.1 * valid + 0.9 * d_out * x,
+    ]
+    return [ProcessMatrix(layout, t) for t in targets]
+
+
+def assert_terms_match_dense(s, old_cj, rng):
+    """Report, action and CJ of a term-held supermap against the dense oracle."""
+    report = validate_supermap(s)
+    level = HierarchyLevel.pair(
+        HierarchyLevel.process(s.in_layout), HierarchyLevel.process(s.out_layout)
+    )
+    want = validate_order_n(s.cj, level)
+    for got, ref in zip(report.conditions, want.conditions):
+        assert got.name == ref.name
+        assert got.passed == ref.passed
+        assert abs(got.residual - ref.residual) <= 1e-12
+        if got.name == "positivity":
+            # scaled by the trace, which the terms sum in another order
+            assert got.tolerance == pytest.approx(ref.tolerance, rel=1e-12)
+        else:
+            # every CJ here has max-norm at most 1, so both subspace scales
+            # clamp at 1 although the terms' scale bounds the dense one
+            assert got.tolerance == ref.tolerance
+    assert max_norm(s.cj - old_cj) <= 1e-15
+    w = random_valid_process(rng, s.in_layout)
+    d1, d2 = s.in_layout.dim, s.out_layout.dim
+    dense_out = np.einsum("abcd,ac->bd", old_cj.reshape(d1, d2, d1, d2), w.matrix)
+    assert max_norm(apply(s, w).matrix - dense_out) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    l1=layouts(max_dim=16),
+    l2=layouts(max_dim=16),
+    p=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# on one dimension the rank-one term's lowest eigenvalue is |v|^2, not 0
+@example(l1=ONE_DIM, l2=ONE_DIM, p=0.5, seed=0)
+def test_term_held_maps_match_the_dense_oracle(l1, l2, p, seed):
+    rng = np.random.default_rng(seed)
+    for target in target_processes(rng, l2):
+        s = constant_map(target, l1)
+        assert_terms_match_dense(s, dense_constant_cj(target, l1), rng)
+    for target in target_processes(rng, l1):
+        s = interpolation_map(target, p)
+        assert_terms_match_dense(s, dense_interpolation_cj(target, p), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +501,26 @@ def test_blockwise_reduction_equals_the_dense_embedding():
 
 
 def test_dense_positivity_residual_repeats_exactly():
-    # ARPACK starts from a fixed vector, so the residual is reproducible
+    # ARPACK starts from a fixed vector, so the residual is reproducible; a
+    # dense CJ above 1024 x 1024 is the input that still reaches it
+    cj = interpolation_map(quantum_switch(), 0.4).cj
     first, second = (
-        validate_supermap(interpolation_map(quantum_switch(), 0.4))
-        for _ in range(2)
+        validate_supermap(Supermap(SWITCH, SWITCH, cj=cj)) for _ in range(2)
     )
     assert first.positivity.residual == second.positivity.residual
     assert first.valid and second.valid
+
+
+def test_reading_cj_leaves_validation_and_application_unchanged():
+    # the materialized CJ is a cache for .cj callers; validation and
+    # application keep reading the terms
+    w = switch_input_channel(control=E1)
+    for s in (c_swap_v(), interpolation_map(quantum_switch(), 0.4)):
+        report, out = validate_supermap(s), apply(s, w).matrix
+        assert s._cj is None
+        s.cj
+        assert validate_supermap(s) == report
+        assert np.array_equal(apply(s, w).matrix, out)
 
 
 def test_oversized_pure_supermap_is_refused_by_validation():
