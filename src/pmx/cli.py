@@ -4,7 +4,9 @@ Processes travel as PMX files, a small JSON format that stores the factor
 list (label, dimension, owning party, input or output role) next to the
 matrix entries.  Entries are written as decimal strings of the underlying
 IEEE-754 doubles, so a build-then-load round trip reproduces the matrix
-bit for bit and golden files diff cleanly.
+bit for bit and golden files diff cleanly.  The writer formats each
+distinct 16-byte entry pattern once and joins the entries by index; the
+bytes are those of ``json.dumps(doc, indent=2, sort_keys=True)``.
 
 Exit codes follow one contract everywhere: 0 success (or valid), 1 a
 well-formed input failed validation or a verify suite failed, 2 usage,
@@ -25,7 +27,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .extremality import non_reachability_report
-from .operator_core import SpaceLayout, is_hermitian, max_norm
+from .operator_core import SpaceLayout, max_norm
 from .process_space import (
     DEFAULT_TOL,
     ProcessMatrix,
@@ -74,50 +76,28 @@ class PmxDocument:
 
     @classmethod
     def of_process(cls, w: ProcessMatrix) -> "PmxDocument":
-        layout = w.layout
-        roles = {}
-        for party in layout.parties:
-            for k in party.inputs:
-                roles[k] = (party.name, "input")
-            for k in party.outputs:
-                roles[k] = (party.name, "output")
-        factors = []
-        for k, f in enumerate(layout.factors):
-            party, role = roles[k]
-            factors.append(
-                {"label": f.label, "dim": f.dim, "party": party, "role": role}
-            )
         flat = w.matrix.reshape(-1)
         entries = list(
             map(list, zip(map(repr, flat.real.tolist()), map(repr, flat.imag.tolist())))
         )
-        matrix = {"dim": layout.dim, "entries": entries}
-        return cls(FORMAT_VERSION, tuple(factors), matrix)
+        matrix = {"dim": w.layout.dim, "entries": entries}
+        return cls(FORMAT_VERSION, _factor_records(w.layout), matrix)
 
     def to_json(self) -> str:
         """``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.
 
-        A list of string pairs, which is what ``of_process`` stores, is
-        encoded as one join over a fixed template instead of through the
-        pure-Python indenting encoder; the bytes are the same.
+        For ``of_process(w)`` these are the bytes ``write_pmx`` writes; it
+        formats each distinct entry bit pattern once instead of each entry.
         """
         doc = {
             "format_version": self.format_version,
             "factors": list(self.factors),
             "matrix": self.matrix,
         }
-        entries = self.matrix.get("entries")
-        if not _is_string_pairs(entries):
-            return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        doc["matrix"] = {**self.matrix, "entries": _ENTRIES_SLOT}
-        head, _, tail = json.dumps(doc, indent=2, sort_keys=True).rpartition(
-            json.dumps(_ENTRIES_SLOT)
-        )
-        strings = iter(map(encode_basestring_ascii, chain.from_iterable(entries)))
-        body = ",\n".join(map(_ENTRY_TEMPLATE.format, strings, strings))
-        return f"{head}[\n{body}\n    ]{tail}\n"
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def to_process(self) -> ProcessMatrix:
+        """Check the document; ``ProcessMatrix`` checks Hermiticity at DEFAULT_TOL."""
         layout = self._layout()
         dim = self.matrix.get("dim")
         if isinstance(dim, bool) or not isinstance(dim, int):
@@ -148,10 +128,10 @@ class PmxDocument:
         if not np.all(np.isfinite(flat)):
             bad = int(np.flatnonzero(~np.isfinite(flat))[0])
             raise PmxFormatError(f"matrix entry {bad} is not finite: {entries[bad]!r}")
-        m = flat.reshape(dim, dim)
-        if not is_hermitian(m, 1e-9):
-            raise PmxFormatError("matrix is not Hermitian within 1e-9")
-        return ProcessMatrix(layout, m)
+        try:
+            return ProcessMatrix(layout, flat.reshape(dim, dim))
+        except ValueError as exc:
+            raise PmxFormatError("matrix is not Hermitian within 1e-9") from exc
 
     def _layout(self) -> SpaceLayout:
         if self.format_version != FORMAT_VERSION:
@@ -190,24 +170,42 @@ class PmxDocument:
             raise PmxFormatError(f"inconsistent factor list: {exc}") from exc
 
 
+def _factor_records(layout: SpaceLayout) -> tuple[dict, ...]:
+    roles = {}
+    for party in layout.parties:
+        roles.update({k: (party.name, "input") for k in party.inputs})
+        roles.update({k: (party.name, "output") for k in party.outputs})
+    return tuple(
+        {"label": f.label, "dim": f.dim, "party": roles[k][0], "role": roles[k][1]}
+        for k, f in enumerate(layout.factors)
+    )
+
+
 # matrix entries sit at depth 3 of the document, their strings at depth 4
 _ENTRIES_SLOT = "<pmx matrix entries>"
 _ENTRY_TEMPLATE = "      [\n        {},\n        {}\n      ]"
 
 
-def _is_string_pairs(entries) -> bool:
-    return (
-        isinstance(entries, list)
-        and len(entries) > 0
-        and set(map(type, entries)) <= {list, tuple}
-        and set(map(len, entries)) == {2}
-        and set(map(type, chain.from_iterable(entries))) == {str}
-    )
+def _entries_json(m: np.ndarray) -> str:
+    """``m``'s entries list as indented in a PMX file, one format per distinct
+    bit pattern (patterns, not values, so ``-0.0`` keeps its sign)."""
+    bits, inverse = np.unique(m.reshape(-1).view("V16"), return_inverse=True)
+    enc = encode_basestring_ascii
+    texts = [
+        _ENTRY_TEMPLATE.format(enc(repr(z.real)), enc(repr(z.imag)))
+        for z in bits.view(complex).tolist()
+    ]
+    return "[\n" + ",\n".join(np.array(texts, dtype=object)[inverse]) + "\n    ]"
 
 
 def write_pmx(path: str, w: ProcessMatrix) -> None:
+    """Write the bytes of ``PmxDocument.of_process(w).to_json()``: the
+    document around a placeholder, with ``_entries_json`` in its place."""
+    matrix = {"dim": w.layout.dim, "entries": _ENTRIES_SLOT}
+    text = PmxDocument(FORMAT_VERSION, _factor_records(w.layout), matrix).to_json()
+    head, _, tail = text.rpartition(json.dumps(_ENTRIES_SLOT))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(PmxDocument.of_process(w).to_json())
+        fh.write(f"{head}{_entries_json(w.matrix)}{tail}")
 
 
 def load_pmx(path: str) -> ProcessMatrix:

@@ -6,17 +6,66 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmx.cli import PmxDocument, PmxFormatError, load_pmx, main, write_pmx
-from pmx.process_space import extended_switch, quantum_switch, w_ocb
+from pmx.process_space import (
+    ProcessMatrix,
+    extended_switch,
+    extended_switch_layout,
+    quantum_switch,
+    w_ocb,
+)
+from test_order_projector import layouts
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# signed zeros, the smallest subnormal, extreme exponents, inexact decimals
+ENTRY_POOL = [0.0, -0.0, 5e-324, 1e-300, 1e300, 0.1, 1 / 3, 1.0, -2.0, 3.0]
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def of_process_json(w):
+    """The stdlib encoding of the ``of_process`` document."""
+    image = PmxDocument.of_process(w)
+    doc = {
+        "format_version": image.format_version,
+        "factors": list(image.factors),
+        "matrix": image.matrix,
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def complex_psi_switch():
+    psi = np.array([1 + 2j, 3 - 1j])
+    return extended_switch(psi / np.linalg.norm(psi))
+
+
+def dense_distinct():
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+    return ProcessMatrix(extended_switch_layout(), g + g.conj().T)
+
+
+@st.composite
+def pooled_processes(draw):
+    """Hermitian matrices on a drawn layout with entries from ``ENTRY_POOL``."""
+    layout = draw(layouts(max_dim=16))
+    d = layout.dim
+    part = st.sampled_from(ENTRY_POOL)
+    pairs = draw(st.lists(st.tuples(part, part), min_size=d * d, max_size=d * d))
+    m = np.array(pairs, dtype=float).view(complex).reshape(d, d)
+    # assignment, not addition, so the signs of zeros survive
+    lower = np.tril_indices(d, -1)
+    m[lower] = m.T[lower].conj()
+    m.imag[np.diag_indices(d)] = np.copysign(0.0, m.imag.diagonal())
+    return ProcessMatrix(layout, m)
 
 
 class TestRoundTrip:
@@ -76,6 +125,43 @@ class TestRoundTrip:
             sort_keys=True,
         ) + "\n"
         assert path.read_bytes() == expected.encode("ascii")
+
+    @pytest.mark.parametrize(
+        "make", [complex_psi_switch, dense_distinct], ids=["signed-zeros", "dense"]
+    )
+    def test_written_bytes_and_bits_of_other_matrices(self, make, tmp_path):
+        # a dedup by value instead of by bit pattern would write -0.0 as 0.0
+        w = make()
+        flat = w.matrix.reshape(-1)
+        patterns = len(np.unique(flat.view("V16")))
+        if make is complex_psi_switch:
+            assert patterns > len(np.unique(flat))
+        else:
+            assert patterns == flat.size
+        path = tmp_path / "w.pmx"
+        write_pmx(str(path), w)
+        assert path.read_bytes() == of_process_json(w).encode("ascii")
+        back = load_pmx(str(path)).matrix
+        assert np.array_equal(back.view(np.uint64), w.matrix.view(np.uint64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(w=pooled_processes())
+    def test_round_trip_of_pooled_entries(self, w, tmp_path_factory):
+        path = tmp_path_factory.mktemp("pooled") / "w.pmx"
+        write_pmx(str(path), w)
+        assert path.read_bytes() == of_process_json(w).encode("ascii")
+        back = load_pmx(str(path)).matrix
+        assert np.array_equal(back.view(np.uint64), w.matrix.view(np.uint64))
+
+    def test_build_matches_golden_file(self, tmp_path, capsys):
+        # pins the on-disk format apart from the stdlib encoder
+        golden = GOLDEN / "build_wocb.pmx"
+        path = tmp_path / "w.pmx"
+        assert run(capsys, "build", "wocb", "-o", str(path))[0] == 0
+        assert path.read_bytes() == golden.read_bytes()
+        code, out, _ = run(capsys, "validate", str(golden))
+        assert code == 0
+        assert "verdict=valid" in out
 
     @pytest.mark.parametrize(
         "entries",
