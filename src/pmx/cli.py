@@ -240,10 +240,15 @@ def _global_tol() -> float:
     if raw is None:
         return DEFAULT_TOL
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError:
-        print(f"error: PMX_TOL={raw!r} is not a number", file=sys.stderr)
+        tol = math.nan
+    # nan passes no comparison, a negative tolerance fails every check and
+    # inf passes anything: each is a usage error, like a non-number
+    if not 0.0 <= tol < math.inf:
+        print(f"error: PMX_TOL={raw!r} is not a finite number >= 0", file=sys.stderr)
         raise SystemExit(2)
+    return tol
 
 
 def _build_named(name: str, psi: np.ndarray | None) -> ProcessMatrix:
@@ -427,6 +432,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    tol = _global_tol()
     layout = extended_switch_layout()
     w4 = extended_switch()
     sw = quantum_switch()
@@ -439,7 +445,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             ]
         )
         out = apply(instrument_reduction(layout, "D", cj_of_unitary(rot)), w4)
-        report = validate(out, tol=_global_tol())
+        report = validate(out, tol=tol)
         overlap = float(np.trace(out.matrix @ sw.matrix).real) / (
             math.sqrt(float(np.trace(out.matrix @ out.matrix).real)) * sw_norm
         )

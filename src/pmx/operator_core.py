@@ -19,6 +19,7 @@ by the max-norm of the operator being tested, with default ``DEFAULT_TOL``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -246,33 +247,88 @@ def permute_factors(
 def _diagonal(t: np.ndarray, pos: Sequence[int]) -> np.ndarray:
     """View of ``t`` on the entries whose row and column agree on ``pos``.
 
-    ``t`` has ``k`` row axes followed by ``k`` column axes.  The view keeps
-    every row axis and drops the column axes listed in ``pos``; it reads and
-    writes ``t``'s own memory.
+    ``t`` is C-contiguous, with ``k`` row axes followed by ``k`` column
+    axes.  The view keeps every row axis and drops the column axes listed in
+    ``pos``; it reads and writes ``t``'s own memory.
     """
     k = t.ndim // 2
     strides = list(t.strides)
     for p in pos:
         strides[p] += strides[k + p]
     cols = [k + j for j in range(k) if j not in pos]
-    return np.lib.stride_tricks.as_strided(
-        t,
+    # a view on t's buffer; as_strided builds the same view about 3x slower
+    return np.ndarray(
         t.shape[:k] + tuple(t.shape[c] for c in cols),
-        tuple(strides[:k]) + tuple(strides[c] for c in cols),
+        t.dtype,
+        buffer=t,
+        strides=tuple(strides[:k]) + tuple(strides[c] for c in cols),
     )
+
+
+def _axes(kept: Sequence[int], factors: Sequence[int]) -> list[int]:
+    """Axes that take a block's ``kept`` rows and columns to ``factors``' order."""
+    rows = [kept.index(f) for f in factors]
+    return rows + [len(kept) + j for j in rows]
+
+
+# entries a diagonal block must hold before _diagonal_views loops over the
+# blocks: on 1024 x 1024 blocks the loop ran about 2x faster than one
+# strided view, while on the 16 x 16 blocks of a level-1 qubit process its
+# Python overhead cost more than it saved
+_LOOPED_BLOCK = 1 << 12
+
+
+def _diagonal_views(
+    t: np.ndarray, pos: list[int]
+) -> tuple[list[np.ndarray], list[int]]:
+    """Views that together cover ``t``'s entries whose row and column agree on ``pos``.
+
+    ``t`` is as for :func:`_diagonal`.  Each position of ``pos`` outside the
+    innermost axis not in ``pos`` is fixed, one view per diagonal value,
+    when that gives at least two blocks of ``_LOOPED_BLOCK`` entries: numpy
+    runs such blocks one at a time about twice as fast as one strided view
+    with a broadcast or reduced axis among the kept ones.  The other
+    positions stay diagonal axes of every view; they are returned
+    renumbered for the views.
+    """
+    if t.size >= 4 * _LOOPED_BLOCK:
+        k = t.ndim // 2
+        rest = [j for j in range(k) if j not in pos]
+        outer = [j for j in pos if rest and j < rest[-1]]
+        n_blocks = math.prod(t.shape[j] for j in outer)
+        if n_blocks > 1 and t.size >= _LOOPED_BLOCK * n_blocks**2:
+            inner = [j for j in pos if j not in outer]
+            diag = _diagonal(t, inner)
+            # the inner positions lie past every outer one, so an outer
+            # position keeps its row axis j and its column axis k + j
+            views = []
+            for x in itertools.product(*(range(t.shape[j]) for j in outer)):
+                idx = [slice(None)] * diag.ndim
+                for j, xj in zip(outer, x):
+                    idx[j] = idx[k + j] = xj
+                views.append(diag[tuple(idx)])
+            return views, [j - len(outer) for j in inner]
+    return [_diagonal(t, pos)], pos
 
 
 class PaddedOperator:
     """An operator ``g (x) 1_R`` on a product space, stored by ``g`` alone.
 
-    ``g`` keeps one row axis and one column axis per factor in ``kept`` (in
-    factor order); ``R`` is every other factor.  Depolarizing a factor set
-    ``X`` (trace it out and put back ``1_X / d_X``) shrinks ``g`` and reads
-    only its ``X``-diagonal entries, and the max-norm of the whole operator
-    is ``max |g|``, so neither step ever expands the identity part.
+    ``g`` keeps one row axis and one column axis per factor in ``kept``, in
+    the order of ``kept``; ``R`` is every other factor.  Depolarizing a
+    factor set ``X`` (trace it out and put back ``1_X / d_X``) shrinks ``g``
+    and reads only its ``X``-diagonal entries, and the max-norm of the whole
+    operator is ``max |g|``, so neither step ever expands the identity part.
 
     A rank-one operator ``|v><v|`` may be held by its vector: its first
     depolarization forms ``Tr_X |v><v| = V V^dag`` without the outer product.
+
+    ``order`` lists every factor, in factor order unless :meth:`reordered`
+    sets another.  Each block the operator creates (a depolarization, the
+    copy of a shared block, a widening) keeps its factors in that order, so
+    a caller that pads the outermost factors of a large block touches long
+    contiguous runs.  ``matrix`` and ``g`` follow ``kept``; ``dense`` is in
+    factor order.
 
     ``add`` and ``subtract`` work in place.  An instance that shares its
     array with a caller (``owned`` false) copies it before the first write.
@@ -288,7 +344,9 @@ class PaddedOperator:
     ) -> None:
         self.dims = tuple(dims)
         self.kept = tuple(kept)
-        self._g = g
+        self.order = tuple(range(len(self.dims)))
+        # _diagonal views a block through its buffer, which must be contiguous
+        self._g = g if g is None or g.flags.c_contiguous else g.copy()
         self._vector = vector
         self.owned = owned
 
@@ -320,15 +378,14 @@ class PaddedOperator:
     @property
     def g(self) -> np.ndarray:
         if self._g is None:
-            v = self._vector
-            self._g = np.outer(v, v.conj()).reshape(self.dims + self.dims)
-            self._vector = None
-            self.owned = True
+            v = self._ordered_vector(self.order).reshape(-1)
+            self._g = np.outer(v, v.conj()).reshape(self._dims_of(self.order) * 2)
+            self.kept, self._vector, self.owned = self.order, None, True
         return self._g
 
     def matrix(self) -> np.ndarray:
-        """``g`` as a square matrix on the kept factors."""
-        k = math.prod(self.dims[f] for f in self.kept)
+        """``g`` as a square matrix on the kept factors, in ``kept`` order."""
+        k = math.prod(self._dims_of(self.kept))
         return self.g.reshape(k, k)
 
     def trace(self) -> float:
@@ -340,7 +397,16 @@ class PaddedOperator:
 
     def alias(self) -> "PaddedOperator":
         """The same operator, sharing storage and copying before any write."""
-        return PaddedOperator(self.dims, self.kept, self._g, self._vector)
+        return self._derived(self.kept, self._g, self._vector, owned=False)
+
+    def reordered(self, order: Sequence[int]) -> "PaddedOperator":
+        """An alias whose new blocks keep their factors in ``order``."""
+        order = tuple(order)
+        if sorted(order) != list(range(len(self.dims))):
+            raise ValueError(f"order {order!r} is not a permutation of the factors")
+        op = self.alias()
+        op.order = order
+        return op
 
     def depolarized(self, factors: Iterable[int]) -> "PaddedOperator":
         """``Tr_X(.) (x) 1_X / d_X`` for the factor set ``X``."""
@@ -349,17 +415,24 @@ class PaddedOperator:
         if not pos:
             return self.alias()
         d_x = math.prod(self.dims[self.kept[j]] for j in pos)
-        rest = [j for j in range(len(self.kept)) if j not in pos]
-        rest_dims = tuple(self.dims[self.kept[j]] for j in rest)
+        rest = [f for f in self.kept if f not in factors]
+        kept = self._in_order(rest)
         if self._vector is not None:
-            vt = self._vector.reshape([self.dims[f] for f in self.kept])
-            v2 = vt.transpose(rest + pos).reshape(-1, d_x)
-            g = (v2 @ v2.conj().T).reshape(rest_dims + rest_dims) / d_x
+            v2 = self._ordered_vector(kept + [self.kept[j] for j in pos])
+            v2 = v2.reshape(-1, d_x)
+            # scaling the d x d_x factor costs d entries, not the block's d^2
+            g = ((v2 * (1.0 / d_x)) @ v2.conj().T).reshape(self._dims_of(kept) * 2)
         else:
-            g = _diagonal(self._g, pos).sum(axis=tuple(pos)) / d_x
-        kept = [self.kept[j] for j in rest]
-        # a full trace gives a numpy scalar; keep a writable 0-d array
-        return PaddedOperator(self.dims, kept, g=np.asarray(g), owned=True)
+            g = np.empty(self._dims_of(kept) * 2, dtype=complex)
+            # the sum keeps the rest in self's order; write it in g's order
+            out = g if rest == kept else g.transpose(_axes(kept, rest))
+            views, inner = _diagonal_views(self._g, pos)
+            views[0].sum(axis=tuple(inner), out=out)
+            for view in views[1:]:
+                out += view.sum(axis=tuple(inner)) if inner else view
+            # the real reciprocal scales in place, with no complex division
+            g *= 1.0 / d_x
+        return self._derived(kept, g, owned=True)
 
     def add(self, other: "PaddedOperator") -> None:
         """``self += other`` in place."""
@@ -373,23 +446,38 @@ class PaddedOperator:
         # other may pad more factors; where it keeps one self pads, self's
         # block is first widened over that factor
         if not set(other.kept) <= set(self.kept):
-            kept = sorted(set(self.kept) | set(other.kept))
+            kept = self._in_order(set(self.kept) | set(other.kept))
             self._g, self.kept, self.owned = self._widened(kept), tuple(kept), True
         g = self.g  # a vector-held operator materializes into a fresh array
         if not self.owned:
-            self._g = g.copy()
-            self.owned = True
-        view, rhs = other._aligned(self._g, self.kept)
-        ufunc(view, rhs, out=view)
+            kept = tuple(self._in_order(self.kept))
+            if kept != self.kept:
+                g = g.transpose(_axes(self.kept, kept))
+            self._g, self.kept, self.owned = g.copy(), kept, True
+        views, rhs = other._aligned(self._g, self.kept)
+        for view in views:
+            ufunc(view, rhs, out=view)
 
     def _aligned(
         self, target: np.ndarray, target_kept: Sequence[int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """A diagonal view of ``target`` and ``g`` shaped to broadcast onto it."""
+    ) -> tuple[list[np.ndarray], np.ndarray]:
+        """Views of ``target`` that ``g`` lands on, and ``g`` shaped for them.
+
+        ``self`` pads the factors only ``target_kept`` lists, so ``g`` lands
+        on the entries of ``target`` whose row and column agree on them
+        (see :func:`_diagonal_views`).
+        """
         pos = [j for j, f in enumerate(target_kept) if f not in self.kept]
-        row = tuple(1 if j in pos else self.dims[f] for j, f in enumerate(target_kept))
-        cols = self.g.shape[len(self.kept) :]
-        return _diagonal(target, pos), self.g.reshape(row + cols)
+        views, inner = _diagonal_views(target, pos)
+        both = [f for f in target_kept if f in self.kept]
+        g = self.g
+        if both != list(self.kept):
+            g = g.transpose(_axes(self.kept, both))
+        if not inner:
+            return views, g
+        # a unit row axis on each diagonal axis of the views
+        rows = views[0].ndim - g.ndim // 2
+        return views, g[tuple(None if j in inner else slice(None) for j in range(rows))]
 
     def max_norm(self) -> float:
         if self._vector is not None:
@@ -397,7 +485,7 @@ class PaddedOperator:
         return max_norm(self._g)
 
     def dense(self) -> np.ndarray:
-        """The full ``d x d`` matrix, identity padding included."""
+        """The full ``d x d`` matrix in factor order, identity padding included."""
         if self._vector is not None:
             return np.outer(self._vector, self._vector.conj())
         d = math.prod(self.dims)
@@ -405,11 +493,35 @@ class PaddedOperator:
 
     def _widened(self, kept: Sequence[int]) -> np.ndarray:
         """A fresh block on the factors ``kept``, a superset of ``self.kept``."""
-        kept_dims = tuple(self.dims[f] for f in kept)
-        full = np.zeros(kept_dims * 2, dtype=complex)
-        view, rhs = self._aligned(full, kept)
-        view[...] = rhs
+        full = np.zeros(self._dims_of(kept) * 2, dtype=complex)
+        views, rhs = self._aligned(full, kept)
+        for view in views:
+            view[...] = rhs
         return full
+
+    def _derived(
+        self,
+        kept: Sequence[int],
+        g: np.ndarray | None,
+        vector: np.ndarray | None = None,
+        owned: bool = False,
+    ) -> "PaddedOperator":
+        op = PaddedOperator(self.dims, kept, g, vector, owned)
+        op.order = self.order
+        return op
+
+    def _dims_of(self, factors: Iterable[int]) -> tuple[int, ...]:
+        return tuple(self.dims[f] for f in factors)
+
+    def _in_order(self, factors: Iterable[int]) -> list[int]:
+        """``factors`` listed in ``order``."""
+        factors = set(factors)
+        return [f for f in self.order if f in factors]
+
+    def _ordered_vector(self, factors: Sequence[int]) -> np.ndarray:
+        """The held vector as a tensor with its axes in ``factors``' order."""
+        # a vector-held operator keeps every factor, in factor order
+        return self._vector.reshape(self.dims).transpose(factors)
 
 
 def max_norm(m: np.ndarray) -> float:

@@ -400,9 +400,7 @@ def allowed_mask(layout: SpaceLayout) -> np.ndarray:
     return mask
 
 
-def forbidden_part(
-    op: PaddedOperator, level: HierarchyLevel, offset: int = 0
-) -> PaddedOperator:
+def forbidden_part(op: PaddedOperator, level: HierarchyLevel) -> PaddedOperator:
     """Apply the forbidden-term projector ``Q^(n) = 1 - P^(n)`` of a level.
 
     At level 1 whether a term is allowed depends only on which factors it
@@ -423,18 +421,25 @@ def forbidden_part(
     slots.  The output slot goes first, so the factors it depolarizes are
     gone before the input slot's projector copies the operator.
 
-    The level's factors sit at ``offset, offset + 1, ...`` of ``op``'s
-    factors.  ``op`` is consumed: the result may share and overwrite its
-    storage.
+    Every block the projector creates keeps its factors in the order in
+    which the projector first depolarizes them (:func:`_storage_order`),
+    so the factors it pads while the block is largest are its outermost
+    axes.  The result is in that order too; its ``dense`` and ``max_norm``
+    do not depend on it.  ``op`` is consumed: the result may share and
+    overwrite its storage.
     """
+    return _forbidden(op.reordered(_storage_order(level)), level, 0)
+
+
+def _forbidden(
+    op: PaddedOperator, level: HierarchyLevel, offset: int
+) -> PaddedOperator:
+    """:func:`forbidden_part` of the level whose factors start at ``offset``."""
     if level.n > 1:
-        h = forbidden_part(op, level.slot2, offset + len(level.slot1.dims))
-        h.subtract(forbidden_part(h.alias(), level.slot1, offset))
+        h = _forbidden(op, level.slot2, offset + len(level.slot1.dims))
+        h.subtract(_forbidden(h.alias(), level.slot1, offset))
         return h
-    parties = [
-        ([offset + k for k in p.inputs], [offset + k for k in p.outputs])
-        for p in level.layout.parties
-    ]
+    parties = _shifted_parties(level.layout, offset)
     for ins, outs in parties:
         if not outs:
             op = op.depolarized(ins)
@@ -445,6 +450,38 @@ def forbidden_part(
             op.subtract(leak)
     op.subtract(op.depolarized(range(offset, offset + level.layout.n_factors)))
     return op
+
+
+def _shifted_parties(
+    layout: SpaceLayout, offset: int
+) -> list[tuple[list[int], list[int]]]:
+    """Each party's input and output factors, numbered from ``offset``."""
+    return [
+        ([offset + k for k in p.inputs], [offset + k for k in p.outputs])
+        for p in layout.parties
+    ]
+
+
+def _storage_order(level: HierarchyLevel, offset: int = 0) -> tuple[int, ...]:
+    """The level's factors in the order :func:`_forbidden` first depolarizes them.
+
+    The output slot comes before the input slot, and within a level-1
+    layout the output-less parties' inputs come first, then each other
+    party's outputs and inputs, then the factors only the final full
+    depolarization reaches.  On the switch pair the blocks start at 1024^2
+    once slot 2's output-less party is traced, and the first factors they
+    keep, slot 2's ``A_O, A_I, B_O, B_I``, are the ones padded at that size.
+    """
+    if level.n > 1:
+        n1 = len(level.slot1.dims)
+        return _storage_order(level.slot2, offset + n1) + _storage_order(
+            level.slot1, offset
+        )
+    parties = _shifted_parties(level.layout, offset)
+    order = [f for ins, outs in parties if not outs for f in ins]
+    order += [f for ins, outs in parties if ins and outs for f in outs + ins]
+    rest = range(offset, offset + level.layout.n_factors)
+    return tuple(order + [f for f in rest if f not in order])
 
 
 def project_valid_matrix(m: np.ndarray, layout: SpaceLayout) -> np.ndarray:

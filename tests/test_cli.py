@@ -332,13 +332,16 @@ class TestValidateCommand:
         assert code == 0
         assert "verdict=valid" in out
 
-    def test_garbage_tolerance_env_exits_2(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("raw", ["soup", "nan", "-1", "inf"])
+    def test_garbage_tolerance_env_exits_2(self, tmp_path, capsys, monkeypatch, raw):
         path = tmp_path / "w.pmx"
         write_pmx(str(path), w_ocb())
-        monkeypatch.setenv("PMX_TOL", "soup")
+        monkeypatch.setenv("PMX_TOL", raw)
         with pytest.raises(SystemExit) as info:
             main(["validate", str(path)])
         assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: PMX_TOL=") and out == ""
 
 
 class TestVerifyCommand:

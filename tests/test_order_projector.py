@@ -12,22 +12,33 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     coefficient_tensor,
     comb_order_by_support,
+    enumerate_patterns,
     hierarchy_mask,
     order_mask,
 )
 from pmx.hs_algebra import from_coefficient_tensor
-from pmx.operator_core import DEFAULT_TOL, PaddedOperator, SpaceLayout, max_norm
+from pmx.operator_core import (
+    DEFAULT_TOL,
+    PaddedOperator,
+    SpaceLayout,
+    max_norm,
+    tensor,
+)
 from pmx.process_space import (
     ProcessMatrix,
+    TermClass,
+    _storage_order,
     _validity_report,
     allowed_mask,
+    classify_term,
     comb_order_satisfied,
+    forbidden_part,
     project_valid_matrix,
     single_party_layout,
     validate,
@@ -147,6 +158,16 @@ def test_pure_supermap_residual_matches_dense(l1, l2, seed):
     l2=layouts(max_dim=8),
     seed=st.integers(0, 2**32 - 1),
 )
+# every factor has dimension 1 and the three 1 x 1 terms are positive, so
+# the terms' summed max-norms equal the dense sum's max-norm in real
+# arithmetic; in floats they round one ulp below it
+@example(
+    l1=SpaceLayout.build([("A_I0", 1)], [("A", ["A_I0"], [])]),
+    l2=SpaceLayout.build(
+        [("A_O0", 1), ("B_O0", 1)], [("A", [], ["A_O0"]), ("B", [], ["B_O0"])]
+    ),
+    seed=1,
+)
 def test_term_sum_report_matches_its_dense_sum(l1, l2, seed):
     # a rank-one term plus two Hermitian blocks padded on random factor sets,
     # which need not nest
@@ -170,7 +191,40 @@ def test_term_sum_report_matches_its_dense_sum(l1, l2, seed):
         )
     # the sum of lowest eigenvalues bounds the lowest eigenvalue from below
     assert got.positivity.residual >= want.positivity.residual - 1e-12 * scale
-    assert got.subspace.tolerance >= want.subspace.tolerance
+    # the sum of max-norms bounds the max-norm of the sum
+    assert got.subspace.tolerance >= want.subspace.tolerance * (1 - 1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(
+    l1=layouts(max_dim=8),
+    l2=layouts(max_dim=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reordered_forbidden_part_matches_mask_entrywise(l1, l2, seed):
+    # forbidden_part keeps its blocks in the level's storage order; undone by
+    # dense(), each entry must equal the natural-order oracle's.  The
+    # max-norm alone would not see a mislabelled factor.
+    rng = np.random.default_rng(seed)
+    level = HierarchyLevel.pair(HierarchyLevel.process(l1), HierarchyLevel.process(l2))
+    dims = level.dims
+    mask = hierarchy_mask(level)
+    v = rng.standard_normal(level.dim) + 1j * rng.standard_normal(level.dim)
+    kept = sorted(rng.permutation(len(dims))[: rng.integers(len(dims) + 1)])
+    kept_dims = tuple(dims[f] for f in kept)
+    g = random_hermitian(rng, int(np.prod(kept_dims)))
+    terms = [
+        PaddedOperator.of_vector(v, dims),
+        PaddedOperator(dims, kept, g=g.reshape(kept_dims * 2)),
+        PaddedOperator.of_matrix(random_hermitian(rng, level.dim), dims),
+    ]
+    order = _storage_order(level)
+    for term in terms:
+        m = term.dense()
+        got = forbidden_part(term, level)
+        assert list(got.kept) == [f for f in order if f in got.kept]
+        want = m - mask_projector(m, dims, mask)
+        assert max_norm(got.dense() - want) <= 1e-12 * max(1.0, max_norm(m))
 
 
 # one fixed layout with every feature: an output-less party, an input-less
@@ -235,6 +289,23 @@ def test_padded_operator_depolarizes_without_expanding():
     pure = PaddedOperator.of_vector(v, (2, 3, 2)).depolarized([1])
     dense = PaddedOperator.of_matrix(np.outer(v, v.conj()), (2, 3, 2)).depolarized([1])
     assert max_norm(pure.g - dense.g) <= 1e-12
+
+
+def test_padded_operator_takes_strided_blocks():
+    # a matrix or block in Fortran order is a strided view of the caller's
+    # data; it depolarizes exactly as its C-ordered copy
+    rng = np.random.default_rng(4)
+    m = random_hermitian(rng, 24)
+    dims = (2, 3, 4)
+    want = PaddedOperator.of_matrix(m, dims)
+    strided = (
+        PaddedOperator.of_matrix(np.asfortranarray(m), dims),
+        PaddedOperator(dims, range(3), g=np.asfortranarray(m.reshape(dims * 2))),
+    )
+    for op in strided:
+        for factors in ([1], [0, 2]):
+            got = op.alias().depolarized(factors).dense()
+            assert np.array_equal(got, want.depolarized(factors).dense())
 
 
 def test_pure_switch_validation_never_forms_cj():
@@ -324,3 +395,43 @@ def test_validate_supermap_is_validate_order_n_at_level2(l1, l2, seed):
             assert got.passed == ref.passed
             assert abs(got.residual - ref.residual) <= 1e-12 * scale
             assert got.tolerance == pytest.approx(ref.tolerance, rel=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(layout=layouts(max_dim=36))
+def test_allowed_mask_matches_classify_term(layout):
+    mask = allowed_mask(layout)
+    for pattern in enumerate_patterns(layout):
+        allowed = classify_term(pattern, layout) is TermClass.ALLOWED
+        assert mask[pattern] == allowed
+
+
+def random_unitary(rng, d):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@PROPERTY_SETTINGS
+@given(layout=layouts(max_dim=36), seed=st.integers(0, 2**32 - 1))
+def test_validate_is_invariant_under_local_unitaries(layout, seed):
+    # every depolarization commutes with a product of per-factor unitaries,
+    # so the forbidden part turns with the operator and the eigenvalues and
+    # trace stay.  The max-norm of a nonzero forbidden part is not unitarily
+    # invariant, so the residual check takes allowed-span inputs: a valid
+    # process, and one with a negative eigenvalue and a wrong trace
+    rng = np.random.default_rng(seed)
+    u = tensor(*(random_unitary(rng, d) for d in layout.dims))
+    span = project_valid_matrix(random_hermitian(rng, layout.dim), layout)
+    for w in (random_valid(rng, layout), ProcessMatrix(layout, span)):
+        before = validate(w)
+        after = validate(ProcessMatrix(layout, u @ w.matrix @ u.conj().T))
+        assert after.valid == before.valid
+        scale = max(1.0, max_norm(w.matrix))
+        for got, want in zip(after.conditions, before.conditions):
+            assert got.passed == want.passed
+            assert abs(got.residual - want.residual) <= 1e-12 * scale
+    # a span violation stays one: its forbidden part turns, and does not vanish
+    bad = ProcessMatrix(layout, random_hermitian(rng, layout.dim))
+    turned = ProcessMatrix(layout, u @ bad.matrix @ u.conj().T)
+    assert validate(turned).subspace.passed == validate(bad).subspace.passed
