@@ -1,7 +1,9 @@
 """End-to-end checks for the pmx command line and the PMX file format."""
 
+import gc
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +204,14 @@ class TestBuildCommand:
         assert code == 2
         assert "zero vector" in err
 
+    @pytest.mark.parametrize("psi", ["nan,1", "1,inf"], ids=["nan", "inf"])
+    def test_non_finite_psi_exits_2(self, tmp_path, capsys, psi):
+        path = tmp_path / "x"
+        code, out, err = run(capsys, "build", "switch", "--psi", psi, "-o", str(path))
+        assert code == 2
+        assert out == "" and err == "error: --psi amplitudes must be finite\n"
+        assert not path.exists()
+
     @pytest.mark.parametrize(
         "name", ["state", "channel", "wocb", "wll", "switch", "extended-switch"]
     )
@@ -284,6 +294,10 @@ class TestValidateCommand:
             lambda doc: json.dumps(doc).replace('"0.0"', "false", 1),
             lambda doc: json.dumps(doc).replace('"A_I"', '"A_\u00ef"', 1),
             lambda doc: json.dumps(doc).replace('"0.0"', "1" + "0" * 400, 1),
+            # the parser gives up with a RecursionError, not a decode error
+            lambda doc: json.dumps({**doc, "matrix": None}).replace(
+                "null", "[" * 50000 + "]" * 50000
+            ),
         ],
         ids=[
             "matrix-list",
@@ -294,6 +308,7 @@ class TestValidateCommand:
             "boolean-entry",
             "non-ascii-bytes",
             "entry-beyond-float-range",
+            "deeply-nested",
         ],
     )
     def test_malformed_document_exits_2(self, tmp_path, capsys, malform):
@@ -372,14 +387,33 @@ class TestVerifyCommand:
         assert "single_party_kernel_dim=6 expected=6 PASS" in out
         assert "suite=rigidity overall=PASS" in out
 
-    @pytest.mark.parametrize("suite", ["rigidity", "extremality", "switch"])
+    @pytest.mark.parametrize("suite", ["rigidity", "extremality", "hierarchy", "switch"])
     def test_output_matches_golden_text(self, suite, capsys):
-        # full standard output and exit code; hierarchy is left out because
-        # its idempotence residuals are rounding noise below 1e-15
+        # full standard output and exit code
         code, out, err = run(capsys, "verify", suite)
         assert code == 0
         assert err == ""
         assert out == (GOLDEN / f"verify_{suite}.txt").read_text()
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--lambdas", "nan"],
+            ["sweep", "--lambdas", "0,inf"],
+            ["sweep", "--lambdas", ","],
+            ["verify", "hierarchy", "--seed", "-1"],
+        ],
+        ids=["lambda-nan", "lambda-inf", "lambda-empty", "negative-seed"],
+    )
+    def test_bad_argument_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: argument" in err and "Traceback" not in err
 
 
 class TestSweepCommand:
@@ -399,3 +433,58 @@ class TestSweepCommand:
         _, out, _ = run(capsys, "sweep", "--lambdas", "0.3,1.1")
         for line in out.strip().splitlines():
             assert "valid=true" in line
+
+
+@contextmanager
+def collector(enabled):
+    """Run a block with the cyclic garbage collector on or off, then restore it."""
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+class TestLoadPausesCollector:
+    def test_no_collection_starts_while_loading(self, tmp_path):
+        # the d = 256 file parses into about 65k [re, im] lists, enough to
+        # start many collections when the collector runs
+        path = tmp_path / "w.pmx"
+        w = extended_switch()
+        write_pmx(str(path), w)
+        starts = []
+
+        def record(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        with collector(True):
+            gc.collect()
+            gc.callbacks.append(record)
+            try:
+                back = load_pmx(str(path))
+            finally:
+                gc.callbacks.remove(record)
+        assert starts == []
+        assert np.array_equal(back.matrix.view(np.uint64), w.matrix.view(np.uint64))
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize(
+        "text",
+        [None, "{not json", "[" * 50000 + "]" * 50000],
+        ids=["valid", "not-json", "deeply-nested"],
+    )
+    def test_collector_state_is_restored(self, tmp_path, enabled, text):
+        path = tmp_path / "w.pmx"
+        if text is None:
+            write_pmx(str(path), w_ocb())
+        else:
+            path.write_text(text)
+        with collector(enabled):
+            if text is None:
+                load_pmx(str(path))
+            else:
+                with pytest.raises(PmxFormatError):
+                    load_pmx(str(path))
+            assert gc.isenabled() is enabled
