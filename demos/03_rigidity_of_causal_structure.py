@@ -26,7 +26,7 @@ from pmx import (
     verify_rigidity,
     w_ocb,
 )
-from pmx.hs_algebra import from_coefficient_tensor
+from pmx.hs_algebra import weyl_term
 from pmx.rigidity import single_body_patterns
 
 layout = bipartite_qubit_layout()
@@ -48,15 +48,17 @@ print("  span in kernel residual:", f"{report.span_in_kernel_residual:.2e}")
 # the same story at single-party scale: 2 factors x 3 Paulis
 print("single party kernel:", verify_rigidity(single_party_layout()).kernel_dim)
 
-# flow a process along a kernel direction and watch validity survive; for
-# qubits the Weyl numbering is the Pauli order I, X, Y, Z, so the kernel's
-# indicator rows double as Pauli coefficients
+# flow a process along a kernel direction and watch validity survive; each
+# kernel row marks one Weyl pattern, and a Weyl term such as XZ = -iY need
+# not be Hermitian, so H is a random combination plus its adjoint
 rng = np.random.default_rng(5)
 h_coeffs = rng.standard_normal(kernel.shape[0])
 qdims = tuple(d * d for d in layout.dims)
-h = from_coefficient_tensor(
-    (h_coeffs @ kernel).reshape(qdims), layout.dims
+half = sum(
+    c * weyl_term(np.unravel_index(u, qdims), layout.dims)
+    for c, u in zip(h_coeffs, kernel.argmax(axis=1))
 )
+h = half + half.conj().T
 w = w_ocb()
 for lam in (0.25, 0.5, 1.0):
     u = scipy.linalg.expm(-1j * lam * h)

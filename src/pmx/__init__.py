@@ -15,7 +15,6 @@ from .operator_core import (
     permute_factors,
     tensor,
 )
-from .hs_algebra import SuBasis, build_su_basis
 from .process_space import (
     CausalOrderFlag,
     HierarchyLevel,
@@ -73,7 +72,6 @@ from .extremality import (
     dariano_test,
     is_extremal,
     non_reachability_report,
-    subspace_pair,
     support_intersection_dim,
 )
 from .cli import load_pmx, write_pmx

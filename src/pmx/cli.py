@@ -302,17 +302,28 @@ def _build_named(name: str, psi: np.ndarray | None) -> ProcessMatrix:
     raise KeyError(name)
 
 
+# the plain norm squares each amplitude, which overflows or underflows when
+# the largest one lies outside this range; such a vector is divided by its
+# largest amplitude first
+_PLAIN_NORM_SCALES = (1e-150, 1e150)
+
+
 def cmd_build(args: argparse.Namespace) -> int:
     psi = args.psi
     if psi is not None:
         if not np.all(np.isfinite(psi)):
             print("error: --psi amplitudes must be finite", file=sys.stderr)
             return 2
-        norm = float(np.linalg.norm(psi))
-        if norm == 0.0:
+        parts = psi.view(float)  # real and imaginary parts, interleaved
+        scale = float(np.abs(parts).max())
+        if scale == 0.0:
             print("error: --psi must not be the zero vector", file=sys.stderr)
             return 2
-        psi = psi / norm
+        if not _PLAIN_NORM_SCALES[0] <= scale <= _PLAIN_NORM_SCALES[1]:
+            # part by part: a complex division would use 1 / scale, which
+            # overflows for a subnormal scale
+            psi = (parts / scale).view(complex)
+        psi = psi / float(np.linalg.norm(psi))
     try:
         w = _build_named(args.name, psi)
     except KeyError:

@@ -9,12 +9,15 @@ signalling only from the first party to the second is extremal iff a
 Hermitian basis of ``L(supp(W))`` stays linearly independent after
 adjoining a fixed list of product terms attached to the causal order.
 
-Both live on the real vector space of Hermitian operators in product-term
-coordinates, where the valid-span projector is diagonal.  The intersection
-is counted on the forbidden coordinates alone: an ``|F| x |F|`` Gram of the
-forbidden terms compressed to the support, so its cost follows the number
-of forbidden terms rather than ``rank(W)**2`` coefficient vectors.  The
-independence test stacks the coefficient vectors themselves.
+Both are read from one Gram.  With ``V`` the support vectors and ``W_p``
+the Weyl terms of :mod:`pmx.hs_algebra`, compress each term of a pattern set
+to the support, ``A_p = V^dag W_p V``, and take the Gram of the ``A_p``.  Its
+eigenvalues are the squared cosines of the principal angles between the
+operators on ``supp(W)`` and the span of those terms.  Over the forbidden
+patterns, the eigenvalues above a threshold count the support operators that
+leave the allowed span; over the order patterns ``D``, the eigenvalues at 1
+count the support operators inside ``span(D)``.  Each Gram is taken on its
+smaller side, so its cost follows ``min(|patterns|, rank(W)**2)``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hs_algebra import batch_coefficient_tensors, build_su_basis, term_stack
+from .hs_algebra import pattern_digits, weyl_elements
 from .operator_core import SpaceLayout
 from .process_space import (
     ProcessMatrix,
@@ -40,29 +43,14 @@ __all__ = [
     "DarianoReport",
     "ExtremalityCertificate",
     "ReachabilityReport",
-    "SubspacePair",
     "dariano_test",
     "is_extremal",
     "non_reachability_report",
-    "subspace_pair",
     "support_intersection_dim",
     "support_rank",
 ]
 
 SUPPORT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SubspacePair:
-    """Projectors onto ``L(supp W)`` and the allowed span, as real matrices.
-
-    Both act on coefficient vectors over the product-term basis.  ``dims``
-    holds their ranks ``(dim T, dim V)``.
-    """
-
-    p_t: np.ndarray
-    p_v: np.ndarray
-    dims: tuple[int, int]
 
 
 def _support_vectors(m: np.ndarray, threshold: float = SUPPORT_TOL) -> np.ndarray:
@@ -76,67 +64,31 @@ def support_rank(w: ProcessMatrix, threshold: float = SUPPORT_TOL) -> int:
     return _support_vectors(w.matrix, threshold).shape[1]
 
 
-def _support_operator_basis(vecs: np.ndarray) -> np.ndarray:
-    """HS-orthonormal Hermitian basis of operators on ``span(vecs)``."""
-    r = vecs.shape[1]
-    ops = []
-    for i in range(r):
-        ops.append(np.outer(vecs[:, i], vecs[:, i].conj()))
-    for i in range(r):
-        for j in range(i + 1, r):
-            e = np.outer(vecs[:, i], vecs[:, j].conj())
-            ops.append((e + e.conj().T) / np.sqrt(2))
-            ops.append((1j * e - 1j * e.conj().T) / np.sqrt(2))
-    return np.stack(ops)
+def _term_spectrum(
+    vecs: np.ndarray, dims: tuple[int, ...], patterns: np.ndarray
+) -> np.ndarray:
+    """Eigenvalues of the Gram of ``A_p = V^dag W_p V`` over ``patterns``.
 
-
-def _coefficient_rows(ops: np.ndarray, layout: SpaceLayout) -> np.ndarray:
-    """Orthonormal real coefficient vectors of HS-orthonormal operators."""
-    n = layout.n_factors
-    c = batch_coefficient_tensors(ops, layout).reshape(ops.shape[0], -1)
-    return c.real * np.sqrt(2.0**n)
-
-
-def subspace_pair(w: ProcessMatrix, threshold: float = SUPPORT_TOL) -> SubspacePair:
-    """Materialize both projectors on the vectorized operator space."""
-    layout = w.layout
-    pi = _support_vectors(w.matrix, threshold)
-    pi = pi @ pi.conj().T
-    terms = term_stack(layout)
-    mapped = np.matmul(np.matmul(pi, terms), pi)
-    # column v of P_T holds the coefficients of Pi sigma_v Pi
-    p_t = (
-        batch_coefficient_tensors(mapped, layout)
-        .reshape(terms.shape[0], -1)
-        .real.T.copy()
-    )
-    p_v = np.diag(allowed_mask(layout).reshape(-1).astype(float))
-    dims = (int(round(np.trace(p_t))), int(round(np.trace(p_v))))
-    return SubspacePair(p_t, p_v, dims)
-
-
-def _forbidden_gram(vecs: np.ndarray, layout: SpaceLayout) -> np.ndarray:
-    """``G[f, g] = Tr(A_f A_g) / 2**n`` with ``A_f = V^dag sigma_f V``.
-
-    ``V`` holds the support vectors as columns and ``f``, ``g`` run over the
-    forbidden product terms.  Each ``sigma_f`` is applied to ``V`` factor by
-    factor, so no product term is formed as a matrix: the leading axis is
-    acted on, then rotated to the back, which after every factor leaves
-    ``(sigma_f V)^T`` and hence ``A_f^T``, with the same Gram.
+    ``V`` holds the support vectors as columns and ``patterns`` the
+    per-factor digits of the Weyl terms, one row each; the Gram is
+    normalized by the space dimension, so its eigenvalues lie in ``[0, 1]``.
+    Each ``W_p`` is applied to ``V`` factor by factor, so no product term is
+    formed as a matrix: the leading axis is acted on, then rotated to the
+    back, which after every factor leaves ``(W_p V)^T`` and hence ``A_p^T``.
+    With the ``A_p`` as rows of ``M``, the Gram is ``M M^dag`` when there are
+    no more patterns than ``rank**2`` and ``M^dag M`` otherwise; both have
+    the same nonzero eigenvalues.
     """
-    dims = layout.dims
-    forbidden = np.flatnonzero(~allowed_mask(layout).reshape(-1))
-    digits = np.unravel_index(forbidden, tuple(d * d for d in dims))
+    dim = math.prod(dims)
     r = vecs.shape[1]
-    size = layout.dim * r
+    size = dim * r
     y = vecs.reshape(1, dims[0], size // dims[0])
     for k, d in enumerate(dims):
-        y = build_su_basis(d).elements[digits[k]] @ y.reshape(-1, d, size // d)
+        y = weyl_elements(d)[patterns[:, k]] @ y.reshape(-1, d, size // d)
         y = y.transpose(0, 2, 1)
-    a = y.reshape(len(forbidden), r, layout.dim) @ vecs.conj()
-    # Tr(A_f A_g) = Re sum A_f conj(A_g) over entries, one real product
-    a = a.view(float).reshape(len(forbidden), 2 * r * r)
-    return a @ a.T / 2.0 ** len(dims)
+    m = (y.reshape(len(patterns), r, dim) @ vecs.conj()).reshape(len(patterns), r * r)
+    gram = m @ m.conj().T if len(patterns) <= r * r else m.conj().T @ m
+    return np.linalg.eigvalsh(gram / dim)
 
 
 def _intersection(w: ProcessMatrix, tol: float) -> tuple[int, int, float]:
@@ -145,7 +97,10 @@ def _intersection(w: ProcessMatrix, tol: float) -> tuple[int, int, float]:
         raise ValueError("support_intersection_dim needs a valid process")
     vecs = _support_vectors(w.matrix)
     r = vecs.shape[1]
-    mu = np.linalg.eigvalsh(_forbidden_gram(vecs, w.layout))
+    layout = w.layout
+    qdims = tuple(d * d for d in layout.dims)
+    forbidden = pattern_digits(qdims)[~allowed_mask(layout).reshape(-1)]
+    mu = _term_spectrum(vecs, layout.dims, forbidden)
     above = mu[mu > 2 * tol]
     margin = float(above.min() - 2 * tol) if above.size else math.inf
     return r * r - above.size, r, margin
@@ -157,11 +112,10 @@ def support_intersection_dim(w: ProcessMatrix, tol: float = 1e-8) -> int:
     ``T`` is the ``r**2``-dimensional space of Hermitian operators on
     ``supp(W)``; ``T`` meets ``V`` in the kernel of ``R_F``, the map to the
     forbidden coefficients.  So the dimension is ``r**2`` minus the number
-    of eigenvalues of the ``|F| x |F|`` Gram ``R_F^T R_F`` (see
-    ``_forbidden_gram``) above ``2 tol``; ``R_F R_F^T`` has the same nonzero
-    eigenvalues.  This is the decision ``|lambda - 1| <= tol`` on the
-    averaged projector ``(P_T + P_V)/2`` compressed to ``T``, whose
-    eigenvalues are ``1 - mu/2``.
+    of eigenvalues of the forbidden-term Gram ``R_F R_F^dag`` (see
+    ``_term_spectrum``) above ``2 tol``.  This is the decision
+    ``|lambda - 1| <= tol`` on the averaged projector ``(P_T + P_V)/2``
+    compressed to ``T``, whose eigenvalues are ``1 - mu/2``.
     """
     return _intersection(w, tol)[0]
 
@@ -219,7 +173,13 @@ def dariano_test(w: ProcessMatrix, direction: str = "a_to_b") -> DarianoReport:
     comb in that order.  The adjoined term list ``D`` contains every
     pattern nontrivial on the later party's input, plus the patterns local
     to the earlier party with a nontrivial input factor.  The verdict is
-    the numerical rank of the stacked coefficient vectors of ``C ⊔ D``.
+    whether the ``r**2`` support operators ``C`` and the terms of ``D`` are
+    linearly independent.  Both sets are orthonormal, so the rank of
+    ``C ⊔ D`` is ``r**2 + |D|`` minus the dimension of their intersection,
+    which is the number of eigenvalues of the D-term Gram (see
+    ``_term_spectrum``) within ``1e-9`` of 1.  The certificate is the count
+    itself: when ``r**2 + |D|`` exceeds the operator space dimension the
+    sets cannot be independent.
     """
     layout = w.layout
     if len(layout.parties) != 2:
@@ -233,38 +193,27 @@ def dariano_test(w: ProcessMatrix, direction: str = "a_to_b") -> DarianoReport:
         raise ValueError(f"process is not causally ordered {first} before {second}")
 
     f_in, f_out = _party_factor_positions(layout, first)
-    s_in, s_out = _party_factor_positions(layout, second)
+    s_in, _ = _party_factor_positions(layout, second)
     qdims = tuple(d * d for d in layout.dims)
-    total = int(np.prod(qdims))
+    digits = pattern_digits(qdims)
+    touched = digits != 0
+    elsewhere = np.ones(len(qdims), dtype=bool)
+    elsewhere[[f_in, f_out]] = False
+    in_d = touched[:, s_in] | (touched[:, f_in] & ~touched[:, elsewhere].any(axis=1))
 
-    order_patterns = []
-    for pat in np.ndindex(*qdims):
-        if pat[s_in] >= 1:
-            order_patterns.append(pat)
-        elif (
-            pat[s_in] == 0
-            and pat[s_out] == 0
-            and pat[f_in] >= 1
-            and all(pat[k] == 0 for k in range(len(qdims)) if k not in (f_in, f_out))
-        ):
-            order_patterns.append(pat)
-
-    d_rows = np.zeros((len(order_patterns), total))
-    for k, pat in enumerate(order_patterns):
-        d_rows[k, np.ravel_multi_index(pat, qdims)] = 1.0
-    c_rows = _coefficient_rows(
-        _support_operator_basis(_support_vectors(w.matrix)), layout
-    )
-    stacked = np.vstack([c_rows, d_rows])
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    rank = int(np.sum(svals > 1e-9 * svals[0]))
+    vecs = _support_vectors(w.matrix)
+    support_card = vecs.shape[1] ** 2
+    order_card = int(in_d.sum())
+    nu = _term_spectrum(vecs, layout.dims, digits[in_d])
+    total = support_card + order_card
+    rank = total - int(np.sum(np.abs(nu - 1.0) <= 1e-9))
     return DarianoReport(
-        independent=rank == stacked.shape[0],
-        support_card=c_rows.shape[0],
-        order_card=d_rows.shape[0],
-        total=stacked.shape[0],
+        independent=rank == total,
+        support_card=support_card,
+        order_card=order_card,
+        total=total,
         rank=rank,
-        space_dim=total,
+        space_dim=len(digits),
         direction=direction,
     )
 

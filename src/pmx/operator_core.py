@@ -10,8 +10,8 @@ Two array conventions used throughout the package:
 
 * complex matrices are plain ``complex128`` arrays; Hermiticity is checked
   where required rather than encoded in a type;
-* real coefficient vectors over a fixed orthogonal Hermitian basis are plain
-  ``float64`` arrays (see :mod:`pmx.hs_algebra` for the basis itself).
+* product operator terms are named by *patterns*, one basis index per
+  factor (see :mod:`pmx.hs_algebra` for the Weyl basis itself).
 
 Unless a function documents otherwise, tolerances are absolute values scaled
 by the max-norm of the operator being tested, with default ``DEFAULT_TOL``.

@@ -7,27 +7,25 @@ every allowed term ``T``, i.e. when ``Tr(H [T, F]) = 0`` for every allowed
 which factors it touches, so any product operator basis with the identity
 first spans the same allowed and forbidden subspaces.
 
-In the Weyl (clock-and-shift) basis the constraint system is exact integer
-arithmetic (Gottesman, quant-ph/9802007).  Factor ``k`` of dimension ``d``
-carries the ``d**2`` unitaries ``X^p Z^q`` with ``X|j> = |j+1>`` and
-``Z|j> = w^j |j>``, ``w = exp(2 pi i / d)``, and a product pattern ``a``
-collects one ``(p_k, q_k)`` per factor.  Two patterns commute up to a phase,
-``W_a W_b = exp(-2 pi i sum_k <a_k, b_k> / d_k) W_b W_a`` with the
-symplectic form ``<a, b> = p_a q_b - q_a p_b mod d``, so ``[W_t, W_f]`` is a nonzero multiple of
-``W_{t+f}`` when that phase is nontrivial and vanishes otherwise.  Traces of
-Weyl patterns are orthogonal, so ``Tr(H [W_t, W_f])`` reads exactly one
-coefficient of ``H``: the one at ``u = -(t + f)``.  Hence a pattern
-``u != 0`` lies in the generator kernel iff no forbidden ``f`` has ``f - u``
-allowed with ``sum_k <u_k, f_k> / d_k`` not an integer (the forbidden set is
-closed under ``f -> -f``).  No singular values and no threshold enter.
+In the Weyl (clock-and-shift) basis of :mod:`pmx.hs_algebra` the constraint
+system is exact integer arithmetic (Gottesman, quant-ph/9802007).  A product
+pattern ``a`` collects one ``X^{p_k} Z^{q_k}`` per factor.  Two patterns
+commute up to a phase, ``W_a W_b = exp(-2 pi i sum_k <a_k, b_k> / d_k) W_b
+W_a`` with the symplectic form ``<a, b> = p_a q_b - q_a p_b mod d``, so
+``[W_t, W_f]`` is a nonzero multiple of ``W_{t+f}`` when that phase is
+nontrivial and vanishes otherwise.  Traces of Weyl patterns are orthogonal,
+so ``Tr(H [W_t, W_f])`` reads exactly one coefficient of ``H``: the one at
+``u = -(t + f)``.  Hence a pattern ``u != 0`` lies in the generator kernel
+iff no forbidden ``f`` has ``f - u`` allowed with ``sum_k <u_k, f_k> / d_k``
+not an integer (the forbidden set is closed under ``f -> -f``).  No singular
+values and no threshold enter.
 
 The kernel is closed under ``u -> -u`` and ``W_{-u}`` is a multiple of
 ``W_u^dag``, so the Hermitian generators it holds span a real space whose
 dimension is the pattern count.  For prime ``d_k`` the symplectic group acts
 transitively on each factor's nontrivial patterns, so the kernel is a union
-of support classes (sets of patterns touching the same factors) and its index
-set is the same in the generalized Gell-Mann numbering of
-:mod:`pmx.hs_algebra`.
+of support classes (sets of patterns touching the same factors), the same
+set of generators in any product basis with the identity first.
 """
 
 from __future__ import annotations
@@ -39,7 +37,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .operator_core import SpaceLayout, tensor
+from .hs_algebra import pattern_digits, weyl_exponents, weyl_term
+from .operator_core import SpaceLayout
 from .process_space import ProcessMatrix, allowed_mask, project_valid_matrix, validate
 
 __all__ = [
@@ -55,38 +54,6 @@ _CHUNK_PAIRS = 1 << 20
 
 
 @lru_cache(maxsize=None)
-def _weyl_exponents(d: int) -> np.ndarray:
-    """``(p, q)`` of each per-factor pattern ``X^p Z^q``, shape ``(d*d, 2)``.
-
-    The identity comes first, then the shifting patterns (``p >= 1``) in
-    lexicographic order, then the diagonal ones: for ``d = 2`` the order is
-    I, X, XZ (a multiple of Y), Z, as in the Pauli basis.
-    """
-    shifts = [(p, q) for p in range(1, d) for q in range(d)]
-    clocks = [(0, q) for q in range(1, d)]
-    out = np.array([(0, 0), *shifts, *clocks], dtype=np.int64)
-    out.setflags(write=False)
-    return out
-
-
-def _weyl_term(pattern: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
-    """The product unitary ``(x)_k X^{p_k} Z^{q_k}`` of a Weyl pattern."""
-    mats = []
-    for a, d in zip(pattern, dims):
-        p, q = _weyl_exponents(d)[a]
-        m = np.zeros((d, d), dtype=complex)
-        j = np.arange(d)
-        m[(j + p) % d, j] = np.exp(2j * np.pi * q * j / d)
-        mats.append(m)
-    return tensor(*mats)
-
-
-def _pattern_digits(qdims: tuple[int, ...]) -> np.ndarray:
-    """Every pattern's per-factor indices, one row per flat index."""
-    return np.stack(np.unravel_index(np.arange(math.prod(qdims)), qdims), axis=1)
-
-
-@lru_cache(maxsize=None)
 def _orbit_labels(d: int) -> np.ndarray:
     """Each per-factor pattern's orbit under ``SL(2, Z_d)``, as its least index.
 
@@ -95,7 +62,7 @@ def _orbit_labels(d: int) -> np.ndarray:
     each generator has finite order, so following edges forward reaches the
     whole orbit.  For prime ``d`` the orbits are the identity and the rest.
     """
-    e = _weyl_exponents(d)
+    e = weyl_exponents(d)
     index = np.zeros((d, d), dtype=np.int64)
     index[e[:, 0], e[:, 1]] = np.arange(d * d)
     p, q = e.T
@@ -133,7 +100,7 @@ def generator_kernel(layout: SpaceLayout) -> np.ndarray:
     lcm = math.lcm(*dims)
     phases = []  # [f_k, u_k] -> <u_k, f_k> in units of 1 / lcm
     for d in dims:
-        e = _weyl_exponents(d)
+        e = weyl_exponents(d)
         symp = e[None, :, 0] * e[:, None, 1] - e[None, :, 1] * e[:, None, 0]
         phases.append(symp % d * (lcm // d))
     bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
@@ -144,8 +111,7 @@ def generator_kernel(layout: SpaceLayout) -> np.ndarray:
     reps = [np.unique(label) for label in labels]
     grid = np.meshgrid(*reps, indexing="ij")
     rep_digits = np.stack([g.reshape(-1) for g in grid], axis=1)
-    forbidden = np.flatnonzero(~allowed_mask(layout).reshape(-1))
-    f_digits = np.stack(np.unravel_index(forbidden, qdims), axis=1)
+    f_digits = pattern_digits(qdims)[~allowed_mask(layout).reshape(-1)]
     block = min(len(rep_digits), _CHUNK_PAIRS)
     chunk = max(1, _CHUNK_PAIRS // block)
     killed = np.zeros(len(rep_digits), dtype=bool)
@@ -179,7 +145,7 @@ def single_body_patterns(layout: SpaceLayout) -> list[tuple[int, ...]]:
     no factor outside it.
     """
     qdims = tuple(d * d for d in layout.dims)
-    digits = _pattern_digits(qdims)
+    digits = pattern_digits(qdims)
     touched = digits != 0
     local = np.zeros(len(digits), dtype=bool)
     for side in (s for p in layout.parties for s in (p.inputs, p.outputs)):
@@ -268,7 +234,7 @@ def verify_rigidity(
     rng = np.random.default_rng(seed)
     processes = _reference_processes(layout)
     terms = [
-        _weyl_term(tuple(np.unravel_index(u, qdims)), layout.dims) for u in kernel
+        weyl_term(tuple(np.unravel_index(u, qdims)), layout.dims) for u in kernel
     ]
     conj_ok = True
     for _ in range(samples if terms else 0):

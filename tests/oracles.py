@@ -1,18 +1,21 @@
 """Term-level reference implementations the tests compare pmx against.
 
-pmx decides every order-structure question by partial traces.  The
-definitions those closed forms reproduce are statements about coefficients
-over the product basis of :mod:`pmx.hs_algebra`: which product terms an
-operator contains, and which of them a layout forbids.  This module keeps
-those definitions, computed the slow and obvious way, so the tests can check
-the closed forms against them.
+pmx works in one operator basis, the Weyl (clock-and-shift) basis of
+:mod:`pmx.hs_algebra`, and decides every order-structure question by
+partial traces.  This module keeps a second basis, the generalized Gell-Mann
+basis with its real coefficient transforms, and the definitions the closed
+forms reproduce, written over that basis: which product terms an operator
+contains, and which of them a layout forbids.  They are computed the slow
+and obvious way, so the tests can check pmx against them.
 
-The same holds for the two certificates.  The rigidity kernel is decided
-exactly in the Weyl basis; here it is the SVD of the Gell-Mann constraint
-rows ``Tr(H [T, F]) = 0``.  The support/valid-span intersection is counted
-on a Gram of forbidden terms; here it is the eigenvalue-1 count of the
-averaged projector.  The constant and interpolation supermaps hold their CJ
-as a sum of terms; here it is written out as one dense array.
+The same holds for the certificates.  The rigidity kernel is decided exactly
+in the Weyl basis; here it is the SVD of the Gell-Mann constraint rows
+``Tr(H [T, F]) = 0``.  The support/valid-span intersection and the D'Ariano
+independence rank are read from Grams of Weyl terms compressed to the
+support; here they are the eigenvalue-1 count of the averaged projector and
+the SVD rank of the stacked Gell-Mann coefficient vectors.  The constant and
+interpolation supermaps hold their CJ as a sum of terms; here it is written
+out as one dense array.
 """
 
 from __future__ import annotations
@@ -26,11 +29,6 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 import scipy.sparse
 
-from pmx.hs_algebra import (
-    batch_coefficient_tensors,
-    build_su_basis,
-    from_coefficient_tensor,
-)
 from pmx.operator_core import (
     DEFAULT_TOL,
     PaddedOperator,
@@ -39,7 +37,7 @@ from pmx.operator_core import (
     is_hermitian,
     tensor,
 )
-from pmx.extremality import _coefficient_rows, _support_operator_basis, _support_vectors
+from pmx.extremality import _party_factor_positions, _support_vectors
 from pmx.process_space import (
     HierarchyLevel,
     ProcessMatrix,
@@ -47,6 +45,124 @@ from pmx.process_space import (
     allowed_mask,
     validate,
 )
+
+
+# ---------------------------------------------------------------------------
+# the generalized Gell-Mann basis
+# ---------------------------------------------------------------------------
+#
+# For each factor dimension ``d`` the basis contains ``d**2`` Hermitian
+# matrices ``sigma_0, ..., sigma_{d**2 - 1}`` with ``sigma_0 = sqrt(2/d) 1``,
+# ``sigma_a`` traceless for ``a >= 1`` and ``Tr(sigma_a sigma_b) = 2
+# delta_ab``.  For ``d = 2`` the traceless elements are the Pauli matrices in
+# the order ``x, y, z``.  A product term pattern ``(a_0, ..., a_{n-1})``
+# picks one element per factor; any operator expands as ``M = sum_t c_t
+# sigma_t`` with ``c_t = Tr(sigma_t M) / 2**n``, real iff ``M`` is Hermitian.
+
+
+@dataclass(frozen=True)
+class SuBasis:
+    """Orthogonal Hermitian basis for one factor of dimension ``d``."""
+
+    d: int
+    elements: np.ndarray  # shape (d**2, d, d), read-only
+
+    def __len__(self) -> int:
+        return self.d**2
+
+
+@lru_cache(maxsize=None)
+def build_su_basis(d: int) -> SuBasis:
+    """Generalized Gell-Mann basis of dimension ``d``, identity first.
+
+    Ordering after ``sigma_0``: symmetric pair elements ``E_jk + E_kj`` for
+    ``j < k`` in lexicographic order, then the matching antisymmetric elements
+    ``-i (E_jk - E_kj)``, then the ``d - 1`` diagonal elements.  For ``d = 1``
+    the basis is the single matrix ``[[sqrt(2)]]``.
+    """
+    if d < 1:
+        raise ValueError(f"dimension {d} < 1")
+    mats = [np.sqrt(2.0 / d) * np.eye(d, dtype=complex)]
+    pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
+    for j, k in pairs:
+        m = np.zeros((d, d), dtype=complex)
+        m[j, k] = 1.0
+        m[k, j] = 1.0
+        mats.append(m)
+    for j, k in pairs:
+        m = np.zeros((d, d), dtype=complex)
+        m[j, k] = -1.0j
+        m[k, j] = 1.0j
+        mats.append(m)
+    for l in range(1, d):
+        m = np.zeros((d, d), dtype=complex)
+        for mm in range(l):
+            m[mm, mm] = 1.0
+        m[l, l] = -l
+        mats.append(np.sqrt(2.0 / (l * (l + 1))) * m)
+    elements = np.stack(mats)
+    elements.setflags(write=False)
+    return SuBasis(d, elements)
+
+
+def term_stack(dims: "Sequence[int] | SpaceLayout") -> np.ndarray:
+    """All product terms stacked as an array of shape ``(prod d_k^2, d, d)``.
+
+    Patterns run in C order over ``(d_0^2, ..., d_{n-1}^2)``.  Intended for small
+    layouts (the array holds ``prod d_k^4`` entries).
+    """
+    dims = _as_dims(dims)
+    stack = build_su_basis(dims[0]).elements
+    for d in dims[1:]:
+        nxt = build_su_basis(d).elements
+        q0, a, _ = stack.shape
+        q1 = nxt.shape[0]
+        stack = np.einsum("aij,bkl->abikjl", stack, nxt).reshape(
+            q0 * q1, a * d, a * d
+        )
+    return stack
+
+
+def from_coefficient_tensor(
+    c: np.ndarray, dims: "Sequence[int] | SpaceLayout"
+) -> np.ndarray:
+    """The operator ``sum_t c_t sigma_t`` of a coefficient tensor.
+
+    ``c`` has shape ``(d_0^2, ..., d_{n-1}^2)``, one axis per factor.
+    """
+    dims = _as_dims(dims)
+    q = tuple(d * d for d in dims)
+    if c.shape != q:
+        raise ValueError(f"coefficient shape {c.shape} does not match {q}")
+    n = len(dims)
+    t = np.asarray(c, dtype=complex)
+    for k, d in enumerate(dims):
+        # axes: (r_0, c_0) .. (r_{k-1}, c_{k-1}), a_k..a_{n-1}
+        t = np.tensordot(build_su_basis(d).elements, t, axes=([0], [2 * k]))
+        t = np.moveaxis(t, [0, 1], [2 * k, 2 * k + 1])
+    d = math.prod(dims)
+    return t.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(d, d)
+
+
+def batch_coefficient_tensors(
+    ms: np.ndarray, dims: "Sequence[int] | SpaceLayout"
+) -> np.ndarray:
+    """Coefficient tensors of a stack of operators, shape ``(B, d_0^2, ...)``.
+
+    Entry ``[b, a_0, ..., a_{n-1}]`` is ``Tr(sigma_t M_b) / 2**n`` for the
+    product term ``t = (a_0, ..., a_{n-1})``.
+    """
+    dims = _as_dims(dims)
+    d = math.prod(dims)
+    if ms.ndim != 3 or ms.shape[1:] != (d, d):
+        raise ValueError(f"stack shape {ms.shape} does not match dims {dims}")
+    n = len(dims)
+    t = np.asarray(ms, dtype=complex).reshape(ms.shape[:1] + dims + dims)
+    for k, dk in enumerate(dims):
+        # after k steps the axes are: batch, a_0..a_{k-1}, r_k..r_{n-1}, c_k..c_{n-1}
+        t = np.tensordot(build_su_basis(dk).elements, t, axes=([2, 1], [1 + k, 1 + n]))
+        t = np.moveaxis(t, 0, 1 + k)
+    return t / (2.0**n)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +247,7 @@ class StructureTensors(NamedTuple):
 
 
 def structure_constants(d: int) -> StructureTensors:
-    """Structure tensors of :func:`pmx.hs_algebra.build_su_basis` at dimension ``d``."""
+    """Structure tensors of :func:`build_su_basis` at dimension ``d``."""
     sig = build_su_basis(d).elements
     prod = np.einsum("aij,bjk->abik", sig, sig)
     swapped = prod.transpose(1, 0, 2, 3)
@@ -462,6 +578,98 @@ def svd_generator_kernel(
     out = np.zeros((basis.shape[0], total))
     out[:, cols] = basis
     return out
+
+
+# ---------------------------------------------------------------------------
+# extremality in Gell-Mann coefficient vectors
+# ---------------------------------------------------------------------------
+
+
+def _support_operator_basis(vecs: np.ndarray) -> np.ndarray:
+    """HS-orthonormal Hermitian basis of operators on ``span(vecs)``."""
+    r = vecs.shape[1]
+    ops = []
+    for i in range(r):
+        ops.append(np.outer(vecs[:, i], vecs[:, i].conj()))
+    for i in range(r):
+        for j in range(i + 1, r):
+            e = np.outer(vecs[:, i], vecs[:, j].conj())
+            ops.append((e + e.conj().T) / np.sqrt(2))
+            ops.append((1j * e - 1j * e.conj().T) / np.sqrt(2))
+    return np.stack(ops)
+
+
+def _coefficient_rows(ops: np.ndarray, layout: SpaceLayout) -> np.ndarray:
+    """Orthonormal real coefficient vectors of HS-orthonormal operators."""
+    n = layout.n_factors
+    c = batch_coefficient_tensors(ops, layout).reshape(ops.shape[0], -1)
+    return c.real * np.sqrt(2.0**n)
+
+
+@dataclass(frozen=True)
+class SubspacePair:
+    """Projectors onto ``L(supp W)`` and the allowed span, as real matrices.
+
+    Both act on coefficient vectors over the product-term basis.  ``dims``
+    holds their ranks ``(dim T, dim V)``.
+    """
+
+    p_t: np.ndarray
+    p_v: np.ndarray
+    dims: tuple[int, int]
+
+
+def subspace_pair(w: ProcessMatrix) -> SubspacePair:
+    """Materialize both projectors on the vectorized operator space."""
+    layout = w.layout
+    pi = _support_vectors(w.matrix)
+    pi = pi @ pi.conj().T
+    terms = term_stack(layout)
+    mapped = np.matmul(np.matmul(pi, terms), pi)
+    # column v of P_T holds the coefficients of Pi sigma_v Pi
+    p_t = (
+        batch_coefficient_tensors(mapped, layout)
+        .reshape(terms.shape[0], -1)
+        .real.T.copy()
+    )
+    p_v = np.diag(allowed_mask(layout).reshape(-1).astype(float))
+    dims = (int(round(np.trace(p_t))), int(round(np.trace(p_v))))
+    return SubspacePair(p_t, p_v, dims)
+
+
+def svd_dariano_rank(w: ProcessMatrix, direction: str = "a_to_b") -> tuple[int, int]:
+    """Numerical rank and row count of the stacked vectors of ``C ⊔ D``.
+
+    ``C`` holds the coefficient vectors of the support operators and ``D``
+    the indicator vectors of the order patterns of
+    :func:`pmx.extremality.dariano_test`, enumerated pattern by pattern.
+    Singular values at most ``1e-9`` times the largest count as zero.
+    """
+    first, second = (p.name for p in w.layout.parties)
+    if direction == "b_to_a":
+        first, second = second, first
+    f_in, f_out = _party_factor_positions(w.layout, first)
+    s_in, s_out = _party_factor_positions(w.layout, second)
+    qdims = tuple(d * d for d in w.layout.dims)
+    d_rows = []
+    for pat in np.ndindex(*qdims):
+        later = pat[s_in] >= 1
+        earlier = (
+            pat[f_in] >= 1
+            and pat[s_in] == 0
+            and pat[s_out] == 0
+            and all(pat[k] == 0 for k in range(len(qdims)) if k not in (f_in, f_out))
+        )
+        if later or earlier:
+            row = np.zeros(math.prod(qdims))
+            row[np.ravel_multi_index(pat, qdims)] = 1.0
+            d_rows.append(row)
+    c_rows = _coefficient_rows(
+        _support_operator_basis(_support_vectors(w.matrix)), w.layout
+    )
+    stacked = np.vstack([c_rows, *d_rows])
+    svals = np.linalg.svd(stacked, compute_uv=False)
+    return int(np.sum(svals > 1e-9 * svals[0])), stacked.shape[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import coefficient_tensor, project_valid_closed_form
-from pmx.hs_algebra import term_stack
+from oracles import coefficient_tensor, project_valid_closed_form, term_stack
 from pmx.operator_core import max_norm, tensor
 from pmx.process_space import (
     Instrument,

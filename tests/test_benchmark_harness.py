@@ -22,3 +22,20 @@ def test_quick_run_passes(workload):
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert "quick overall=PASS" in done.stdout.splitlines()
+
+
+def test_tracer_installs_over_every_layer():
+    # --quick never traces, so only this reaches Tracer.install(), which
+    # imports every module named in tracing.LAYERS
+    code = (
+        "import sys; sys.path[:0] = ['src', 'benchmarks']; "
+        "from tracing import Tracer; Tracer().install()"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -198,6 +199,39 @@ class TestBuildCommand:
         assert code == 0
         want = quantum_switch([0.6, 0.8]).matrix
         assert np.abs(load_pmx(str(path)).matrix - want).max() <= 1e-12
+
+    def test_ordinary_psi_is_divided_by_its_plain_norm(self, tmp_path, capsys):
+        # the files benchmark checks its round trip against exactly this
+        path = tmp_path / "sw.pmx"
+        argv = ["build", "switch", "--psi", "1+2j,3-1j", "-o", str(path)]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        psi = np.array([1 + 2j, 3 - 1j])
+        want = quantum_switch(psi / np.linalg.norm(psi)).matrix
+        assert np.array_equal(load_pmx(str(path)).matrix, want)
+
+    @pytest.mark.parametrize(
+        "psi, same_as",
+        [
+            ("1e308,1e308", "1,1"),
+            ("1e154,1e154", "1,1"),
+            ("1e-160,1e-160", "1,1"),
+            ("1e-200,0", "1,0"),
+            ("1e-170,0", "1,0"),
+            ("5e-324,0", "1,0"),
+            ("1e308j,1e308j", "1j,1j"),
+        ],
+    )
+    def test_extreme_psi_writes_the_scaled_process(
+        self, tmp_path, capsys, psi, same_as
+    ):
+        got, want = tmp_path / "got.pmx", tmp_path / "want.pmx"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "build", "switch", "--psi", psi, "-o", str(got))
+        assert code == 0 and err == ""
+        assert run(capsys, "build", "switch", "--psi", same_as, "-o", str(want))[0] == 0
+        assert got.read_bytes() == want.read_bytes()
 
     def test_zero_psi_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "build", "switch", "--psi", "0,0", "-o", str(tmp_path / "x"))

@@ -8,18 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmx.extremality import (
-    _coefficient_rows,
-    _support_operator_basis,
     _support_vectors,
     dariano_test,
     is_extremal,
     non_reachability_report,
-    subspace_pair,
     support_intersection_dim,
     support_rank,
 )
-from oracles import averaged_projector_intersection_dim, coefficient_tensor
-from pmx.operator_core import permute_factors, tensor
+from oracles import (
+    _coefficient_rows,
+    _support_operator_basis,
+    averaged_projector_intersection_dim,
+    coefficient_tensor,
+    subspace_pair,
+    svd_dariano_rank,
+)
+from pmx.operator_core import SpaceLayout, permute_factors, tensor
 from test_order_projector import layouts
 from pmx.process_space import (
     ProcessMatrix,
@@ -282,6 +286,37 @@ class TestDarianoTest:
     def test_rejects_unknown_direction(self):
         with pytest.raises(ValueError, match="direction"):
             dariano_test(identity_channel(), "sideways")
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dims=st.lists(st.sampled_from([2, 3]), min_size=4, max_size=4).filter(
+        lambda dims: math.prod(dims) <= 24
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dariano_rank_matches_the_svd_of_the_stacked_rows(dims, seed):
+    # a qutrit factor makes the Weyl and Gell-Mann coordinates really differ;
+    # a second one would make each oracle SVD take seconds
+    layout = SpaceLayout.build(
+        list(zip(["A_I", "A_O", "B_I", "B_O"], dims)),
+        [("A", ["A_I"], ["A_O"]), ("B", ["B_I"], ["B_O"])],
+    )
+    rng = np.random.default_rng(seed)
+    w = ProcessMatrix(layout, random_ordered_process(rng, layout))
+    tried = 0
+    for direction in ("a_to_b", "b_to_a"):
+        try:
+            rep = dariano_test(w, direction)
+        except ValueError:
+            continue
+        tried += 1
+        rank, rows = svd_dariano_rank(w, direction)
+        assert rep.total == rows
+        assert rep.rank == rank
+        assert rep.independent == (rank == rows)
+        assert rep.rank <= rep.space_dim
+    assert tried >= 1
 
 
 class TestNonReachability:

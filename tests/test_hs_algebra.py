@@ -1,4 +1,9 @@
-"""Tests for the Hermitian product basis and coefficient transforms."""
+"""Tests for the Weyl basis of pmx and the Gell-Mann reference basis.
+
+The Weyl (clock-and-shift) basis is the one pmx uses; the generalized
+Gell-Mann basis and its coefficient transforms live in ``tests/oracles.py``
+as the reference the other tests compare against.
+"""
 
 import itertools
 
@@ -6,19 +11,18 @@ import numpy as np
 import pytest
 
 from oracles import (
+    batch_coefficient_tensors,
+    build_su_basis,
     coefficient_tensor,
     enumerate_patterns,
+    from_coefficient_tensor,
     hs_decompose,
     hs_recompose,
     product_term,
     structure_constants,
-)
-from pmx.hs_algebra import (
-    batch_coefficient_tensors,
-    build_su_basis,
-    from_coefficient_tensor,
     term_stack,
 )
+from pmx.hs_algebra import pattern_digits, weyl_elements, weyl_exponents, weyl_term
 from pmx.operator_core import tensor
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -34,6 +38,39 @@ EPSILON[1, 3, 2] = EPSILON[3, 2, 1] = EPSILON[2, 1, 3] = -1.0
 def random_hermitian(rng, d):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return g + g.conj().T
+
+
+def test_qubit_weyl_basis_is_pauli_order():
+    """I, X, XZ = -iY, Z: the Pauli order up to the phase of Y."""
+    els = weyl_elements(2)
+    for got, want in zip(els, [np.eye(2), SX, -1j * SY, SZ]):
+        np.testing.assert_allclose(got, want, atol=1e-15)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_weyl_elements_unitary_orthogonal_and_read_only(d):
+    """Tr(W_a^dag W_b) = d delta_ab; every element but the first traceless."""
+    els = weyl_elements(d)
+    assert els.shape == (d * d, d, d) and not els.flags.writeable
+    dagger = els.conj().transpose(0, 2, 1)
+    unit = np.broadcast_to(np.eye(d), els.shape)
+    np.testing.assert_allclose(dagger @ els, unit, atol=1e-14)
+    gram = np.einsum("aji,bji->ab", els.conj(), els)
+    np.testing.assert_allclose(gram, d * np.eye(d * d), atol=1e-12)
+    np.testing.assert_allclose(np.einsum("aii->a", els)[1:], 0.0, atol=1e-12)
+    assert weyl_exponents(d)[0].tolist() == [0, 0]
+
+
+def test_weyl_term_is_the_product_of_its_factors():
+    np.testing.assert_allclose(weyl_term((1, 3), (2, 2)), tensor(SX, SZ), atol=1e-15)
+    w = np.exp(2j * np.pi / 3)
+    # qutrit pattern 2 is X Z^1: |j> -> w^j |j + 1>
+    want = np.zeros((3, 3), dtype=complex)
+    want[[1, 2, 0], [0, 1, 2]] = [1, w, w * w]
+    got = weyl_term((2, 0), (3, 2))
+    np.testing.assert_allclose(got, tensor(want, np.eye(2)), atol=1e-15)
+    digits = pattern_digits((9, 4))
+    assert digits.shape == (36, 2) and digits[17].tolist() == [4, 1]
 
 
 def test_qubit_basis_is_identity_and_paulis():

@@ -19,10 +19,10 @@ from oracles import (
     coefficient_tensor,
     comb_order_by_support,
     enumerate_patterns,
+    from_coefficient_tensor,
     hierarchy_mask,
     order_mask,
 )
-from pmx.hs_algebra import from_coefficient_tensor
 from pmx.operator_core import (
     DEFAULT_TOL,
     PaddedOperator,

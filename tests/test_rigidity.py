@@ -12,18 +12,17 @@ import scipy.sparse
 
 from oracles import (
     ROW_PRUNE_TOL,
+    batch_coefficient_tensors,
     batch_from_coefficient_tensors,
     build_constraints,
+    build_su_basis,
     coefficient_tensor,
     deduplicate_rows,
+    from_coefficient_tensor,
     product_term,
     svd_generator_kernel,
 )
-from pmx.hs_algebra import (
-    batch_coefficient_tensors,
-    build_su_basis,
-    from_coefficient_tensor,
-)
+from pmx.hs_algebra import weyl_exponents, weyl_term
 from pmx.operator_core import SpaceLayout, max_norm
 from pmx.process_space import (
     ProcessMatrix,
@@ -39,8 +38,6 @@ from pmx.process_space import (
     w_ocb,
 )
 from pmx.rigidity import (
-    _weyl_exponents,
-    _weyl_term,
     generator_kernel,
     single_body_patterns,
     verify_rigidity,
@@ -302,7 +299,7 @@ def weyl_kernel_in_gell_mann(layout):
     qdims = tuple(d * d for d in layout.dims)
     out = []
     for u in np.flatnonzero(generator_kernel(layout).any(axis=0)):
-        w = _weyl_term(tuple(np.unravel_index(u, qdims)), layout.dims)
+        w = weyl_term(tuple(np.unravel_index(u, qdims)), layout.dims)
         for h in (w + w.conj().T, 1j * (w - w.conj().T)):
             c = coefficient_tensor(h, layout).reshape(-1)
             assert np.abs(c.imag).max() <= 1e-12
@@ -358,11 +355,11 @@ class TestExactKernelAgainstSvdOracle:
             phase = sum(
                 (ea[0] * eb[1] - ea[1] * eb[0]) % d / d
                 for d, ea, eb in (
-                    (d, _weyl_exponents(d)[x], _weyl_exponents(d)[y])
+                    (d, weyl_exponents(d)[x], weyl_exponents(d)[y])
                     for d, x, y in zip(dims, a, b)
                 )
             )
-            wa, wb = _weyl_term(a, dims), _weyl_term(b, dims)
+            wa, wb = weyl_term(a, dims), weyl_term(b, dims)
             np.testing.assert_allclose(
                 wa @ wb, np.exp(-2j * np.pi * phase) * (wb @ wa), atol=1e-12
             )

@@ -9,9 +9,9 @@ from oracles import (
     coefficient_tensor,
     dense_constant_cj,
     dense_interpolation_cj,
+    from_coefficient_tensor,
     product_term,
 )
-from pmx.hs_algebra import from_coefficient_tensor
 from pmx.operator_core import (
     SpaceLayout,
     max_norm,
