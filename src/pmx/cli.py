@@ -485,7 +485,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     layout = extended_switch_layout()
     w4 = extended_switch()
     sw = quantum_switch()
-    sw_norm = math.sqrt(float(np.trace(sw.matrix @ sw.matrix).real))
+    # Tr(A B) = vdot(A, B) for Hermitian A, so no matrix product is formed
+    sw_norm = math.sqrt(float(np.vdot(sw.matrix, sw.matrix).real))
     for lam in args.lambdas:
         rot = np.array(
             [
@@ -495,8 +496,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         out = apply(instrument_reduction(layout, "D", cj_of_unitary(rot)), w4)
         report = validate(out, tol=tol)
-        overlap = float(np.trace(out.matrix @ sw.matrix).real) / (
-            math.sqrt(float(np.trace(out.matrix @ out.matrix).real)) * sw_norm
+        overlap = float(np.vdot(out.matrix, sw.matrix).real) / (
+            math.sqrt(float(np.vdot(out.matrix, out.matrix).real)) * sw_norm
         )
         flag = causal_order_flags(out)
         print(

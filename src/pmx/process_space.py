@@ -36,7 +36,6 @@ reads ``Tr_out(C_N) = 1_in``.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -608,12 +607,43 @@ def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 
+def _absorb(
+    w: np.ndarray, dims: Sequence[int], factors: Sequence[int], stack: np.ndarray
+) -> np.ndarray:
+    """``Tr_X(C_k W)`` for every ``C_k`` of ``stack``, by one contraction.
+
+    ``w`` is a layout tensor: any leading axes, then one row axis per entry
+    of ``dims``, then one column axis per entry.  ``X`` is the factors at the
+    positions ``factors``, and ``stack`` has shape ``(K, d_X, d_X)`` with each
+    ``C_k`` on those factors in the listed order.  ``1 (x) C_k`` is never
+    formed, and ``w`` goes into one ``np.tensordot`` as it is, with no
+    ``permute_factors`` pass before it.  Entrywise,
+
+        Tr_X(C W)[r, r'] = sum_{x, y} C[x, y] W[(r, y), (r', x)],
+
+    so ``C``'s row axes meet ``w``'s column axes of ``X`` and its column
+    axes meet the row axes.  The result has the stack axis first, then
+    ``w``'s leading axes, then the remaining row and column axes in order.
+    """
+    n = len(dims)
+    lead = w.ndim - 2 * n
+    sub = tuple(dims[f] for f in factors)
+    c = stack.reshape(stack.shape[:1] + sub * 2)
+    w_axes = [lead + n + f for f in factors] + [lead + f for f in factors]
+    return np.tensordot(c, w, axes=(range(1, 1 + 2 * len(factors)), w_axes))
+
+
 def born_probabilities(
     w: ProcessMatrix,
     instruments: Sequence[Instrument],
     check: bool = True,
 ) -> np.ndarray:
     """Outcome probability table for one instrument per party.
+
+    The parties are absorbed one at a time, last first, each by one
+    contraction of its stacked elements with the operator (``W ->
+    Tr_X(C_k W)`` for every element ``k``): the table is the chain of the
+    parties' reductions, and no product ``C_i (x) C_j (x) ...`` is formed.
 
     Args:
         w: process matrix.
@@ -636,12 +666,6 @@ def born_probabilities(
     if check and not validate(w).valid:
         warnings.warn("process matrix is not valid; probabilities may be unnormalized")
 
-    grouped: list[int] = []
-    for p in layout.parties:
-        grouped.extend(p.inputs)
-        grouped.extend(p.outputs)
-    w_grouped = permute_factors(w.matrix, layout, grouped)
-
     ordered = [by_name[p.name] for p in layout.parties]
     for inst, p in zip(ordered, layout.parties):
         d_in = math.prod(layout.dims[k] for k in p.inputs) if p.inputs else 1
@@ -651,12 +675,15 @@ def born_probabilities(
                 f"instrument for party {p.name!r} has dims "
                 f"({inst.d_in}, {inst.d_out}), layout expects ({d_in}, {d_out})"
             )
-    shape = tuple(len(inst.elements) for inst in ordered)
-    table = np.empty(shape, dtype=float)
-    for combo in itertools.product(*(range(s) for s in shape)):
-        big = tensor(*(inst.elements[i] for inst, i in zip(ordered, combo)))
-        table[combo] = float(np.sum(w_grouped * big.T).real)
-    return table
+    table = w.matrix.reshape(layout.dims * 2)
+    left = list(range(layout.n_factors))
+    # each step puts its outcome axis first, so last-to-first ends in party order
+    for inst, p in zip(reversed(ordered), reversed(layout.parties)):
+        x = p.inputs + p.outputs
+        dims = [layout.dims[f] for f in left]
+        table = _absorb(table, dims, [left.index(f) for f in x], np.array(inst.elements))
+        left = [f for f in left if f not in x]
+    return table.real.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,6 @@ from .operator_core import (
     SpaceLayout,
     is_hermitian,
     max_norm,
-    partial_trace,
     permute_factors,
     tensor,
 )
@@ -65,6 +64,7 @@ from .process_space import (
     HierarchyLevel,
     ProcessMatrix,
     ValidationReport,
+    _absorb,
     _validity_report,
     cj_of_map,
     forbidden_part,
@@ -389,8 +389,11 @@ def instrument_reduction(
 
     with ``C_M`` embedded on the party's factors and identity elsewhere.
     The reduced layout deletes the party's factors, preserving the order of
-    the rest.  The supermap applies through this formula directly; its CJ is
-    only materialized for small layouts.
+    the rest.  The supermap applies through this formula directly, as one
+    contraction of ``C_M`` with the party's row and column axes of ``W``
+    (``process_space._absorb``): the embedded ``C_M`` is never formed and
+    ``W`` is not reordered first.  Its CJ is only materialized for small
+    layouts.
 
     On the CJ representative: the formula above fixes the supermap only on
     the span of valid processes, and the stored CJ is the natural wiring
@@ -415,21 +418,13 @@ def instrument_reduction(
     element_cj = np.asarray(element_cj, dtype=complex)
     if element_cj.shape != (d_x, d_x):
         raise ValueError(f"element CJ shape {element_cj.shape}, expected {(d_x, d_x)}")
-    perm = keep + x_facs
-    dims_p = [layout.dims[k] for k in perm]
     d_rest = reduced.dim
-    n_rest = len(keep)
 
     def action(w: np.ndarray) -> np.ndarray:
-        # reorder to (kept..., reduced party...), apply 1 (x) C_M one
-        # diagonal block at a time, then trace the tail
-        wp = permute_factors(w, layout, perm)
-        dim = d_rest * d_x
-        return partial_trace(
-            (element_cj @ wp.reshape(d_rest, d_x, dim)).reshape(dim, dim),
-            dims_p,
-            range(n_rest, len(dims_p)),
-        )
+        # one contraction of C_M with the party's row and column axes of W,
+        # which leaves the kept factors in layout order
+        t = w.reshape(layout.dims * 2)
+        return _absorb(t, layout.dims, x_facs, element_cj[None]).reshape(d_rest, d_rest)
 
     def build_cj() -> np.ndarray:
         # superoperator of X -> Tr_X(G X) for G = 1 (x) C_M on (rest, X):
@@ -440,7 +435,8 @@ def instrument_reduction(
         smat = s6.reshape(d_rest * d_rest, (d_rest * d_x) ** 2)
         cj_p = cj_of_map(smat, d_rest * d_x, d_rest)
         # input side is currently ordered (kept..., party...); restore layout order
-        joint_dims = dims_p + list(reduced.dims)
+        perm = keep + x_facs
+        joint_dims = [layout.dims[k] for k in perm] + list(reduced.dims)
         joint_perm = [perm.index(j) for j in range(len(perm))] + [
             len(perm) + k for k in range(reduced.n_factors)
         ]

@@ -15,7 +15,10 @@ independence rank are read from Grams of Weyl terms compressed to the
 support; here they are the eigenvalue-1 count of the averaged projector and
 the SVD rank of the stacked Gell-Mann coefficient vectors.  The constant and
 interpolation supermaps hold their CJ as a sum of terms; here it is written
-out as one dense array.
+out as one dense array.  The Born table and the instrument reduction absorb
+a party's elements by one contraction on the operator's factor axes; here
+they take the joint Kronecker product of all parties' elements, and the
+reordered operator with the element applied block by block.
 """
 
 from __future__ import annotations
@@ -35,11 +38,14 @@ from pmx.operator_core import (
     SpaceLayout,
     _as_dims,
     is_hermitian,
+    partial_trace,
+    permute_factors,
     tensor,
 )
 from pmx.extremality import _party_factor_positions, _support_vectors
 from pmx.process_space import (
     HierarchyLevel,
+    Instrument,
     ProcessMatrix,
     TermPattern,
     allowed_mask,
@@ -388,6 +394,56 @@ def dense_interpolation_cj(w_tilde: ProcessMatrix, p: float) -> np.ndarray:
     # |1>> = sum_i |ii> sits at the flat indices i (d + 1)
     cj[:: d + 1, :: d + 1] += 1.0 - p
     return cj
+
+
+# ---------------------------------------------------------------------------
+# probabilities and reductions by reordered, embedded operators
+# ---------------------------------------------------------------------------
+
+
+def kron_born_probabilities(
+    w: ProcessMatrix, instruments: Sequence[Instrument]
+) -> np.ndarray:
+    """Born table from one full Kronecker product per outcome combination.
+
+    ``W`` is reordered party by party (each party's inputs, then its
+    outputs), and entry ``[i, j, ...]`` is ``Tr(W (C_i (x) C_j (x) ...))``.
+    """
+    layout = w.layout
+    by_name = {inst.party: inst for inst in instruments}
+    ordered = [by_name[p.name] for p in layout.parties]
+    grouped = [f for p in layout.parties for f in p.inputs + p.outputs]
+    w_grouped = permute_factors(w.matrix, layout, grouped)
+    shape = tuple(len(inst.elements) for inst in ordered)
+    table = np.empty(shape, dtype=float)
+    for combo in itertools.product(*(range(s) for s in shape)):
+        big = tensor(*(inst.elements[i] for inst, i in zip(ordered, combo)))
+        table[combo] = float(np.sum(w_grouped * big.T).real)
+    return table
+
+
+def permuted_reduction(
+    w: np.ndarray, layout: SpaceLayout, party: str, element_cj: np.ndarray
+) -> np.ndarray:
+    """``Tr_X((1 (x) C_M) W)`` with ``W`` reordered to (kept..., party...).
+
+    ``1 (x) C_M`` is applied one diagonal block at a time, then the party's
+    factors are traced out; the kept factors stay in layout order.
+    """
+    p = layout.party(party)
+    x_facs = list(p.inputs) + list(p.outputs)
+    keep = [k for k in range(layout.n_factors) if k not in x_facs]
+    perm = keep + x_facs
+    dims_p = [layout.dims[k] for k in perm]
+    d_x = math.prod(layout.dims[k] for k in x_facs)
+    d_rest = layout.dim // d_x
+    wp = permute_factors(w, layout, perm)
+    dim = layout.dim
+    return partial_trace(
+        (element_cj @ wp.reshape(d_rest, d_x, dim)).reshape(dim, dim),
+        dims_p,
+        range(len(keep), len(dims_p)),
+    )
 
 
 # ---------------------------------------------------------------------------

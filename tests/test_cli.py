@@ -468,6 +468,14 @@ class TestSweepCommand:
         for line in out.strip().splitlines():
             assert "valid=true" in line
 
+    def test_output_matches_golden_text(self, capsys):
+        # both endpoints, pi/4 and two angles off any symmetry, to 12 digits
+        lams = "0,0.3,0.7853981633974483,1.1,1.5707963267948966"
+        code, out, err = run(capsys, "sweep", "--lambdas", lams)
+        assert code == 0
+        assert err == ""
+        assert out == (GOLDEN / "sweep.txt").read_text()
+
 
 @contextmanager
 def collector(enabled):

@@ -1,5 +1,7 @@
 """Tests for dense multi-factor operator primitives."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -202,3 +204,40 @@ def test_is_hermitian_matches_full_difference_across_tiles(n):
 def test_is_hermitian_rejects_non_square():
     assert not is_hermitian(np.zeros((2, 3)))
     assert not is_hermitian(np.zeros(4))
+
+
+def _large_inputs():
+    rng = np.random.default_rng(17)
+    m = rng.standard_normal((1024, 1024)) + 1j * rng.standard_normal((1024, 1024))
+    t = m.reshape((4,) * 10)
+    return {
+        "matrix": m,
+        "factor-tensor": m.reshape((2,) * 20),
+        "transposed-tensor": t.transpose(1, 0, 3, 2, 5, 4, 7, 6, 9, 8),
+        "strided-rows": m[::3, 5:],
+        "one-long-row": m.reshape(1, -1),
+        "vector": m.reshape(-1),
+        "real": m.real,
+    }
+
+
+@pytest.mark.parametrize("name", list(_large_inputs()))
+def test_max_norm_over_blocks_equals_one_pass(name):
+    m = _large_inputs()[name]
+    assert max_norm(m) == float(np.max(np.abs(m)))
+    # the largest entry in the first block, then a nan in the last
+    m[(0,) * m.ndim] = -1e6
+    assert max_norm(m) == 1e6
+    m[(-1,) * m.ndim] = np.nan
+    assert np.isnan(max_norm(m))
+
+
+def test_max_norm_allocates_blocks_not_the_input_size():
+    m = _large_inputs()["factor-tensor"]  # 16 MB of complex entries
+    tracemalloc.start()
+    try:
+        max_norm(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20  # one pass makes an 8 MB float temporary

@@ -5,14 +5,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     enumerate_patterns,
     hs_decompose,
+    kron_born_probabilities,
     product_term,
     project_valid_closed_form,
 )
-from pmx.operator_core import partial_trace, tensor
+from pmx.operator_core import SpaceLayout, partial_trace, tensor
 from pmx.process_space import (
     CausalOrderFlag,
     Instrument,
@@ -42,6 +45,7 @@ from pmx.process_space import (
     w_ll,
     w_ocb,
 )
+from test_order_projector import layouts
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -359,6 +363,61 @@ def test_born_rejects_mismatched_instruments():
     w = w_ocb()
     with pytest.raises(ValueError):
         born_probabilities(w, [grandfather_instrument()])
+
+
+BORN_LAYOUTS = {
+    # party C has two input factors and no output
+    "switch": switch_layout(),
+    # A's output comes first and its input sits past B's input
+    "interleaved": SpaceLayout.build(
+        [("A_O", 2), ("B_I", 3), ("A_I", 2), ("B_O", 2)],
+        [("A", ["A_I"], ["A_O"]), ("B", ["B_I"], ["B_O"])],
+    ),
+    "qutrit-qubit": SpaceLayout.build(
+        [("A_I", 3), ("B_I", 2), ("A_O", 2), ("B_O", 3)],
+        [("A", ["A_I"], ["A_O"]), ("B", ["B_I"], ["B_O"])],
+    ),
+    # an output-less party listed first, a party with no input last
+    "no-outputs": SpaceLayout.build(
+        [("A_I", 2), ("F_I", 3), ("A_O", 2), ("P_O", 2)],
+        [("F", ["F_I"], []), ("A", ["A_I"], ["A_O"]), ("P", [], ["P_O"])],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BORN_LAYOUTS)
+@pytest.mark.parametrize("order", ["layout", "reversed"])
+def test_born_table_matches_the_kronecker_oracle(name, order):
+    """Entry by entry against one full Kronecker product per combination,
+    on any Hermitian operator, with a different outcome count per party."""
+    lay = BORN_LAYOUTS[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    w = ProcessMatrix(lay, random_hermitian(rng, lay.dim))
+    instruments = [
+        random_instrument(rng, lay, p.name, n_outcomes=2 + k)
+        for k, p in enumerate(lay.parties)
+    ]
+    if order == "reversed":
+        instruments.reverse()
+    table = born_probabilities(w, instruments, check=False)
+    expected = kron_born_probabilities(w, instruments)
+    assert table.shape == expected.shape == tuple(range(2, 2 + len(lay.parties)))
+    assert table.dtype == np.float64
+    np.testing.assert_allclose(table, expected, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(layouts(max_dim=48), st.integers(0, 2**32 - 1))
+def test_born_table_matches_the_kronecker_oracle_on_drawn_layouts(lay, seed):
+    rng = np.random.default_rng(seed)
+    w = ProcessMatrix(lay, random_hermitian(rng, lay.dim))
+    instruments = [
+        random_instrument(rng, lay, p.name, n_outcomes=1 + k)
+        for k, p in enumerate(lay.parties)
+    ]
+    table = born_probabilities(w, instruments[::-1], check=False)
+    expected = kron_born_probabilities(w, instruments)
+    np.testing.assert_allclose(table, expected, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from oracles import (
     dense_constant_cj,
     dense_interpolation_cj,
     from_coefficient_tensor,
+    permuted_reduction,
     product_term,
 )
 from pmx.operator_core import (
@@ -430,6 +431,49 @@ def test_reduction_action_agrees_with_its_cj():
     for _ in range(3):
         w = random_valid_process(rng, BIP)
         assert max_norm(apply(red, w).matrix - apply(dense, w).matrix) <= 1e-12
+
+
+# A's output comes first, its input sits between B's factors, and the
+# dimensions differ; C has two inputs with B's output between them
+INTERLEAVED = SpaceLayout.build(
+    [("A_O", 2), ("B_I", 2), ("C_T", 2), ("A_I", 3), ("B_O", 2), ("C_C", 2)],
+    [
+        ("A", ["A_I"], ["A_O"]),
+        ("B", ["B_I"], ["B_O"]),
+        ("C", ["C_T", "C_C"], []),
+    ],
+)
+
+
+@pytest.mark.parametrize("party", ["A", "B", "C"])
+def test_reduction_action_agrees_with_its_cj_on_interleaved_factors(party):
+    rng = np.random.default_rng(sum(map(ord, party)))
+    p = INTERLEAVED.party(party)
+    d_x = int(np.prod([INTERLEAVED.dims[k] for k in p.inputs + p.outputs]))
+    g = rng.standard_normal((d_x, d_x)) + 1j * rng.standard_normal((d_x, d_x))
+    red = instrument_reduction(INTERLEAVED, party, g @ g.conj().T)
+    dense = Supermap(INTERLEAVED, red.out_layout, cj=red.cj)
+    for _ in range(3):
+        w = ProcessMatrix(INTERLEAVED, random_hermitian(rng, INTERLEAVED.dim))
+        assert max_norm(apply(red, w).matrix - apply(dense, w).matrix) <= 1e-12
+
+
+@pytest.mark.parametrize("party", ["A", "B", "D", "C"])
+def test_reduction_action_agrees_with_the_permuted_formula(party):
+    """On the extended switch, whose 16,384^2 CJ is not built, against
+    reordering W, applying 1 (x) C_M block by block and tracing the party."""
+    lay = extended_switch_layout()
+    rng = np.random.default_rng(sum(map(ord, party)))
+    p = lay.party(party)
+    d_x = 2 ** len(p.inputs + p.outputs)
+    g = rng.standard_normal((d_x, d_x)) + 1j * rng.standard_normal((d_x, d_x))
+    c_m = g @ g.conj().T
+    red = instrument_reduction(lay, party, c_m)
+    for w in (extended_switch(), ProcessMatrix(lay, random_hermitian(rng, lay.dim))):
+        expected = permuted_reduction(w.matrix, lay, party, c_m)
+        out = red._action(w.matrix)
+        assert out.shape == (red.out_layout.dim,) * 2
+        assert max_norm(out - expected) <= 1e-12 * max(1.0, max_norm(expected))
 
 
 def test_reduction_by_depolarizing_channel_passes_all_conditions():
