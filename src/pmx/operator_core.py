@@ -551,13 +551,19 @@ def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     The test is ``max_norm(m - m^H) <= tol * max(1, max_norm(m))``.  It is
     evaluated tile by tile over the upper block triangle, which holds every
     entry of ``m - m^H`` up to sign, so no full-size temporary is formed.
+    A matrix with a nan or infinite entry is not Hermitian.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     step = _HERMITIAN_TILE
     worst = biggest = 0.0
     for i in range(0, m.shape[0], step):
-        biggest = max(biggest, max_norm(m[i : i + step]))
+        # every entry lies in some row band, so a nan or inf entry is seen
+        # here, before any subtraction could turn it into a dropped nan
+        band = max_norm(m[i : i + step])
+        if not math.isfinite(band):
+            return False
+        biggest = max(biggest, band)
         for j in range(i, m.shape[0], step):
             upper = m[i : i + step, j : j + step]
             lower = m[j : j + step, i : i + step]

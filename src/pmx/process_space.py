@@ -52,7 +52,6 @@ from .operator_core import (
     is_hermitian,
     max_norm,
     partial_trace,
-    permute_factors,
     tensor,
 )
 
@@ -526,18 +525,10 @@ def _lowest_eigenvalue(op: PaddedOperator) -> float:
 
 def _slot1_marginal(op: PaddedOperator, n1: int) -> np.ndarray:
     """``Tr_2`` of an operator, dense on its first ``n1`` factors (slot 1)."""
-    d1 = math.prod(op.dims[:n1])
-    if op.vector is not None:
-        v2 = op.vector.reshape(d1, -1)
-        return v2 @ v2.conj().T
-    kept1 = [f for f in op.kept if f < n1]
-    m = op.matrix()
-    k1 = math.prod(op.dims[f] for f in kept1)
-    g1 = partial_trace(m, (k1, m.shape[0] // k1), [1])
-    # the slot-2 padding multiplies the trace by its dimension
-    g1 = g1 * (math.prod(op.dims[n1:]) * k1 // m.shape[0])
-    kept_dims = tuple(op.dims[f] for f in kept1)
-    return PaddedOperator(op.dims[:n1], kept1, g=g1.reshape(kept_dims * 2)).dense()
+    red = op.depolarized(range(n1, len(op.dims)))
+    # depolarizing divides the trace by slot 2's dimension
+    g = red.g * math.prod(op.dims[n1:])
+    return PaddedOperator(op.dims[:n1], red.kept, g=g).dense()
 
 
 def _validity_report(
@@ -753,18 +744,13 @@ def shared_state(rho: np.ndarray, layout: SpaceLayout | None = None) -> ProcessM
     in_facs = [k for p in layout.parties for k in p.inputs]
     d_in = math.prod(layout.dims[k] for k in in_facs)
     rho = _check_state(rho, d_in, "shared state")
-    return ProcessMatrix(layout, _padded(rho, in_facs, layout))
+    return ProcessMatrix(layout, _padded(rho, in_facs, layout.dims))
 
 
-def _padded(
-    core: np.ndarray, facs: Sequence[int], layout: SpaceLayout
-) -> np.ndarray:
-    """``core`` on the factors ``facs``, the identity on the rest, in layout order."""
-    rest = [k for k in range(layout.n_factors) if k not in facs]
-    big = np.kron(core, np.eye(math.prod(layout.dims[k] for k in rest)))
-    current = list(facs) + rest
-    perm = [current.index(j) for j in range(layout.n_factors)]
-    return permute_factors(big, [layout.dims[k] for k in current], perm)
+def _padded(core: np.ndarray, facs: Sequence[int], dims: Sequence[int]) -> np.ndarray:
+    """``core`` on the factors ``facs``, the identity on the rest, in factor order."""
+    sub = tuple(dims[k] for k in facs)
+    return PaddedOperator(dims, facs, g=core.reshape(sub * 2)).dense()
 
 
 def channel_with_memory(
@@ -795,7 +781,7 @@ def channel_with_memory(
     d_core = math.prod(layout.dims[k] for k in core_facs)
     if core.shape != (d_core, d_core):
         raise ValueError(f"core shape {core.shape}, expected {(d_core, d_core)}")
-    return ProcessMatrix(layout, _padded(core, core_facs, layout))
+    return ProcessMatrix(layout, _padded(core, core_facs, layout.dims))
 
 
 def memory_channel(
@@ -814,34 +800,19 @@ def memory_channel(
         layout = bipartite_qubit_layout()
     if len(layout.parties) != 2:
         raise ValueError("memory_channel needs a two-party layout")
-    a, b = layout.parties
-    da_i = math.prod(layout.dims[k] for k in a.inputs)
-    da_o = math.prod(layout.dims[k] for k in a.outputs)
-    db_i = math.prod(layout.dims[k] for k in b.inputs)
-    db_o = math.prod(layout.dims[k] for k in b.outputs)
-    if direction == "a_to_b":
-        rho = _check_state(rho, da_i, "input state")
-        d_cj = da_o * db_i
-        cj = np.asarray(channel_cj, dtype=complex)
-        if cj.shape != (d_cj, d_cj):
-            raise ValueError(f"channel CJ shape {cj.shape}, expected {(d_cj, d_cj)}")
-        # core on (A_I, A_O, B_I) -> reorder to (A_I, B_I, A_O)
-        core = tensor(rho, cj)
-        dims_current = [da_i, da_o, db_i]
-        core = permute_factors(core, dims_current, [0, 2, 1])
-    elif direction == "b_to_a":
-        rho = _check_state(rho, db_i, "input state")
-        d_cj = db_o * da_i
-        cj = np.asarray(channel_cj, dtype=complex)
-        if cj.shape != (d_cj, d_cj):
-            raise ValueError(f"channel CJ shape {cj.shape}, expected {(d_cj, d_cj)}")
-        # core on (B_O, A_I, B_I) -> reorder to (A_I, B_I, B_O)
-        core = tensor(cj, rho)
-        dims_current = [db_o, da_i, db_i]
-        core = permute_factors(core, dims_current, [1, 2, 0])
-    else:
+    if direction not in ("a_to_b", "b_to_a"):
         raise ValueError(f"direction must be 'a_to_b' or 'b_to_a', got {direction!r}")
-    return channel_with_memory(core, direction, layout)
+    a, b = layout.parties
+    first, second = (a, b) if direction == "a_to_b" else (b, a)
+    d_in = math.prod(layout.dims[k] for k in first.inputs)
+    rho = _check_state(rho, d_in, "input state")
+    cj_facs = list(first.outputs) + list(second.inputs)
+    d_cj = math.prod(layout.dims[k] for k in cj_facs)
+    cj = np.asarray(channel_cj, dtype=complex)
+    if cj.shape != (d_cj, d_cj):
+        raise ValueError(f"channel CJ shape {cj.shape}, expected {(d_cj, d_cj)}")
+    facs = list(first.inputs) + cj_facs
+    return ProcessMatrix(layout, _padded(np.kron(rho, cj), facs, layout.dims))
 
 
 def w_ocb() -> ProcessMatrix:

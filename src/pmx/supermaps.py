@@ -39,8 +39,10 @@ validation and application read only the terms: a pure CJ is one vector,
 ``constant_map`` keeps ``1_in (x) w_tilde / d'`` by its output block, and
 ``interpolation_map`` keeps both of its terms.  So only a dense CJ handed
 in by the caller is ever checked as one matrix.  The reduction supermaps
-carry a structured action; their CJ is built on request and refused above
-``MAX_CJ_DIM`` (the 8-factor ones), so they cannot be validated there.
+carry a structured action.  Their CJ ``|1>><<1| (x) C_M^T`` (a wire from
+each kept input factor to its output copy, the transposed element on the
+party's factors) is placed on those factors by label on request, and refused
+above ``MAX_CJ_DIM`` (the 8-factor ones), so they cannot be validated there.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from .operator_core import (
     SpaceLayout,
     is_hermitian,
     max_norm,
-    permute_factors,
     tensor,
 )
 from .process_space import (
@@ -65,8 +66,8 @@ from .process_space import (
     ProcessMatrix,
     ValidationReport,
     _absorb,
+    _padded,
     _validity_report,
-    cj_of_map,
     forbidden_part,
     switch_layout,
 )
@@ -166,15 +167,6 @@ class Supermap:
     @property
     def cj_dim(self) -> int:
         return self.in_layout.dim * self.out_layout.dim
-
-    @property
-    def is_pure(self) -> bool:
-        """Whether the CJ is one rank-one term held by its vector."""
-        return (
-            self._terms is not None
-            and len(self._terms) == 1
-            and self._terms[0].vector is not None
-        )
 
     @property
     def cj(self) -> np.ndarray:
@@ -348,7 +340,7 @@ def unitary_supermap(u: np.ndarray, layout: SpaceLayout, label: str = "") -> Sup
     d = layout.dim
     if u.shape != (d, d):
         raise ValueError(f"unitary shape {u.shape}, expected {(d, d)}")
-    if max_norm(u @ u.conj().T - np.eye(d)) > 1e-9:
+    if not max_norm(u @ u.conj().T - np.eye(d)) <= 1e-9:
         raise ValueError("matrix is not unitary within tolerance")
     vec = u.T.reshape(-1)  # (1 (x) U)|1>> in row-major flattening
     return Supermap(
@@ -392,15 +384,20 @@ def instrument_reduction(
     the rest.  The supermap applies through this formula directly, as one
     contraction of ``C_M`` with the party's row and column axes of ``W``
     (``process_space._absorb``): the embedded ``C_M`` is never formed and
-    ``W`` is not reordered first.  Its CJ is only materialized for small
-    layouts.
+    ``W`` is not reordered first.  ``C_M`` must be Hermitian, since
+    :func:`apply` keeps only the Hermitian part of an action.
+
+    Its CJ, built only for small layouts, is ``|1>><<1| (x) C_M^T``: the
+    unnormalized ``|1>>`` wires each kept input factor to its copy in the
+    reduced layout, and ``C_M^T`` closes the loop on the party's factors.
+    The product is placed on those factors by label, with no superoperator
+    matrix and no permutation.
 
     On the CJ representative: the formula above fixes the supermap only on
-    the span of valid processes, and the stored CJ is the natural wiring
-    operator (identity wires on the kept factors, ``C_M`` closing the loop
-    on the removed ones).  It is positive semidefinite and satisfies the
-    order-structure condition exactly, and it rescales the trace of every
-    operator in the valid span; but for a trace-preserving ``C_M`` other
+    the span of valid processes.  This natural wiring CJ is positive
+    semidefinite, satisfies the order-structure condition exactly, and
+    rescales the trace of every operator in the valid span; but for a
+    trace-preserving ``C_M`` other
     than the completely depolarizing one, *no* representative of this
     action also satisfies the operator equation ``Tr_2(C) = (d'_2/d'_1) 1``
     on the full space (the equivalence-class freedom sits in the forbidden
@@ -418,6 +415,8 @@ def instrument_reduction(
     element_cj = np.asarray(element_cj, dtype=complex)
     if element_cj.shape != (d_x, d_x):
         raise ValueError(f"element CJ shape {element_cj.shape}, expected {(d_x, d_x)}")
+    if not is_hermitian(element_cj):
+        raise ValueError("element CJ must be Hermitian")
     d_rest = reduced.dim
 
     def action(w: np.ndarray) -> np.ndarray:
@@ -427,20 +426,11 @@ def instrument_reduction(
         return _absorb(t, layout.dims, x_facs, element_cj[None]).reshape(d_rest, d_rest)
 
     def build_cj() -> np.ndarray:
-        # superoperator of X -> Tr_X(G X) for G = 1 (x) C_M on (rest, X):
-        # S[(K, L), ((r, e), (r', e'))] = G[(K, e'), (r, e)] delta_{r' L}
-        embedded = np.kron(np.eye(d_rest), element_cj)
-        g4 = embedded.reshape(d_rest, d_x, d_rest, d_x)
-        s6 = np.einsum("kprq,sl->klrqsp", g4, np.eye(d_rest))
-        smat = s6.reshape(d_rest * d_rest, (d_rest * d_x) ** 2)
-        cj_p = cj_of_map(smat, d_rest * d_x, d_rest)
-        # input side is currently ordered (kept..., party...); restore layout order
-        perm = keep + x_facs
-        joint_dims = [layout.dims[k] for k in perm] + list(reduced.dims)
-        joint_perm = [perm.index(j) for j in range(len(perm))] + [
-            len(perm) + k for k in range(reduced.n_factors)
-        ]
-        return permute_factors(cj_p, joint_dims, joint_perm)
+        wire = np.eye(d_rest).reshape(-1)
+        core = np.kron(np.outer(wire, wire), element_cj.T)
+        dims = layout.dims + reduced.dims
+        outs = list(range(layout.n_factors, len(dims)))
+        return _padded(core, keep + outs + x_facs, dims)
 
     return Supermap(
         layout,

@@ -18,7 +18,10 @@ interpolation supermaps hold their CJ as a sum of terms; here it is written
 out as one dense array.  The Born table and the instrument reduction absorb
 a party's elements by one contraction on the operator's factor axes; here
 they take the joint Kronecker product of all parties' elements, and the
-reordered operator with the element applied block by block.
+reordered operator with the element applied block by block.  pmx places a
+block on named factors by label (``PaddedOperator``); here the block is
+padded by a Kronecker product with the identity and its factors permuted
+into place, and the reduction's CJ comes from its superoperator matrix.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from pmx.process_space import (
     ProcessMatrix,
     TermPattern,
     allowed_mask,
+    cj_of_map,
     validate,
 )
 
@@ -444,6 +448,75 @@ def permuted_reduction(
         dims_p,
         range(len(keep), len(dims_p)),
     )
+
+
+# ---------------------------------------------------------------------------
+# blocks placed by Kronecker products and factor permutations
+# ---------------------------------------------------------------------------
+
+
+def kron_padded(
+    core: np.ndarray, facs: Sequence[int], layout: SpaceLayout
+) -> np.ndarray:
+    """``core (x) 1`` on (``facs``, the rest), permuted into layout order."""
+    rest = [k for k in range(layout.n_factors) if k not in facs]
+    big = np.kron(core, np.eye(math.prod(layout.dims[k] for k in rest)))
+    current = list(facs) + rest
+    perm = [current.index(j) for j in range(layout.n_factors)]
+    return permute_factors(big, [layout.dims[k] for k in current], perm)
+
+
+def kron_memory_channel(
+    rho: np.ndarray, channel_cj: np.ndarray, direction: str, layout: SpaceLayout
+) -> np.ndarray:
+    """State at the first party's input, channel CJ to the second party.
+
+    Each direction builds its core on its own factor order, permutes it to
+    (A inputs, B inputs, the first party's outputs) and pads the rest.
+    """
+    a, b = layout.parties
+    da_i, da_o, db_i, db_o = (
+        math.prod(layout.dims[k] for k in facs)
+        for facs in (a.inputs, a.outputs, b.inputs, b.outputs)
+    )
+    if direction == "a_to_b":
+        # core on (A_I, A_O, B_I) -> reorder to (A_I, B_I, A_O)
+        core = tensor(rho, channel_cj)
+        core = permute_factors(core, [da_i, da_o, db_i], [0, 2, 1])
+        facs = a.inputs + b.inputs + a.outputs
+    else:
+        # core on (B_O, A_I, B_I) -> reorder to (A_I, B_I, B_O)
+        core = tensor(channel_cj, rho)
+        core = permute_factors(core, [db_o, da_i, db_i], [1, 2, 0])
+        facs = a.inputs + b.inputs + b.outputs
+    return kron_padded(core, facs, layout)
+
+
+def superoperator_reduction_cj(
+    layout: SpaceLayout, party: str, element_cj: np.ndarray
+) -> np.ndarray:
+    """CJ of ``W -> Tr_X((1 (x) C_M) W)`` from its superoperator matrix.
+
+    The superoperator acts on ``W`` reordered to (kept..., party...); its CJ
+    is built by ``cj_of_map`` and its input side permuted back to layout
+    order.
+    """
+    p = layout.party(party)
+    x_facs = list(p.inputs) + list(p.outputs)
+    keep = [k for k in range(layout.n_factors) if k not in x_facs]
+    d_x = math.prod(layout.dims[k] for k in x_facs)
+    d_rest = layout.dim // d_x
+    # S[(K, L), ((r, e), (r', e'))] = G[(K, e'), (r, e)] delta_{r' L}
+    g4 = np.kron(np.eye(d_rest), element_cj).reshape(d_rest, d_x, d_rest, d_x)
+    s6 = np.einsum("kprq,sl->klrqsp", g4, np.eye(d_rest))
+    smat = s6.reshape(d_rest * d_rest, (d_rest * d_x) ** 2)
+    cj_p = cj_of_map(smat, d_rest * d_x, d_rest)
+    perm = keep + x_facs
+    joint_dims = [layout.dims[k] for k in perm] + [layout.dims[k] for k in keep]
+    joint_perm = [perm.index(j) for j in range(len(perm))] + [
+        len(perm) + k for k in range(len(keep))
+    ]
+    return permute_factors(cj_p, joint_dims, joint_perm)
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,19 @@ def test_is_hermitian_matches_full_difference_across_tiles(n):
     assert is_hermitian(bad, 1e-6)
 
 
+@pytest.mark.parametrize(
+    "n, pos", [(4, (1, 2)), (600, (0, 0)), (600, (599, 3)), (600, (3, 599))]
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_matrix_is_not_hermitian(n, pos, bad):
+    # a nan once dropped out of the fold over the tiles, and an inf entry
+    # scaled its own tolerance to inf
+    m = np.eye(n, dtype=complex)
+    m[pos] = bad
+    assert not is_hermitian(m)
+    assert not is_hermitian(np.full((n, n), bad))
+
+
 def test_is_hermitian_rejects_non_square():
     assert not is_hermitian(np.zeros((2, 3)))
     assert not is_hermitian(np.zeros(4))

@@ -1,6 +1,7 @@
 """Tests for validity, probabilities, and the named processes."""
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -12,15 +13,25 @@ from oracles import (
     enumerate_patterns,
     hs_decompose,
     kron_born_probabilities,
+    kron_memory_channel,
+    kron_padded,
     product_term,
     project_valid_closed_form,
 )
-from pmx.operator_core import SpaceLayout, partial_trace, tensor
+from pmx.operator_core import (
+    PaddedOperator,
+    SpaceLayout,
+    max_norm,
+    partial_trace,
+    tensor,
+)
 from pmx.process_space import (
     CausalOrderFlag,
+    HierarchyLevel,
     Instrument,
     ProcessMatrix,
     TermClass,
+    _slot1_marginal,
     allowed_mask,
     apply_cj,
     bipartite_qubit_layout,
@@ -462,6 +473,86 @@ def test_memory_channel_identity_is_deterministic_wire():
     meas = Instrument("B", (tensor(p0, p0), tensor(p1, p1)), 2, 2)
     table = born_probabilities(w, [wire, meas])
     np.testing.assert_allclose(table[0], [0.75, 0.25], atol=1e-12)
+
+
+# A's factors are qutrits and every party's factors are apart; in
+# TWO_INPUTS party A reads two input factors, with others between them
+SHUFFLED = SpaceLayout.build(
+    [("B_O", 2), ("A_I", 3), ("B_I", 2), ("A_O", 3)],
+    [("A", ["A_I"], ["A_O"]), ("B", ["B_I"], ["B_O"])],
+)
+TWO_INPUTS = SpaceLayout.build(
+    [("A_I1", 2), ("B_I", 2), ("A_O", 2), ("A_I2", 2), ("B_O", 2)],
+    [("A", ["A_I1", "A_I2"], ["A_O"]), ("B", ["B_I"], ["B_O"])],
+)
+
+
+@pytest.mark.parametrize("complex_rho", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize(
+    "layout", [BIPARTITE, SHUFFLED, TWO_INPUTS], ids=["bip", "shuffled", "two_inputs"]
+)
+def test_padded_processes_match_the_kronecker_oracle(layout, complex_rho):
+    rng = np.random.default_rng(layout.dim + complex_rho)
+
+    def dim(facs):
+        return math.prod(layout.dims[k] for k in facs)
+
+    def density(d):
+        rho = random_density(rng, d)
+        return rho if complex_rho else rho.real.astype(complex)
+
+    a, b = layout.parties
+    rho = density(dim(a.inputs + b.inputs))
+    expected = kron_padded(rho, a.inputs + b.inputs, layout)
+    assert np.array_equal(shared_state(rho, layout).matrix, expected)
+    for direction, (first, second) in (("a_to_b", (a, b)), ("b_to_a", (b, a))):
+        rho = density(dim(first.inputs))
+        cj = random_channel_cj(rng, dim(first.outputs), dim(second.inputs))
+        w = memory_channel(rho, cj, direction, layout)
+        expected = kron_memory_channel(rho, cj, direction, layout)
+        if direction == "b_to_a" and complex_rho:
+            # the oracle multiplies cj by rho, pmx rho by cj: the complex
+            # products may round differently
+            assert max_norm(w.matrix - expected) <= 1e-15 * max_norm(expected)
+        else:
+            assert np.array_equal(w.matrix, expected)
+        assert validate(w).valid
+
+
+def test_slot1_marginal_equals_the_partial_trace_on_a_qutrit_pair():
+    level = HierarchyLevel.pair(
+        HierarchyLevel.process(single_party_layout(3, 3)),
+        HierarchyLevel.process(single_party_layout(3, 2)),
+    )
+    dims = level.dims
+    rng = np.random.default_rng(58)
+
+    def block(facs):
+        return random_hermitian(rng, math.prod(dims[k] for k in facs)).reshape(
+            tuple(dims[k] for k in facs) * 2
+        )
+
+    v = rng.standard_normal(level.dim) + 1j * rng.standard_normal(level.dim)
+    ops = [
+        PaddedOperator.of_matrix(random_hermitian(rng, level.dim), dims),
+        PaddedOperator.of_vector(v, dims),
+        # kept factors out of order, and padding on both slots
+        PaddedOperator(dims, [3, 0], g=block([3, 0])),
+        PaddedOperator(dims, [1], g=block([1])),
+        PaddedOperator(dims, [2, 3], g=block([2, 3])),
+    ]
+    for op in ops:
+        expected = partial_trace(op.dense(), dims, [2, 3])
+        marg = _slot1_marginal(op, 2)
+        assert marg.shape == (9, 9)
+        assert max_norm(marg - expected) <= 1e-13 * max_norm(expected)
+
+
+def test_non_finite_process_matrix_is_rejected():
+    # it once passed the Hermiticity check, and validate then raised
+    # LinAlgError from the eigenvalue solver
+    with pytest.raises(ValueError, match="Hermitian"):
+        ProcessMatrix(BIPARTITE, np.full((16, 16), np.nan))
 
 
 def test_wocb_coefficients():

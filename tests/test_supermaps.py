@@ -12,6 +12,7 @@ from oracles import (
     from_coefficient_tensor,
     permuted_reduction,
     product_term,
+    superoperator_reduction_cj,
 )
 from pmx.operator_core import (
     SpaceLayout,
@@ -180,6 +181,13 @@ def test_input_output_mixing_unitary_fails_span_condition():
 def test_unitary_supermap_rejects_non_unitary():
     with pytest.raises(ValueError, match="unitary"):
         unitary_supermap(np.ones((16, 16)), BIP)
+
+
+def test_unitary_supermap_rejects_a_nan_unitary():
+    # a nan deviation once compared false against the tolerance, and the
+    # positivity of the nan supermap then read 0
+    with pytest.raises(ValueError, match="not unitary"):
+        v_lambda(float("nan"))
 
 
 def test_constant_map_onto_valid_process_is_valid():
@@ -458,6 +466,24 @@ def test_reduction_action_agrees_with_its_cj_on_interleaved_factors(party):
         assert max_norm(apply(red, w).matrix - apply(dense, w).matrix) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "layout, party",
+    [(BIP, p) for p in "AB"] + [(INTERLEAVED, p) for p in "ABC"]
+    + [(SWITCH, p) for p in "ABC"],
+    ids=["bip-A", "bip-B", "interleaved-A", "interleaved-B", "interleaved-C",
+         "switch-A", "switch-B", "switch-C"],
+)
+def test_reduction_cj_matches_the_superoperator_oracle(layout, party):
+    rng = np.random.default_rng(layout.dim + ord(party))
+    p = layout.party(party)
+    d_x = int(np.prod([layout.dims[k] for k in p.inputs + p.outputs]))
+    g = rng.standard_normal((d_x, d_x)) + 1j * rng.standard_normal((d_x, d_x))
+    c_m = g @ g.conj().T
+    assert not np.allclose(c_m, c_m.T)  # the transpose on C_M shows
+    cj = instrument_reduction(layout, party, c_m).cj
+    assert np.array_equal(cj, superoperator_reduction_cj(layout, party, c_m))
+
+
 @pytest.mark.parametrize("party", ["A", "B", "D", "C"])
 def test_reduction_action_agrees_with_the_permuted_formula(party):
     """On the extended switch, whose 16,384^2 CJ is not built, against
@@ -515,6 +541,15 @@ def test_reduction_layout_and_input_checks():
         instrument_reduction(BIP, "Q", np.eye(4))
     with pytest.raises(ValueError, match="shape"):
         instrument_reduction(BIP, "B", np.eye(3))
+
+
+def test_reduction_rejects_a_non_hermitian_element():
+    # apply keeps only the Hermitian part of the action, so such an element
+    # was applied as a different one
+    c_m = np.zeros((4, 4))
+    c_m[0, 3] = 1.0
+    with pytest.raises(ValueError, match="Hermitian"):
+        instrument_reduction(BIP, "B", c_m)
 
 
 def test_oversized_reduction_cj_is_refused_but_applies():
