@@ -502,12 +502,32 @@ def _lowest_eigenvalue(op: PaddedOperator) -> float:
     """Lowest eigenvalue of ``g (x) 1_R``, which is that of ``g``.
 
     A rank-one ``|v><v|`` held by its vector has 0 (``|v|^2`` on a
-    one-dimensional space) without a solve.
+    one-dimensional space) without a solve.  A dense ``g`` is solved on its
+    live indices ``S``, those whose row or column holds a nonzero entry:
+    ``g`` is a permutation of ``g_SS (x)+ 0_Z`` with ``Z`` the rest, so its
+    spectrum is that of ``g_SS`` plus ``|Z|`` zeros, and its lowest
+    eigenvalue is ``min(lambda_min(g_SS), 0)``.  No threshold enters: an
+    index is dropped only when its row and column are exactly zero, which
+    also covers every entry of the lower triangle the solver reads.  Pure
+    processes built from identity wires keep a few of their indices (16 of
+    256 for the extended switch); when every index is live, ``g`` itself is
+    solved, as before the restriction.
     """
     v = op.vector
     if v is not None:
         return float(np.vdot(v, v).real) if v.size == 1 else 0.0
     m = op.matrix()
+    nz = m != 0
+    live = np.flatnonzero(nz.any(0) | nz.any(1))
+    if live.size == m.shape[0]:
+        return _dense_lowest_eigenvalue(m)
+    if live.size == 0:
+        return 0.0
+    return min(_dense_lowest_eigenvalue(m[np.ix_(live, live)]), 0.0)
+
+
+def _dense_lowest_eigenvalue(m: np.ndarray) -> float:
+    """Lowest eigenvalue of a Hermitian matrix: LAPACK up to 1024, else ARPACK."""
     if m.shape[0] <= 1024:
         return float(np.linalg.eigvalsh(m)[0])
     # a fixed random start makes ARPACK repeat its result exactly; a constant
@@ -543,7 +563,10 @@ def _validity_report(
     * positivity: ``max(0, -sum_k lambda_min(term_k))``.  Since
       ``lambda_min`` of a sum is at least the sum of the ``lambda_min``, this
       is an upper bound on the most negative eigenvalue of the sum, exact
-      for one term and whenever the terms share a lowest eigenvector;
+      for one term and whenever the terms share a lowest eigenvector.  A
+      dense term is solved on its live block, the indices whose row or
+      column holds a nonzero entry, with ``min(., 0)`` for the exactly-zero
+      rest (see :func:`_lowest_eigenvalue`);
     * trace: ``|Tr X - t|`` at level 1 and the max-norm of
       ``Tr_2(X) - (t_2 / t_1) 1`` above, with ``t`` the levels' trace
       constants; traces and marginals add over the terms;

@@ -104,7 +104,9 @@ class Supermap:
     instead carry a structured action and build its CJ only on demand.  The
     ``cj`` property sums the terms into a matrix, caches it for later
     ``cj`` reads only, and refuses dimensions beyond ``MAX_CJ_DIM`` with a
-    size error.
+    size error.  A dense CJ is refused unless it is Hermitian, at
+    construction or when its builder first runs: :func:`apply` reads only
+    the Hermitian part of an action.
 
     :func:`validate_supermap` checks the terms one at a time.  Its
     positivity residual ``-sum_k lambda_min(term_k)`` (see
@@ -134,6 +136,7 @@ class Supermap:
             cj = np.asarray(cj, dtype=complex)
             if cj.shape != (d, d):
                 raise ValueError(f"CJ shape {cj.shape}, expected {(d, d)}")
+            _check_hermitian(cj)
             terms = (PaddedOperator.of_matrix(cj, dims),)
         elif cj_vector is not None:
             v = np.asarray(cj_vector, dtype=complex)
@@ -175,9 +178,11 @@ class Supermap:
             if self._terms is not None:
                 self._cj = self._sum_terms()
             else:
-                self._cj = self._cj_builder()
-                if self._cj.shape != (d, d):
+                cj = self._cj_builder()
+                if cj.shape != (d, d):
                     raise ValueError("CJ builder returned a wrong-shaped operator")
+                _check_hermitian(cj)
+                self._cj = cj
         return self._cj
 
     def _sum_terms(self) -> np.ndarray:
@@ -213,6 +218,11 @@ class Supermap:
         )
 
 
+def _check_hermitian(cj: np.ndarray) -> None:
+    if not is_hermitian(cj):
+        raise ValueError("supermap CJ is not Hermitian")
+
+
 def validate_supermap(s: Supermap, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check the three supermap validity conditions on the CJ operator.
 
@@ -223,23 +233,23 @@ def validate_supermap(s: Supermap, tol: float = DEFAULT_TOL) -> ValidationReport
     This is :func:`validate_order_n` at the level pairing the two layouts.
 
     The CJ's terms are checked one at a time and never summed into one
-    matrix; a supermap known only by its CJ builder is one dense term.  A
-    rank-one term is positive by representation, and any other term's
-    lowest eigenvalue is that of its stored block, so for a pure supermap
-    or ``constant_map`` (one term) and for ``interpolation_map`` (see
-    :class:`Supermap` for the interlacing argument) the positivity residual
-    is exact; for other sums it is an upper bound.  Trace, marginal and
-    forbidden part are linear and are summed from the terms.  The
+    matrix; a supermap known only by its CJ builder is one dense term, and
+    every dense CJ was checked Hermitian where it entered.  A rank-one term
+    is positive by representation, and any other term's lowest eigenvalue
+    is that of its stored block, solved on the block's live indices (those
+    whose row or column holds a nonzero entry; the others only add zeros to
+    the spectrum, see ``process_space._lowest_eigenvalue``).  So for a pure
+    supermap or ``constant_map`` (one term) and for ``interpolation_map``
+    (see :class:`Supermap` for the interlacing argument) the positivity
+    residual is exact; for other sums it is an upper bound.  Trace, marginal
+    and forbidden part are linear and are summed from the terms.  The
     ``MAX_CJ_DIM`` size limit still applies.
     """
     s._check_cj_size()
     level = HierarchyLevel.pair(
         HierarchyLevel.process(s.in_layout), HierarchyLevel.process(s.out_layout)
     )
-    terms = s._term_operators()
-    if any(t.vector is None and not is_hermitian(t.matrix()) for t in terms):
-        raise ValueError("supermap CJ is not Hermitian")
-    return _validity_report(terms, level, tol)
+    return _validity_report(s._term_operators(), level, tol)
 
 
 def _term_action(t: PaddedOperator, w: np.ndarray, n_in: int) -> np.ndarray:

@@ -22,6 +22,8 @@ reordered operator with the element applied block by block.  pmx places a
 block on named factors by label (``PaddedOperator``); here the block is
 padded by a Kronecker product with the identity and its factors permuted
 into place, and the reduction's CJ comes from its superoperator matrix.
+pmx solves a dense term's positivity on its live block, the indices whose
+row or column holds a nonzero entry; here every index is solved.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.linalg
 
 from pmx.operator_core import (
     DEFAULT_TOL,
@@ -517,6 +520,30 @@ def superoperator_reduction_cj(
         len(perm) + k for k in range(len(keep))
     ]
     return permute_factors(cj_p, joint_dims, joint_perm)
+
+
+# ---------------------------------------------------------------------------
+# the lowest eigenvalue of the whole matrix
+# ---------------------------------------------------------------------------
+
+
+def full_lowest_eigenvalue(m: np.ndarray) -> float:
+    """Lowest eigenvalue of a dense Hermitian matrix, every index solved.
+
+    LAPACK up to 1024 x 1024, ARPACK above it from the same fixed start, as
+    pmx solves a live block; no zero row or column is dropped first.
+    """
+    if m.shape[0] <= 1024:
+        return float(np.linalg.eigvalsh(m)[0])
+    v0 = np.random.default_rng(0).standard_normal(m.shape[0])
+    try:
+        w = scipy.sparse.linalg.eigsh(
+            m, k=1, which="SA", tol=1e-10, maxiter=10_000, v0=v0,
+            return_eigenvectors=False,
+        )
+        return float(w[0])
+    except scipy.sparse.linalg.ArpackError:
+        return float(np.linalg.eigvalsh(m)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     enumerate_patterns,
+    full_lowest_eigenvalue,
     hs_decompose,
     kron_born_probabilities,
     kron_memory_channel,
@@ -21,6 +23,7 @@ from oracles import (
 from pmx.operator_core import (
     PaddedOperator,
     SpaceLayout,
+    is_hermitian,
     max_norm,
     partial_trace,
     tensor,
@@ -31,6 +34,7 @@ from pmx.process_space import (
     Instrument,
     ProcessMatrix,
     TermClass,
+    _lowest_eigenvalue,
     _slot1_marginal,
     allowed_mask,
     apply_cj,
@@ -56,6 +60,7 @@ from pmx.process_space import (
     w_ll,
     w_ocb,
 )
+from pmx.supermaps import apply, instrument_reduction
 from test_order_projector import layouts
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -251,6 +256,141 @@ def test_process_matrix_rejects_non_hermitian():
     m[0, 1] = 1.0
     with pytest.raises(ValueError):
         ProcessMatrix(BIPARTITE, m)
+
+
+def _lowest(m):
+    return _lowest_eigenvalue(PaddedOperator.of_matrix(m, (m.shape[0],)))
+
+
+def _support_block(rng, k, kind):
+    """A k x k Hermitian block: indefinite, positive definite or rank one."""
+    if kind == "negative":
+        return random_hermitian(rng, k)
+    v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    if kind == "rank_one":
+        return np.outer(v, v.conj())
+    g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    return g @ g.conj().T / k + np.eye(k)  # lowest eigenvalue at least 1
+
+
+def _padded_with_zeros(block, n, live):
+    m = np.zeros((n, n), dtype=complex)
+    m[np.ix_(live, live)] = block
+    return m
+
+
+@pytest.mark.parametrize("kind", ["negative", "psd", "rank_one"])
+def test_live_block_matches_the_full_solve(kind):
+    rng = np.random.default_rng(["negative", "psd", "rank_one"].index(kind))
+    for n, k in ((2, 1), (9, 4), (40, 12), (64, 63)):
+        live = np.sort(rng.choice(n, size=k, replace=False))
+        m = _padded_with_zeros(_support_block(rng, k, kind), n, live)
+        got = _lowest(m)
+        assert abs(got - full_lowest_eigenvalue(m)) <= 1e-13 * max_norm(m)
+        if kind == "psd":
+            # the zero rows add eigenvalue 0 below the block's spectrum
+            assert got == 0.0
+
+
+def test_zero_matrix_has_lowest_eigenvalue_zero():
+    for n in (1, 5, 64):
+        m = np.zeros((n, n))
+        assert _lowest(m) == 0.0 == full_lowest_eigenvalue(m)
+
+
+def test_no_zero_row_solves_the_whole_matrix_bit_for_bit():
+    rng = np.random.default_rng(3)
+    dense = [random_hermitian(rng, n) for n in (1, 7, 32)]
+    dense += [w_ocb().matrix, np.eye(16) * 0.25]
+    for m in dense:
+        assert _lowest(m) == full_lowest_eigenvalue(m)
+    # an index whose only nonzero entry is its diagonal is live as well
+    m = _padded_with_zeros(random_hermitian(rng, 6), 8, [0, 1, 2, 4, 5, 7])
+    m[3, 3] = m[6, 6] = 2.0
+    assert _lowest(m) == full_lowest_eigenvalue(m)
+
+
+def test_an_index_live_in_its_row_or_its_column_only_is_kept():
+    # the solver reads the lower triangle, where m[9, 3] = 1e-12 couples
+    # index 3 (zero row) to index 9 (zero column), both with zero diagonal:
+    # the lowest eigenvalue is -1e-12, where a live set read from the rows
+    # only (or the columns only) drops one of them and gives 0
+    rng = np.random.default_rng(5)
+    m = _padded_with_zeros(_support_block(rng, 6, "psd"), 12, [0, 2, 5, 7, 8, 11])
+    m[9, 3] = 1e-12
+    assert is_hermitian(m)
+    expected = full_lowest_eigenvalue(m)
+    assert expected < -0.9e-12
+    assert abs(_lowest(m) - expected) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "k, arpack", [(1000, False), (1100, True)], ids=["lapack", "arpack"]
+)
+def test_live_block_of_a_2048_matrix_takes_its_own_size_path(monkeypatch, k, arpack):
+    rng = np.random.default_rng(k)
+    u = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    u /= np.linalg.norm(u)
+    # spectrum in [1, 2] but one eigenvalue near -2, far from the rest
+    block = np.diag(rng.uniform(1.0, 2.0, k)) - 3.0 * np.outer(u, u.conj())
+    m = _padded_with_zeros(block, 2048, np.sort(rng.choice(2048, k, replace=False)))
+    sizes = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+    got = _lowest(m)
+    assert sizes == ([k] if arpack else [])
+    expected = full_lowest_eigenvalue(m)  # ARPACK on the whole 2048 x 2048
+    assert expected < -1.0
+    assert abs(got - expected) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.booleans(), min_size=1, max_size=24),
+    st.sampled_from(["negative", "psd", "rank_one"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_live_block_matches_the_full_solve_on_drawn_supports(mask, kind, seed):
+    rng = np.random.default_rng(seed)
+    live = np.flatnonzero(mask)
+    n = len(mask)
+    block = _support_block(rng, live.size, kind) if live.size else np.zeros((0, 0))
+    m = _padded_with_zeros(block, n, live)
+    expected = full_lowest_eigenvalue(m)
+    got = _lowest(m)
+    if live.size == n:
+        assert got == expected
+    else:
+        assert got <= 0.0
+        assert abs(got - expected) <= 1e-13 * max(1.0, max_norm(m))
+
+
+def _assert_positivity_matches_the_full_solve(w):
+    expected = full_lowest_eigenvalue(w.matrix)
+    assert abs(_lowest(w.matrix) - expected) <= 1e-14
+    assert abs(validate(w).positivity.residual - max(0.0, -expected)) <= 1e-14
+
+
+def test_extended_switch_and_its_reductions_match_the_full_solve():
+    skew = np.array([0.28 - 0.5j, 0.3 + 0.76j])
+    psis = [None, np.array([0.6, 0.8j]), skew / np.linalg.norm(skew)]
+    for psi in psis:
+        w4 = extended_switch(psi)
+        nz = w4.matrix != 0
+        # the restricted path is the one taken: at most 16 of 256 are live
+        assert np.count_nonzero(nz.any(0) | nz.any(1)) <= 16
+        _assert_positivity_matches_the_full_solve(w4)
+        for lam in (0.0, 0.3, math.pi / 4, 1.1, math.pi / 2):
+            rot = np.array(
+                [[math.cos(lam), -math.sin(lam)], [math.sin(lam), math.cos(lam)]]
+            )
+            red = instrument_reduction(w4.layout, "D", cj_of_unitary(rot))
+            _assert_positivity_matches_the_full_solve(apply(red, w4))
 
 
 # ---------------------------------------------------------------------------

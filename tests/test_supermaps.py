@@ -552,6 +552,29 @@ def test_reduction_rejects_a_non_hermitian_element():
         instrument_reduction(BIP, "B", c_m)
 
 
+def _non_hermitian_cj() -> np.ndarray:
+    """The bipartite identity-conjugation CJ plus 1 at entry (0, 5)."""
+    cj = unitary_supermap(np.eye(BIP.dim), BIP).cj.copy()
+    cj[0, 5] += 1.0
+    return cj
+
+
+def test_supermap_rejects_a_non_hermitian_cj():
+    # apply keeps only the Hermitian part of the action: with this CJ it was
+    # off by 0.213 in max-norm on w_ocb, while validate_supermap raised
+    with pytest.raises(ValueError, match="not Hermitian"):
+        Supermap(BIP, BIP, cj=_non_hermitian_cj())
+
+
+def test_supermap_rejects_a_non_hermitian_built_cj():
+    s = Supermap(BIP, BIP, action=lambda w: w, cj_builder=_non_hermitian_cj)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        s.cj
+    # the refused CJ is not cached, so every later read is refused too
+    with pytest.raises(ValueError, match="not Hermitian"):
+        validate_supermap(s)
+
+
 def test_oversized_reduction_cj_is_refused_but_applies():
     red = instrument_reduction(extended_switch_layout(), "D", np.eye(4) / 2)
     with pytest.raises(ValueError, match="not materialized"):
