@@ -18,6 +18,14 @@ patterns, the eigenvalues above a threshold count the support operators that
 leave the allowed span; over the order patterns ``D``, the eigenvalues at 1
 count the support operators inside ``span(D)``.  Each Gram is taken on its
 smaller side, so its cost follows ``min(|patterns|, rank(W)**2)``.
+
+At full rank the intersection count needs no Gram.  There ``V`` is unitary,
+so the ``A_p`` are orthonormal like the ``W_p`` and the forbidden-term Gram
+is the identity: every support operator outside the allowed span is counted
+with eigenvalue exactly 1, and the intersection is the allowed span itself,
+whose dimension is the number of allowed patterns.  Whether ``W`` has full
+rank is still a threshold decision (``SUPPORT_TOL``), and its distance from
+that threshold is reported as the certificate's ``support_margin``.
 """
 
 from __future__ import annotations
@@ -53,10 +61,19 @@ __all__ = [
 SUPPORT_TOL = 1e-9
 
 
-def _support_vectors(m: np.ndarray, threshold: float = SUPPORT_TOL) -> np.ndarray:
+def _support(m: np.ndarray, threshold: float = SUPPORT_TOL) -> tuple[np.ndarray, float]:
+    """Support vectors, and the distance of the nearest eigenvalue from the cut.
+
+    An eigenvalue belongs to the support when it exceeds ``threshold`` times
+    the largest one; the distance is ``min_i |lambda_i - cut|``.
+    """
     vals, vecs = np.linalg.eigh(m)
-    keep = vals > threshold * max(vals.max(), 0.0)
-    return vecs[:, keep]
+    cut = threshold * max(vals.max(), 0.0)
+    return vecs[:, vals > cut], float(np.abs(vals - cut).min())
+
+
+def _support_vectors(m: np.ndarray, threshold: float = SUPPORT_TOL) -> np.ndarray:
+    return _support(m, threshold)[0]
 
 
 def support_rank(w: ProcessMatrix, threshold: float = SUPPORT_TOL) -> int:
@@ -91,19 +108,23 @@ def _term_spectrum(
     return np.linalg.eigvalsh(gram / dim)
 
 
-def _intersection(w: ProcessMatrix, tol: float) -> tuple[int, int, float]:
-    """Intersection dimension, support rank and the count's margin."""
+def _intersection(w: ProcessMatrix, tol: float) -> tuple[int, int, float, float]:
+    """Intersection dimension, support rank, the count's margin and the rank's."""
     if not validate(w).valid:
         raise ValueError("support_intersection_dim needs a valid process")
-    vecs = _support_vectors(w.matrix)
+    vecs, support_margin = _support(w.matrix)
     r = vecs.shape[1]
     layout = w.layout
-    qdims = tuple(d * d for d in layout.dims)
-    forbidden = pattern_digits(qdims)[~allowed_mask(layout).reshape(-1)]
-    mu = _term_spectrum(vecs, layout.dims, forbidden)
+    allowed = allowed_mask(layout).reshape(-1)
+    if r == layout.dim:
+        # the forbidden-term Gram is the identity (see the module docstring)
+        mu = np.ones(allowed.size - int(allowed.sum()))
+    else:
+        qdims = tuple(d * d for d in layout.dims)
+        mu = _term_spectrum(vecs, layout.dims, pattern_digits(qdims)[~allowed])
     above = mu[mu > 2 * tol]
     margin = float(above.min() - 2 * tol) if above.size else math.inf
-    return r * r - above.size, r, margin
+    return r * r - above.size, r, margin, support_margin
 
 
 def support_intersection_dim(w: ProcessMatrix, tol: float = 1e-8) -> int:
@@ -115,7 +136,9 @@ def support_intersection_dim(w: ProcessMatrix, tol: float = 1e-8) -> int:
     of eigenvalues of the forbidden-term Gram ``R_F R_F^dag`` (see
     ``_term_spectrum``) above ``2 tol``.  This is the decision
     ``|lambda - 1| <= tol`` on the averaged projector ``(P_T + P_V)/2``
-    compressed to ``T``, whose eigenvalues are ``1 - mu/2``.
+    compressed to ``T``, whose eigenvalues are ``1 - mu/2``.  At full rank
+    ``T`` holds every operator, the Gram is the identity and the dimension
+    is the number of allowed patterns, read from the layout with no Gram.
     """
     return _intersection(w, tol)[0]
 
@@ -127,7 +150,14 @@ class ExtremalityCertificate:
     ``margin`` is the distance from the threshold ``2 tol`` up to the
     nearest eigenvalue of the forbidden-term Gram that the intersection
     count left out (``inf`` when every eigenvalue is counted): how far a
-    larger tolerance would have to move before the count grows.
+    larger tolerance would have to move before the count grows.  At full
+    rank every left-out eigenvalue is exactly 1, so it is ``1 - 2 tol``.
+
+    ``support_margin`` is the same for the support rank: the distance of
+    the nearest eigenvalue of ``W`` from the cut ``SUPPORT_TOL`` times the
+    largest, ``min_i |lambda_i - SUPPORT_TOL lambda_max|``.  It is how far
+    an eigenvalue would have to move to enter or leave the support, which
+    at full rank is all that decides the intersection count.
     """
 
     extremal: bool
@@ -135,6 +165,7 @@ class ExtremalityCertificate:
     support_rank: int
     tolerance: float
     margin: float
+    support_margin: float
 
     def __bool__(self) -> bool:
         return self.extremal
@@ -142,8 +173,8 @@ class ExtremalityCertificate:
 
 def is_extremal(w: ProcessMatrix, tol: float = 1e-8) -> ExtremalityCertificate:
     """A valid process is extremal iff the intersection is one dimensional."""
-    dim, rank, margin = _intersection(w, tol)
-    return ExtremalityCertificate(dim == 1, dim, rank, tol, margin)
+    dim, rank, margin, support_margin = _intersection(w, tol)
+    return ExtremalityCertificate(dim == 1, dim, rank, tol, margin, support_margin)
 
 
 @dataclass(frozen=True)

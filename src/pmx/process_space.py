@@ -345,23 +345,16 @@ def classify_term(pattern: TermPattern, layout: SpaceLayout) -> TermClass:
     """Classify one product-basis term as allowed or forbidden.
 
     Forbidden iff the term is nontrivial on at least one output factor and
-    every party the term touches is touched on that party's own output.
+    every party the term touches is touched on that party's own output; the
+    rule is read from :func:`allowed_mask`.
     """
     if len(pattern) != layout.n_factors:
         raise ValueError(f"pattern length {len(pattern)} != {layout.n_factors}")
     for a, d in zip(pattern, layout.dims):
         if not 0 <= a < d * d:
             raise ValueError(f"index {a} out of range for factor dimension {d}")
-    nz = [a != 0 for a in pattern]
-    any_output = any(nz[k] for p in layout.parties for k in p.outputs)
-    if not any_output:
-        return TermClass.ALLOWED
-    for p in layout.parties:
-        touched = any(nz[k] for k in p.inputs) or any(nz[k] for k in p.outputs)
-        out_touched = any(nz[k] for k in p.outputs)
-        if touched and not out_touched:
-            return TermClass.ALLOWED
-    return TermClass.FORBIDDEN
+    allowed = allowed_mask(layout)[tuple(pattern)]
+    return TermClass.ALLOWED if allowed else TermClass.FORBIDDEN
 
 
 @lru_cache(maxsize=None)

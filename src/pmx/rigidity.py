@@ -35,9 +35,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
-from .hs_algebra import pattern_digits, weyl_exponents, weyl_term
+from .hs_algebra import pattern_digits, weyl_elements, weyl_exponents
 from .operator_core import SpaceLayout
 from .process_space import ProcessMatrix, allowed_mask, project_valid_matrix, validate
 
@@ -213,6 +212,29 @@ def _reference_processes(layout: SpaceLayout) -> list[ProcessMatrix]:
     return out
 
 
+def _weyl_sum(coeff: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """The operator ``sum_u c_u W_u`` of a coefficient tensor over patterns.
+
+    ``coeff`` has one axis per factor, of length ``d_k**2``.  Its leading
+    axis is contracted with that factor's Weyl elements, which appends the
+    factor's row and column axes at the back; after every factor the axes
+    read ``(r_0, c_0, r_1, c_1, ...)`` and are put in Kronecker order, rows
+    first.  No product term is formed.
+    """
+    t = coeff
+    for d in dims:
+        t = np.tensordot(t, weyl_elements(d), axes=([0], [0]))
+    n = len(dims)
+    dim = math.prod(dims)
+    return t.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(dim, dim)
+
+
+def _propagators(h: np.ndarray, lams: tuple[float, ...]) -> list[np.ndarray]:
+    """``exp(-i lam h)`` of a Hermitian ``h`` for each ``lam``, from one ``eigh``."""
+    vals, vecs = np.linalg.eigh(h)
+    return [(vecs * np.exp(-1j * lam * vals)) @ vecs.conj().T for lam in lams]
+
+
 def verify_rigidity(
     layout: SpaceLayout, tol: float = 1e-8, samples: int = 5, seed: int = 7
 ) -> RigidityReport:
@@ -223,7 +245,10 @@ def verify_rigidity(
     element from the other span, 0 when its set is contained in the other
     and 1 otherwise.  Then spot-checks that conjugating reference valid
     processes by ``exp(-i lam H)`` for random Hermitian ``H`` in the kernel
-    keeps them valid at ``lam in {0.3, 1.0}``.
+    keeps them valid at ``lam in {0.3, 1.0}``.  Each sample generator is
+    contracted from its kernel coefficients factor by factor
+    (``_weyl_sum``), and one ``eigh`` of it gives the unitary at both
+    ``lam``.
     """
     kernel = generator_kernel(layout).argmax(axis=1)
     qdims = tuple(d * d for d in layout.dims)
@@ -233,18 +258,15 @@ def verify_rigidity(
 
     rng = np.random.default_rng(seed)
     processes = _reference_processes(layout)
-    terms = [
-        weyl_term(tuple(np.unravel_index(u, qdims)), layout.dims) for u in kernel
-    ]
     conj_ok = True
-    for _ in range(samples if terms else 0):
-        coeff = rng.standard_normal(len(terms)) + 1j * rng.standard_normal(len(terms))
+    for _ in range(samples if kernel.size else 0):
+        coeff = rng.standard_normal(kernel.size) + 1j * rng.standard_normal(kernel.size)
         coeff /= np.linalg.norm(coeff)
+        pattern_coeff = np.zeros(math.prod(qdims), dtype=complex)
+        pattern_coeff[kernel] = coeff
         # the kernel holds -u with u, and W_{-u} is a multiple of W_u^dag
-        half = sum(c * t for c, t in zip(coeff, terms))
-        h = half + half.conj().T
-        for lam in (0.3, 1.0):
-            u = scipy.linalg.expm(-1j * lam * h)
+        half = _weyl_sum(pattern_coeff.reshape(qdims), layout.dims)
+        for u in _propagators(half + half.conj().T, (0.3, 1.0)):
             for w in processes:
                 moved = ProcessMatrix(layout, u @ w.matrix @ u.conj().T)
                 if not validate(moved).valid:

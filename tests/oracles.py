@@ -23,7 +23,11 @@ block on named factors by label (``PaddedOperator``); here the block is
 padded by a Kronecker product with the identity and its factors permuted
 into place, and the reduction's CJ comes from its superoperator matrix.
 pmx solves a dense term's positivity on its live block, the indices whose
-row or column holds a nonzero entry; here every index is solved.
+row or column holds a nonzero entry; here every index is solved.  pmx
+classifies a term by looking it up in the allowed-term mask; here the term
+rule is a loop over the parties.  pmx counts a full-rank support's
+intersection with the allowed span as the number of allowed patterns; here
+it is read from the forbidden-term Gram at every rank.
 """
 
 from __future__ import annotations
@@ -48,11 +52,13 @@ from pmx.operator_core import (
     permute_factors,
     tensor,
 )
-from pmx.extremality import _party_factor_positions, _support_vectors
+from pmx.extremality import _party_factor_positions, _support_vectors, _term_spectrum
+from pmx.hs_algebra import pattern_digits
 from pmx.process_space import (
     HierarchyLevel,
     Instrument,
     ProcessMatrix,
+    TermClass,
     TermPattern,
     allowed_mask,
     cj_of_map,
@@ -280,6 +286,24 @@ def _axis_flag(qdims: tuple[int, ...], k: int) -> np.ndarray:
     shape = [1] * len(qdims)
     shape[k] = qdims[k]
     return (np.arange(qdims[k]) > 0).reshape(shape)
+
+
+def classify_term_reference(pattern: TermPattern, layout: SpaceLayout) -> TermClass:
+    """The term rule pattern by pattern, as a loop over the parties.
+
+    Forbidden iff the term is nontrivial on at least one output factor and
+    every party the term touches is touched on that party's own output.
+    """
+    nz = [a != 0 for a in pattern]
+    any_output = any(nz[k] for p in layout.parties for k in p.outputs)
+    if not any_output:
+        return TermClass.ALLOWED
+    for p in layout.parties:
+        touched = any(nz[k] for k in p.inputs) or any(nz[k] for k in p.outputs)
+        out_touched = any(nz[k] for k in p.outputs)
+        if touched and not out_touched:
+            return TermClass.ALLOWED
+    return TermClass.FORBIDDEN
 
 
 @lru_cache(maxsize=None)
@@ -849,3 +873,23 @@ def averaged_projector_intersection_dim(w: ProcessMatrix, tol: float = 1e-8) -> 
     avg = (np.eye(rows.shape[0]) + masked @ masked.T) / 2
     vals = np.linalg.eigvalsh(avg)
     return int(np.sum(np.abs(vals - 1.0) <= tol))
+
+
+def gram_intersection(w: ProcessMatrix, tol: float = 1e-8) -> tuple[int, int, float]:
+    """Intersection dimension, support rank and margin from the Gram at any rank.
+
+    The forbidden-term Gram of :func:`pmx.extremality._term_spectrum` is
+    formed and diagonalized even when the support is the whole space, where
+    pmx counts the allowed patterns instead.
+    """
+    if not validate(w).valid:
+        raise ValueError("support_intersection_dim needs a valid process")
+    vecs = _support_vectors(w.matrix)
+    r = vecs.shape[1]
+    layout = w.layout
+    qdims = tuple(d * d for d in layout.dims)
+    forbidden = pattern_digits(qdims)[~allowed_mask(layout).reshape(-1)]
+    mu = _term_spectrum(vecs, layout.dims, forbidden)
+    above = mu[mu > 2 * tol]
+    margin = float(above.min() - 2 * tol) if above.size else math.inf
+    return r * r - above.size, r, margin

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pmx.extremality
 from pmx.extremality import (
+    SUPPORT_TOL,
     _support_vectors,
     dariano_test,
     is_extremal,
@@ -20,6 +22,7 @@ from oracles import (
     _support_operator_basis,
     averaged_projector_intersection_dim,
     coefficient_tensor,
+    gram_intersection,
     subspace_pair,
     svd_dariano_rank,
 )
@@ -31,6 +34,7 @@ from pmx.process_space import (
     bipartite_qubit_layout,
     cj_of_unitary,
     memory_channel,
+    project_valid_matrix,
     quantum_switch,
     validate,
     w_ll,
@@ -231,6 +235,111 @@ class TestIsExtremal:
         cert = is_extremal(w)
         assert cert.extremal
         assert cert.support_rank == 2
+
+
+# the certify workload's layout: two full parties and an input-only party
+CERTIFY_LAYOUT = SpaceLayout.build(
+    [("A_I", 2), ("A_O", 2), ("B_I", 2), ("B_O", 2), ("C_I", 2)],
+    [("A", ["A_I"], ["A_O"]), ("B", ["B_I"], ["B_O"]), ("C", ["C_I"], [])],
+)
+QUTRIT_QUBIT = SpaceLayout.build(
+    [("A_I", 3), ("A_O", 2), ("B_I", 2)],
+    [("A", ["A_I"], ["A_O"]), ("B", ["B_I"], [])],
+)
+QUTRIT_BIPARTITE = SpaceLayout.build(
+    [("A_I", 3), ("A_O", 3), ("B_I", 3), ("B_O", 3)],
+    [("A", ["A_I"], ["A_O"]), ("B", ["B_I"], ["B_O"])],
+)
+
+
+def maximally_mixed(layout):
+    return ProcessMatrix(layout, np.eye(layout.dim) * (layout.d_out / layout.dim))
+
+
+def certify_mixed_item(q=0.4):
+    """A pure chain A, then B, then C mixed with the maximally mixed process."""
+    phi = np.array([0.6, 0.8j])
+    wire = np.eye(2)  # |1>> on an output and the next input
+    vec = np.einsum("a,bc,de->abcde", phi, wire, wire).reshape(-1)
+    pure = np.outer(vec, vec.conj())
+    return ProcessMatrix(CERTIFY_LAYOUT, (1 - q) * pure + q * np.eye(32) * (4 / 32))
+
+
+def full_rank_qutrit_qubit(seed=3):
+    rng = np.random.default_rng(seed)
+    ordered = random_ordered_process(rng, QUTRIT_QUBIT)
+    mixed = maximally_mixed(QUTRIT_QUBIT).matrix
+    return ProcessMatrix(QUTRIT_QUBIT, (ordered + mixed) / 2)
+
+
+def rank_one_short(layout, seed=5):
+    """A valid process of rank ``dim - 1``: the maximally mixed one moved
+    along a traceless allowed direction until its top eigenvalue's
+    eigenvector leaves the support."""
+    rng = np.random.default_rng(seed)
+    shape = (layout.dim, layout.dim)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x = project_valid_matrix(g + g.conj().T, layout)
+    x = x - np.eye(layout.dim) * (np.trace(x).real / layout.dim)
+    w0 = maximally_mixed(layout).matrix
+    return ProcessMatrix(layout, w0 - x * (w0[0, 0] / np.linalg.eigvalsh(x)[-1]))
+
+
+class TestFullRankShortcut:
+    @pytest.mark.parametrize(
+        "w, count",
+        [
+            (maximally_mixed(BIP), 88),
+            (certify_mixed_item(), 856),
+            (full_rank_qutrit_qubit(), int(allowed_mask(QUTRIT_QUBIT).sum())),
+        ],
+        ids=["maximally-mixed", "certify-mixed-item", "qutrit-qubit"],
+    )
+    def test_count_and_margin_match_the_gram(self, w, count):
+        cert = is_extremal(w)
+        dim, rank, margin = gram_intersection(w)
+        assert rank == cert.support_rank == w.dim
+        assert cert.intersection_dim == dim == count
+        assert abs(cert.margin - margin) <= 1e-12
+        assert cert.margin == 1.0 - 2 * cert.tolerance
+
+    def test_full_rank_forms_no_gram(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("_term_spectrum called at full rank")
+
+        monkeypatch.setattr(pmx.extremality, "_term_spectrum", refuse)
+        assert is_extremal(certify_mixed_item()).intersection_dim == 856
+        assert support_intersection_dim(maximally_mixed(BIP)) == 88
+        # the forbidden-term Gram here would be 5328 x 5328
+        assert is_extremal(maximally_mixed(QUTRIT_BIPARTITE)).intersection_dim == 1233
+
+    def test_rank_one_short_takes_the_gram(self, monkeypatch):
+        w = rank_one_short(BIP)
+        assert validate(w).valid
+        assert support_rank(w) == w.dim - 1
+        calls = []
+        spectrum = pmx.extremality._term_spectrum
+
+        def counted(*args):
+            calls.append(args)
+            return spectrum(*args)
+
+        monkeypatch.setattr(pmx.extremality, "_term_spectrum", counted)
+        cert = is_extremal(w)
+        assert len(calls) == 1
+        dim, rank, margin = gram_intersection(w)
+        assert (cert.intersection_dim, cert.support_rank) == (dim, rank)
+        assert cert.margin == margin
+
+    def test_maximally_mixed_support_margin(self):
+        # every eigenvalue is 1/4, so the nearest sits 1/4 (1 - 1e-9) above the cut
+        cert = is_extremal(maximally_mixed(BIP))
+        assert abs(cert.support_margin - 0.25 * (1 - SUPPORT_TOL)) <= 1e-16
+
+    def test_ocb_support_margin(self):
+        # the eight zero eigenvalues sit just below the cut 1e-9 * 0.5
+        cert = is_extremal(w_ocb())
+        assert cert.support_margin == pytest.approx(SUPPORT_TOL * 0.5, rel=1e-6)
 
 
 class TestDarianoTest:

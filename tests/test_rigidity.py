@@ -38,6 +38,8 @@ from pmx.process_space import (
     w_ocb,
 )
 from pmx.rigidity import (
+    _propagators,
+    _weyl_sum,
     generator_kernel,
     single_body_patterns,
     verify_rigidity,
@@ -533,6 +535,44 @@ class TestVerifyRigidity:
             assert kern.shape[0] == sb.shape[0]
             resid = sb - sb @ kern.T @ kern
             assert np.linalg.norm(resid, axis=1).max() <= 1e-9
+
+
+def sample_generator(layout, seed):
+    """Random kernel coefficients and their generator, as a plain term sum."""
+    qdims = tuple(d * d for d in layout.dims)
+    kernel = generator_kernel(layout).argmax(axis=1)
+    rng = np.random.default_rng(seed)
+    coeff = rng.standard_normal(kernel.size) + 1j * rng.standard_normal(kernel.size)
+    coeff /= np.linalg.norm(coeff)
+    pattern_coeff = np.zeros(math.prod(qdims), dtype=complex)
+    pattern_coeff[kernel] = coeff
+    terms = (weyl_term(np.unravel_index(u, qdims), layout.dims) for u in kernel)
+    return pattern_coeff.reshape(qdims), sum(c * t for c, t in zip(coeff, terms))
+
+
+class TestSpotCheckGenerators:
+    @pytest.mark.parametrize(
+        "layout",
+        [BIP, single_party_layout(), switch_layout(), QUTRIT_322],
+        ids=["bipartite", "single-party", "switch", "qutrit-322"],
+    )
+    def test_contracted_generator_is_the_term_sum(self, layout):
+        for seed in range(3):
+            coeff, want = sample_generator(layout, seed)
+            assert max_norm(_weyl_sum(coeff, layout.dims) - want) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "layout", [BIP, switch_layout(), QUTRIT_322],
+        ids=["bipartite", "switch", "qutrit-322"],
+    )
+    def test_propagators_match_expm(self, layout):
+        lams = (0.3, 1.0)
+        for seed in range(3):
+            _, half = sample_generator(layout, seed)
+            h = half + half.conj().T
+            for lam, u in zip(lams, _propagators(h, lams)):
+                assert max_norm(u - scipy.linalg.expm(-1j * lam * h)) <= 1e-12
+                assert max_norm(u @ u.conj().T - np.eye(layout.dim)) <= 1e-13
 
 
 class TestConjugationVerdicts:
