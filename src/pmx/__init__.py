@@ -11,7 +11,6 @@ from .operator_core import (
     Party,
     SpaceLayout,
     partial_trace,
-    partial_transpose,
     permute_factors,
     tensor,
 )
@@ -34,7 +33,6 @@ from .process_space import (
     extended_switch_layout,
     grandfather_instrument,
     memory_channel,
-    project_valid,
     project_valid_matrix,
     quantum_switch,
     shared_state,

@@ -288,11 +288,12 @@ def non_reachability_report() -> ReachabilityReport:
     reports = {}
     for direction in ("a_to_b", "b_to_a"):
         witness = memory_channel(np.eye(2) / 2, mixed_cj, direction)
-        if support_rank(witness) != 8:
-            raise RuntimeError("rank-8 witness construction failed")
         reports[direction] = dariano_test(witness, direction)
+        # the support operators number rank**2
+        if reports[direction].support_card != 64:
+            raise RuntimeError("rank-8 witness construction failed")
     return ReachabilityReport(
-        rank=support_rank(w),
+        rank=cert.support_rank,
         extremal=cert.extremal,
         intersection_dim=cert.intersection_dim,
         a_to_b=reports["a_to_b"],

@@ -36,7 +36,6 @@ __all__ = [
     "SpaceLayout",
     "tensor",
     "partial_trace",
-    "partial_transpose",
     "permute_factors",
     "PaddedOperator",
     "max_norm",
@@ -210,23 +209,6 @@ def partial_trace(
     rest = [d for k, d in enumerate(dims) if k not in traced_set]
     d_rest = math.prod(rest) if rest else 1
     return t.reshape(d_rest, d_rest)
-
-
-def partial_transpose(
-    m: np.ndarray,
-    dims: "Sequence[int] | SpaceLayout",
-    transposed: Iterable[int],
-) -> np.ndarray:
-    """Transpose the listed factors in place, leaving the others untouched."""
-    dims = _as_dims(dims)
-    d = _check_square(m, dims)
-    n = len(dims)
-    axes = list(range(2 * n))
-    for k in set(int(k) for k in transposed):
-        if not 0 <= k < n:
-            raise ValueError(f"transposed index {k} out of range for {n} factors")
-        axes[k], axes[k + n] = axes[k + n], axes[k]
-    return m.reshape(dims + dims).transpose(axes).reshape(d, d)
 
 
 def permute_factors(

@@ -71,7 +71,6 @@ __all__ = [
     "extended_switch_layout",
     "classify_term",
     "allowed_mask",
-    "project_valid",
     "project_valid_matrix",
     "forbidden_part",
     "validate",
@@ -79,9 +78,7 @@ __all__ = [
     "cj_of_map",
     "superop_of_unitary",
     "cj_of_unitary",
-    "apply_cj",
     "shared_state",
-    "channel_with_memory",
     "memory_channel",
     "w_ocb",
     "w_ll",
@@ -486,11 +483,6 @@ def project_valid_matrix(m: np.ndarray, layout: SpaceLayout) -> np.ndarray:
     return m - forbidden_part(PaddedOperator.of_matrix(m, layout), level).dense()
 
 
-def project_valid(w: ProcessMatrix) -> ProcessMatrix:
-    """Project a process matrix onto the allowed-term span (idempotent)."""
-    return ProcessMatrix(w.layout, project_valid_matrix(w.matrix, w.layout))
-
-
 def _lowest_eigenvalue(op: PaddedOperator) -> float:
     """Lowest eigenvalue of ``g (x) 1_R``, which is that of ``g``.
 
@@ -724,12 +716,6 @@ def cj_of_unitary(u: np.ndarray) -> np.ndarray:
     return cj_of_map(superop_of_unitary(u), d, d)
 
 
-def apply_cj(c: np.ndarray, rho: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
-    """Act with a CJ operator on a state: ``Tr_in(C (rho^T (x) 1))``."""
-    c4 = np.asarray(c, dtype=complex).reshape(d_in, d_out, d_in, d_out)
-    return np.einsum("iakb,ik->ab", c4, np.asarray(rho, dtype=complex))
-
-
 # ---------------------------------------------------------------------------
 # named processes
 # ---------------------------------------------------------------------------
@@ -767,37 +753,6 @@ def _padded(core: np.ndarray, facs: Sequence[int], dims: Sequence[int]) -> np.nd
     """``core`` on the factors ``facs``, the identity on the rest, in factor order."""
     sub = tuple(dims[k] for k in facs)
     return PaddedOperator(dims, facs, g=core.reshape(sub * 2)).dense()
-
-
-def channel_with_memory(
-    core: np.ndarray,
-    direction: str = "a_to_b",
-    layout: SpaceLayout | None = None,
-) -> ProcessMatrix:
-    """Causally ordered process ``W = core (x) 1`` on the receiver's output.
-
-    For ``a_to_b`` the core operator lives on (A inputs, B inputs, A outputs)
-    in layout order and the identity fills B's outputs; ``b_to_a`` swaps the
-    roles.  The result is valid iff the core makes the full matrix satisfy
-    the three validity conditions (e.g. state at the first party's input plus
-    a channel CJ, see :func:`memory_channel`).
-    """
-    if layout is None:
-        layout = bipartite_qubit_layout()
-    if len(layout.parties) != 2:
-        raise ValueError("channel_with_memory needs a two-party layout")
-    a, b = layout.parties
-    if direction == "a_to_b":
-        core_facs = list(a.inputs) + list(b.inputs) + list(a.outputs)
-    elif direction == "b_to_a":
-        core_facs = list(a.inputs) + list(b.inputs) + list(b.outputs)
-    else:
-        raise ValueError(f"direction must be 'a_to_b' or 'b_to_a', got {direction!r}")
-    core = np.asarray(core, dtype=complex)
-    d_core = math.prod(layout.dims[k] for k in core_facs)
-    if core.shape != (d_core, d_core):
-        raise ValueError(f"core shape {core.shape}, expected {(d_core, d_core)}")
-    return ProcessMatrix(layout, _padded(core, core_facs, layout.dims))
 
 
 def memory_channel(

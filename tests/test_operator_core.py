@@ -10,7 +10,6 @@ from pmx.operator_core import (
     is_hermitian,
     max_norm,
     partial_trace,
-    partial_transpose,
     permute_factors,
     tensor,
 )
@@ -97,25 +96,6 @@ def test_partial_trace_preserves_trace():
 def test_partial_trace_rejects_bad_index():
     with pytest.raises(ValueError):
         partial_trace(np.eye(4), (2, 2), [2])
-
-
-def test_partial_transpose_bell_state():
-    """PT of |phi+><phi+| is SWAP/2 with eigenvalues {1/2 x3, -1/2}."""
-    pt = partial_transpose(PHI_PLUS, (2, 2), [1])
-    swap = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            swap[2 * i + j, 2 * j + i] = 1.0
-    np.testing.assert_allclose(pt, swap / 2)
-    np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(pt)), [-0.5, 0.5, 0.5, 0.5])
-
-
-def test_partial_transpose_involution_and_full():
-    rng = np.random.default_rng(13)
-    m = random_hermitian(rng, 8)
-    once = partial_transpose(m, (2, 2, 2), [0, 2])
-    np.testing.assert_allclose(partial_transpose(once, (2, 2, 2), [0, 2]), m)
-    np.testing.assert_allclose(partial_transpose(m, (2, 2, 2), [0, 1, 2]), m.T)
 
 
 def test_permute_factors_roundtrip():

@@ -22,15 +22,20 @@ from oracles import (
     product_term,
     svd_generator_kernel,
 )
-from pmx.hs_algebra import weyl_exponents, weyl_term
+import pmx.process_space
+import pmx.rigidity
+from pmx.hs_algebra import pattern_digits, weyl_exponents, weyl_term
 from pmx.operator_core import SpaceLayout, max_norm
 from pmx.process_space import (
     ProcessMatrix,
     allowed_mask,
     bipartite_qubit_layout,
+    cj_of_unitary,
     extended_switch_layout,
+    memory_channel,
     project_valid_matrix,
     quantum_switch,
+    shared_state,
     single_party_layout,
     switch_layout,
     validate,
@@ -38,8 +43,6 @@ from pmx.process_space import (
     w_ocb,
 )
 from pmx.rigidity import (
-    _propagators,
-    _weyl_sum,
     generator_kernel,
     single_body_patterns,
     verify_rigidity,
@@ -192,6 +195,65 @@ def indicator_basis(patterns, layout):
     out = np.zeros((len(patterns), int(np.prod(qdims))))
     for k, pat in enumerate(patterns):
         out[k, np.ravel_multi_index(pat, qdims)] = 1.0
+    return out
+
+
+# the layouts whose kernel flows are conjugated numerically
+FLOW_LAYOUTS = [
+    BIP,
+    single_party_layout(),
+    switch_layout(),
+    TRIPARTITE_ONE_SINK,
+    TWO_INPUT_PARTY,
+    TWO_OUTPUT_PARTY,
+]
+FLOW_IDS = [
+    "bipartite",
+    "single-party",
+    "switch",
+    "tripartite-one-sink",
+    "two-input-party",
+    "two-output-party",
+]
+FLOW_LAMBDAS = (0.3, 1.0)
+
+
+def reference_processes(layout):
+    """The maximally mixed process, named ones on the bipartite layout, random ones."""
+    rng = np.random.default_rng(1905)
+    out = [ProcessMatrix(layout, np.eye(layout.dim) * (layout.d_out / layout.dim))]
+    if layout == BIP:
+        out += [
+            w_ocb(),
+            shared_state(np.eye(4) / 4),
+            memory_channel(np.eye(2) / 2, cj_of_unitary(np.eye(2))),
+        ]
+    return out + [random_valid_process(rng, layout) for _ in range(3)]
+
+
+def kernel_generator(rng, layout):
+    """A random Hermitian generator in the span of the kernel's Weyl terms.
+
+    A Weyl term such as ``XZ = -iY`` need not be Hermitian, so the generator
+    is a random complex combination plus its adjoint.
+    """
+    qdims = tuple(d * d for d in layout.dims)
+    kernel = cached_kernel(layout).argmax(axis=1)
+    coeff = rng.standard_normal(kernel.size) + 1j * rng.standard_normal(kernel.size)
+    half = sum(
+        c * weyl_term(np.unravel_index(u, qdims), layout.dims)
+        for c, u in zip(coeff, kernel)
+    )
+    return half + half.conj().T
+
+
+def flowed_verdicts(h, processes):
+    """Whether each ``exp(-i lam h) W exp(i lam h)`` is valid, one list per lam."""
+    out = []
+    for lam in FLOW_LAMBDAS:
+        u = scipy.linalg.expm(-1j * lam * h)
+        moved = (ProcessMatrix(w.layout, u @ w.matrix @ u.conj().T) for w in processes)
+        out.append([validate(m).valid for m in moved])
     return out
 
 
@@ -463,18 +525,35 @@ class TestGeneratorKernel:
 
 
 class TestSoundnessAndCompleteness:
-    def test_kernel_flow_preserves_validity_of_random_processes(self, bip_kernel):
+    @pytest.mark.parametrize("layout", FLOW_LAYOUTS, ids=FLOW_IDS)
+    def test_kernel_flow_preserves_validity_of_random_processes(self, layout):
+        # the numerical side of verify_rigidity's proof: conjugating by
+        # exp(-i lam H) for H in the kernel keeps every process valid
         rng = np.random.default_rng(21)
-        qdims = tuple(d * d for d in BIP.dims)
-        for _ in range(20):
-            w = random_valid_process(rng, BIP)
-            coeffs = rng.standard_normal(12) @ bip_kernel
-            h = from_coefficient_tensor(coeffs.reshape(qdims), BIP.dims)
-            c = h @ w.matrix - w.matrix @ h
-            assert max_norm(project_valid_matrix(c, BIP) - c) <= 1e-9
-            u = scipy.linalg.expm(-0.7j * h / max(1.0, max_norm(h)))
-            moved = ProcessMatrix(BIP, u @ w.matrix @ u.conj().T)
-            assert validate(moved).valid
+        processes = reference_processes(layout)
+        for _ in range(3):
+            h = kernel_generator(rng, layout)
+            for w in processes:
+                c = h @ w.matrix - w.matrix @ h
+                assert max_norm(project_valid_matrix(c, layout) - c) <= 1e-9
+            for verdicts in flowed_verdicts(h, processes):
+                assert all(verdicts)
+
+    @pytest.mark.parametrize("layout", FLOW_LAYOUTS, ids=FLOW_IDS)
+    def test_non_kernel_two_body_term_breaks_validity(self, layout):
+        # the check above can fail: one two-body pattern outside the kernel,
+        # added to a kernel generator, takes some reference process out of
+        # the valid set at each lam
+        rng = np.random.default_rng(21)
+        qdims = tuple(d * d for d in layout.dims)
+        digits = pattern_digits(qdims)
+        kernel = set(cached_kernel(layout).argmax(axis=1).tolist())
+        two_body = np.flatnonzero((digits != 0).sum(axis=1) == 2)
+        u = next(int(u) for u in two_body if u not in kernel)
+        term = weyl_term(digits[u], layout.dims)
+        h = kernel_generator(rng, layout) + term + term.conj().T
+        for verdicts in flowed_verdicts(h, reference_processes(layout)):
+            assert not all(verdicts)
 
     @pytest.mark.parametrize(
         "layout", [BIP, single_party_layout(), TRIPARTITE_ONE_SINK],
@@ -492,9 +571,7 @@ class TestVerifyRigidity:
         assert rep.passed
         assert rep.spans_match
         assert rep.kernel_dim == rep.single_body_dim == 12
-        assert rep.kernel_in_span_residual <= 1e-8
-        assert rep.span_in_kernel_residual <= 1e-8
-        assert rep.conjugation_ok
+        assert rep.kernel_in_span_residual == rep.span_in_kernel_residual == 0
 
     def test_single_party_report_passes(self):
         rep = verify_rigidity(single_party_layout())
@@ -515,9 +592,18 @@ class TestVerifyRigidity:
         # the other three sides 3 each
         rep = verify_rigidity(layout)
         assert rep.kernel_dim == rep.single_body_dim == 15 + 3 * 3
-        assert rep.kernel_in_span_residual <= 1e-8
-        assert rep.span_in_kernel_residual <= 1e-8
+        assert rep.kernel_in_span_residual == rep.span_in_kernel_residual == 0
         assert rep.passed
+
+    def test_decided_without_validating_a_process(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_rigidity called validate")
+
+        monkeypatch.setattr(pmx.process_space, "validate", refuse)
+        monkeypatch.setattr(pmx, "validate", refuse)
+        monkeypatch.setattr(pmx.rigidity, "validate", refuse, raising=False)
+        for layout in FLOW_LAYOUTS:
+            assert verify_rigidity(layout).passed
 
     def test_single_body_patterns_on_a_joint_input(self):
         patterns = single_body_patterns(TWO_INPUT_PARTY)
@@ -535,44 +621,6 @@ class TestVerifyRigidity:
             assert kern.shape[0] == sb.shape[0]
             resid = sb - sb @ kern.T @ kern
             assert np.linalg.norm(resid, axis=1).max() <= 1e-9
-
-
-def sample_generator(layout, seed):
-    """Random kernel coefficients and their generator, as a plain term sum."""
-    qdims = tuple(d * d for d in layout.dims)
-    kernel = generator_kernel(layout).argmax(axis=1)
-    rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal(kernel.size) + 1j * rng.standard_normal(kernel.size)
-    coeff /= np.linalg.norm(coeff)
-    pattern_coeff = np.zeros(math.prod(qdims), dtype=complex)
-    pattern_coeff[kernel] = coeff
-    terms = (weyl_term(np.unravel_index(u, qdims), layout.dims) for u in kernel)
-    return pattern_coeff.reshape(qdims), sum(c * t for c, t in zip(coeff, terms))
-
-
-class TestSpotCheckGenerators:
-    @pytest.mark.parametrize(
-        "layout",
-        [BIP, single_party_layout(), switch_layout(), QUTRIT_322],
-        ids=["bipartite", "single-party", "switch", "qutrit-322"],
-    )
-    def test_contracted_generator_is_the_term_sum(self, layout):
-        for seed in range(3):
-            coeff, want = sample_generator(layout, seed)
-            assert max_norm(_weyl_sum(coeff, layout.dims) - want) <= 1e-13
-
-    @pytest.mark.parametrize(
-        "layout", [BIP, switch_layout(), QUTRIT_322],
-        ids=["bipartite", "switch", "qutrit-322"],
-    )
-    def test_propagators_match_expm(self, layout):
-        lams = (0.3, 1.0)
-        for seed in range(3):
-            _, half = sample_generator(layout, seed)
-            h = half + half.conj().T
-            for lam, u in zip(lams, _propagators(h, lams)):
-                assert max_norm(u - scipy.linalg.expm(-1j * lam * h)) <= 1e-12
-                assert max_norm(u @ u.conj().T - np.eye(layout.dim)) <= 1e-13
 
 
 class TestConjugationVerdicts:
