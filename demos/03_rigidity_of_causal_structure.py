@@ -37,7 +37,7 @@ print(
 )
 
 kernel = generator_kernel(layout)
-print("kernel dimension:", kernel.shape[0])
+print("kernel dimension:", len(kernel))
 print("single-body patterns:", len(single_body_patterns(layout)))
 
 report = verify_rigidity(layout)
@@ -49,14 +49,14 @@ print("  span in kernel residual:", f"{report.span_in_kernel_residual:.2e}")
 print("single party kernel:", verify_rigidity(single_party_layout()).kernel_dim)
 
 # flow a process along a kernel direction and watch validity survive; each
-# kernel row marks one Weyl pattern, and a Weyl term such as XZ = -iY need
-# not be Hermitian, so H is a random combination plus its adjoint
+# kernel entry is the flat index of one Weyl pattern, and a Weyl term such as
+# XZ = -iY need not be Hermitian, so H is a random combination plus its adjoint
 rng = np.random.default_rng(5)
-h_coeffs = rng.standard_normal(kernel.shape[0])
+h_coeffs = rng.standard_normal(len(kernel))
 qdims = tuple(d * d for d in layout.dims)
 half = sum(
     c * weyl_term(np.unravel_index(u, qdims), layout.dims)
-    for c, u in zip(h_coeffs, kernel.argmax(axis=1))
+    for c, u in zip(h_coeffs, kernel)
 )
 h = half + half.conj().T
 w = w_ocb()

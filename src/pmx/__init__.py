@@ -11,7 +11,6 @@ from .operator_core import (
     Party,
     SpaceLayout,
     partial_trace,
-    permute_factors,
     tensor,
 )
 from .process_space import (
@@ -25,7 +24,6 @@ from .process_space import (
     bipartite_qubit_layout,
     born_probabilities,
     causal_order_flags,
-    cj_of_map,
     cj_of_unitary,
     classify_term,
     comb_order_satisfied,
@@ -33,7 +31,6 @@ from .process_space import (
     extended_switch_layout,
     grandfather_instrument,
     memory_channel,
-    project_valid_matrix,
     quantum_switch,
     shared_state,
     single_party_layout,

@@ -75,21 +75,8 @@ class PmxDocument:
     factors: tuple[dict, ...]
     matrix: dict
 
-    @classmethod
-    def of_process(cls, w: ProcessMatrix) -> "PmxDocument":
-        flat = w.matrix.reshape(-1)
-        entries = list(
-            map(list, zip(map(repr, flat.real.tolist()), map(repr, flat.imag.tolist())))
-        )
-        matrix = {"dim": w.layout.dim, "entries": entries}
-        return cls(FORMAT_VERSION, _factor_records(w.layout), matrix)
-
     def to_json(self) -> str:
-        """``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.
-
-        For ``of_process(w)`` these are the bytes ``write_pmx`` writes; it
-        formats each distinct entry bit pattern once instead of each entry.
-        """
+        """``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline."""
         doc = {
             "format_version": self.format_version,
             "factors": list(self.factors),
@@ -200,8 +187,9 @@ def _entries_json(m: np.ndarray) -> str:
 
 
 def write_pmx(path: str, w: ProcessMatrix) -> None:
-    """Write the bytes of ``PmxDocument.of_process(w).to_json()``: the
-    document around a placeholder, with ``_entries_json`` in its place."""
+    """Write the ``to_json`` bytes of ``w``'s document, whose entries are
+    ``[repr(re), repr(im)]`` in row-major order: the document around a
+    placeholder, with ``_entries_json`` in its place."""
     matrix = {"dim": w.layout.dim, "entries": _ENTRIES_SLOT}
     text = PmxDocument(FORMAT_VERSION, _factor_records(w.layout), matrix).to_json()
     head, _, tail = text.rpartition(json.dumps(_ENTRIES_SLOT))

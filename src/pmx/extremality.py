@@ -55,30 +55,20 @@ __all__ = [
     "is_extremal",
     "non_reachability_report",
     "support_intersection_dim",
-    "support_rank",
 ]
 
 SUPPORT_TOL = 1e-9
 
 
-def _support(m: np.ndarray, threshold: float = SUPPORT_TOL) -> tuple[np.ndarray, float]:
+def _support(m: np.ndarray) -> tuple[np.ndarray, float]:
     """Support vectors, and the distance of the nearest eigenvalue from the cut.
 
-    An eigenvalue belongs to the support when it exceeds ``threshold`` times
-    the largest one; the distance is ``min_i |lambda_i - cut|``.
+    An eigenvalue belongs to the support when it exceeds ``SUPPORT_TOL``
+    times the largest one; the distance is ``min_i |lambda_i - cut|``.
     """
     vals, vecs = np.linalg.eigh(m)
-    cut = threshold * max(vals.max(), 0.0)
+    cut = SUPPORT_TOL * max(vals.max(), 0.0)
     return vecs[:, vals > cut], float(np.abs(vals - cut).min())
-
-
-def _support_vectors(m: np.ndarray, threshold: float = SUPPORT_TOL) -> np.ndarray:
-    return _support(m, threshold)[0]
-
-
-def support_rank(w: ProcessMatrix, threshold: float = SUPPORT_TOL) -> int:
-    """Number of eigenvalues above ``threshold`` times the largest."""
-    return _support_vectors(w.matrix, threshold).shape[1]
 
 
 def _term_spectrum(
@@ -232,7 +222,7 @@ def dariano_test(w: ProcessMatrix, direction: str = "a_to_b") -> DarianoReport:
     elsewhere[[f_in, f_out]] = False
     in_d = touched[:, s_in] | (touched[:, f_in] & ~touched[:, elsewhere].any(axis=1))
 
-    vecs = _support_vectors(w.matrix)
+    vecs, _ = _support(w.matrix)
     support_card = vecs.shape[1] ** 2
     order_card = int(in_d.sum())
     nu = _term_spectrum(vecs, layout.dims, digits[in_d])

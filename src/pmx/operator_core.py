@@ -36,7 +36,6 @@ __all__ = [
     "SpaceLayout",
     "tensor",
     "partial_trace",
-    "permute_factors",
     "PaddedOperator",
     "max_norm",
     "is_hermitian",
@@ -152,12 +151,6 @@ class SpaceLayout:
                 return p
         raise KeyError(f"no party named {name!r}")
 
-    def factor_index(self, label: str) -> int:
-        for k, f in enumerate(self.factors):
-            if f.label == label:
-                return k
-        raise KeyError(f"no factor labelled {label!r}")
-
 
 def _as_dims(dims: "Sequence[int] | SpaceLayout") -> tuple[int, ...]:
     if isinstance(dims, SpaceLayout):
@@ -209,21 +202,6 @@ def partial_trace(
     rest = [d for k, d in enumerate(dims) if k not in traced_set]
     d_rest = math.prod(rest) if rest else 1
     return t.reshape(d_rest, d_rest)
-
-
-def permute_factors(
-    m: np.ndarray,
-    dims: "Sequence[int] | SpaceLayout",
-    perm: Sequence[int],
-) -> np.ndarray:
-    """Reorder tensor factors so result factor ``j`` is input factor ``perm[j]``."""
-    dims = _as_dims(dims)
-    d = _check_square(m, dims)
-    n = len(dims)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"perm {perm!r} is not a permutation of 0..{n - 1}")
-    axes = list(perm) + [p + n for p in perm]
-    return m.reshape(dims + dims).transpose(axes).reshape(d, d)
 
 
 def _diagonal(t: np.ndarray, pos: Sequence[int]) -> np.ndarray:

@@ -57,6 +57,9 @@ from .operator_core import (
 
 TermPattern = tuple[int, ...]
 
+# comb_order_satisfied's tolerance, relative to the operator's max-norm
+COMB_TOL = 1e-12
+
 __all__ = [
     "TermClass",
     "CausalOrderFlag",
@@ -71,12 +74,9 @@ __all__ = [
     "extended_switch_layout",
     "classify_term",
     "allowed_mask",
-    "project_valid_matrix",
     "forbidden_part",
     "validate",
     "born_probabilities",
-    "cj_of_map",
-    "superop_of_unitary",
     "cj_of_unitary",
     "shared_state",
     "memory_channel",
@@ -472,17 +472,6 @@ def _storage_order(level: HierarchyLevel, offset: int = 0) -> tuple[int, ...]:
     return tuple(order + [f for f in rest if f not in order])
 
 
-def project_valid_matrix(m: np.ndarray, layout: SpaceLayout) -> np.ndarray:
-    """Projector onto the span of allowed terms, applied to a bare matrix.
-
-    Computed as ``M - Q_L(M)`` (see :func:`forbidden_part`).  It agrees
-    with zeroing the coefficients of the forbidden terms (``allowed_mask``),
-    the term-level definition, for any factor dimensions.
-    """
-    level = HierarchyLevel.process(layout)
-    return m - forbidden_part(PaddedOperator.of_matrix(m, layout), level).dense()
-
-
 def _lowest_eigenvalue(op: PaddedOperator) -> float:
     """Lowest eigenvalue of ``g (x) 1_R``, which is that of ``g``.
 
@@ -616,7 +605,7 @@ def _absorb(
     positions ``factors``, and ``stack`` has shape ``(K, d_X, d_X)`` with each
     ``C_k`` on those factors in the listed order.  ``1 (x) C_k`` is never
     formed, and ``w`` goes into one ``np.tensordot`` as it is, with no
-    ``permute_factors`` pass before it.  Entrywise,
+    reordering of its factors before it.  Entrywise,
 
         Tr_X(C W)[r, r'] = sum_{x, y} C[x, y] W[(r, y), (r', x)],
 
@@ -690,30 +679,19 @@ def born_probabilities(
 # ---------------------------------------------------------------------------
 
 
-def cj_of_map(smat: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
-    """CJ operator of a linear map given as a superoperator matrix.
-
-    ``smat`` has shape ``(d_out**2, d_in**2)`` and acts on row-major
-    vectorized operators: ``vec(N(X)) = smat @ vec(X)``.
-    """
-    smat = np.asarray(smat, dtype=complex)
-    if smat.shape != (d_out * d_out, d_in * d_in):
-        raise ValueError(
-            f"superoperator shape {smat.shape}, expected {(d_out**2, d_in**2)}"
-        )
-    s4 = smat.reshape(d_out, d_out, d_in, d_in)
-    return s4.transpose(2, 0, 3, 1).reshape(d_in * d_out, d_in * d_out)
-
-
-def superop_of_unitary(u: np.ndarray) -> np.ndarray:
-    """Row-major superoperator of ``X -> U X U^dag``."""
-    return np.kron(u, u.conj())
-
-
 def cj_of_unitary(u: np.ndarray) -> np.ndarray:
-    """CJ operator of unitary conjugation, ``(1 (x) U)|1>><<1|(1 (x) U^dag)``."""
-    d = u.shape[0]
-    return cj_of_map(superop_of_unitary(u), d, d)
+    """CJ operator of unitary conjugation, ``(1 (x) U)|1>><<1|(1 (x) U^dag)``.
+
+    That is ``|v><v|`` with ``v = (1 (x) U)|1>>``, which in row-major
+    flattening is ``U^T`` read row by row.  The outer product is formed in
+    the input's dtype and then made complex, so a real ``U`` keeps the signs
+    of its zero products.
+    """
+    u = np.asarray(u)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"unitary must be a square matrix, got shape {u.shape}")
+    v = u.T.reshape(-1)
+    return np.outer(v, v.conj()).astype(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +816,7 @@ def _target_state(psi: np.ndarray | None, d: int) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.shape != (d,):
         raise ValueError(f"psi must have length {d}")
-    if abs(np.linalg.norm(psi) - 1.0) > DEFAULT_TOL:
+    if not abs(np.linalg.norm(psi) - 1.0) <= DEFAULT_TOL:
         raise ValueError("psi must be normalized")
     return psi
 
@@ -900,7 +878,7 @@ def switch_input_channel(
     control = np.asarray(control, dtype=complex).reshape(-1)
     if control.shape != (2,):
         raise ValueError("control must be a qubit state")
-    if abs(np.linalg.norm(control) - 1.0) > DEFAULT_TOL:
+    if not abs(np.linalg.norm(control) - 1.0) <= DEFAULT_TOL:
         raise ValueError("control must be normalized")
     abc, _ = switch_branch_vectors(psi, d)
     vec = np.kron(abc, control)
@@ -942,9 +920,7 @@ def extended_switch(psi: np.ndarray | None = None) -> ProcessMatrix:
 # ---------------------------------------------------------------------------
 
 
-def causal_order_flags(
-    w: ProcessMatrix, threshold: float = 1e-12
-) -> CausalOrderFlag:
+def causal_order_flags(w: ProcessMatrix) -> CausalOrderFlag:
     """Signalling structure between the first two parties of the layout.
 
     ``A_to_B`` iff the term support is compatible with the first party
@@ -965,8 +941,8 @@ def causal_order_flags(
             )
     a, b = parties[0].name, parties[1].name
     tail = [p.name for p in parties[2:]]
-    a_first = comb_order_satisfied(w, [a, b, *tail], threshold)
-    b_first = comb_order_satisfied(w, [b, a, *tail], threshold)
+    a_first = comb_order_satisfied(w, [a, b, *tail])
+    b_first = comb_order_satisfied(w, [b, a, *tail])
     if a_first and b_first:
         return CausalOrderFlag.NO_SIGNALLING
     if a_first:
@@ -976,9 +952,7 @@ def causal_order_flags(
     return CausalOrderFlag.NEITHER
 
 
-def comb_order_satisfied(
-    w: ProcessMatrix, order: Sequence[str], threshold: float = 1e-12
-) -> bool:
+def comb_order_satisfied(w: ProcessMatrix, order: Sequence[str]) -> bool:
     """Whether ``w`` is compatible with a fixed party order.
 
     For the order ``X_1 <= ... <= X_n`` (earlier parties act first), once
@@ -989,7 +963,7 @@ def comb_order_satisfied(
     from the last party to the first by partial traces alone.
 
     The check fails when some ``max_norm(X - D_{O_k}(X))`` exceeds
-    ``threshold * max(1, max_norm(W))``: the threshold is relative to the
+    ``COMB_TOL * max(1, max_norm(W))``: the tolerance is relative to the
     operator's max-norm.
     """
     layout = w.layout
@@ -997,7 +971,7 @@ def comb_order_satisfied(
     if sorted(order) != sorted(names):
         raise ValueError(f"order {order!r} must list the parties {names} exactly once")
     x = PaddedOperator.of_matrix(w.matrix, layout)
-    bound = threshold * max(1.0, x.max_norm())
+    bound = COMB_TOL * max(1.0, x.max_norm())
     for party in reversed([layout.party(name) for name in order]):
         if party.outputs:
             leak = x.alias()

@@ -88,10 +88,11 @@ def _orbit_labels(d: int) -> np.ndarray:
 def generator_kernel(layout: SpaceLayout) -> np.ndarray:
     """Weyl patterns of the traceless generators that keep validity.
 
-    Returns indicator rows of shape ``(kernel_dim, total_patterns)``, one per
-    kernel pattern in flat-index order, over the patterns of the per-factor
-    Weyl numbering (index 0 the identity; for qubits I, X, Y, Z).  The rows
-    are orthonormal and the decision is exact.
+    Returns the kernel patterns as sorted flat indices into the pattern
+    tensor of shape ``(d_0^2, ..., d_{n-1}^2)``, over the per-factor Weyl
+    numbering (index 0 the identity; for qubits I, X, Y, Z).  Each index
+    stands for one generator direction, so the kernel dimension is the
+    length, and the decision is exact.
 
     Pattern ``u`` is pinned by forbidden ``f`` when ``f - u`` is allowed and
     the commutation phase of ``u`` and ``f`` is nontrivial.  A symplectic map
@@ -141,14 +142,11 @@ def generator_kernel(layout: SpaceLayout) -> np.ndarray:
     orbit = np.ix_(*(np.searchsorted(rp, label) for rp, label in zip(reps, labels)))
     free = ~killed.reshape(tuple(len(rp) for rp in reps))[orbit].reshape(-1)
     free[0] = False  # the identity: generators are traceless
-    idx = np.flatnonzero(free)
-    out = np.zeros((idx.size, free.size))
-    out[np.arange(idx.size), idx] = 1.0
-    return out
+    return np.flatnonzero(free)
 
 
-def single_body_patterns(layout: SpaceLayout) -> list[tuple[int, ...]]:
-    """Patterns local to one party side, in flat-index order.
+def single_body_patterns(layout: SpaceLayout) -> np.ndarray:
+    """Patterns local to one party side, as sorted flat indices.
 
     A party side is one party's joint inputs or its joint outputs; a pattern
     is local to it when it is nontrivial on some factor of that side and on
@@ -162,16 +160,16 @@ def single_body_patterns(layout: SpaceLayout) -> list[tuple[int, ...]]:
         inside = np.zeros(len(qdims), dtype=bool)
         inside[list(side)] = True
         local |= touched[:, inside].any(axis=1) & ~touched[:, ~inside].any(axis=1)
-    return list(map(tuple, digits[local].tolist()))
+    return np.flatnonzero(local)
 
 
 @dataclass(frozen=True)
 class RigidityReport:
     """Outcome of comparing the generator kernel with the single-body span.
 
-    Both spans have indicator bases over patterns, so each residual is the
-    largest distance of one basis element from the other span: exactly 0
-    when its pattern set lies inside the other and 1 otherwise.
+    Both spans have a basis of Weyl patterns, so each residual is the
+    largest distance of one pattern from the other span: exactly 0 when its
+    pattern set lies inside the other and 1 otherwise.
     """
 
     kernel_dim: int
@@ -204,9 +202,8 @@ def verify_rigidity(layout: SpaceLayout) -> RigidityReport:
     ``V`` into itself.  That conjugation keeps positivity and trace as well,
     so every kernel flow keeps every valid process valid at every ``lam``.
     """
-    kernel = set(generator_kernel(layout).argmax(axis=1).tolist())
-    qdims = tuple(d * d for d in layout.dims)
-    sb = {int(np.ravel_multi_index(p, qdims)) for p in single_body_patterns(layout)}
+    kernel = set(generator_kernel(layout).tolist())
+    sb = set(single_body_patterns(layout).tolist())
     return RigidityReport(
         kernel_dim=len(kernel),
         single_body_dim=len(sb),

@@ -342,9 +342,9 @@ def interpolation_map(w_tilde: ProcessMatrix, p: float) -> Supermap:
 def unitary_supermap(u: np.ndarray, layout: SpaceLayout, label: str = "") -> Supermap:
     """Conjugation supermap ``W -> U W U^dag`` with a rank-one CJ.
 
-    ``C = (1 (x) U)|1>><<1|(1 (x) U^dag)``; whether the result is a valid
-    supermap depends on whether ``U`` preserves the allowed span (see
-    :func:`validate_supermap`).
+    ``C = (1 (x) U)|1>><<1|(1 (x) U^dag)``, the ``cj_of_unitary`` of ``U``
+    held by its vector; whether the result is a valid supermap depends on
+    whether ``U`` preserves the allowed span (see :func:`validate_supermap`).
     """
     u = np.asarray(u, dtype=complex)
     d = layout.dim

@@ -27,7 +27,10 @@ row or column holds a nonzero entry; here every index is solved.  pmx
 classifies a term by looking it up in the allowed-term mask; here the term
 rule is a loop over the parties.  pmx counts a full-rank support's
 intersection with the allowed span as the number of allowed patterns; here
-it is read from the forbidden-term Gram at every rank.
+it is read from the forbidden-term Gram at every rank.  pmx writes the CJ of
+a unitary as the outer product of one vector; here it comes from the
+superoperator matrix.  pmx writes a PMX file by formatting each distinct
+entry once; here every entry is formatted on its own.
 """
 
 from __future__ import annotations
@@ -42,17 +45,18 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
+from pmx.cli import FORMAT_VERSION, PmxDocument, _factor_records
 from pmx.operator_core import (
     DEFAULT_TOL,
     PaddedOperator,
     SpaceLayout,
     _as_dims,
+    _check_square,
     is_hermitian,
     partial_trace,
-    permute_factors,
     tensor,
 )
-from pmx.extremality import _party_factor_positions, _support_vectors, _term_spectrum
+from pmx.extremality import _party_factor_positions, _support, _term_spectrum
 from pmx.hs_algebra import pattern_digits
 from pmx.process_space import (
     HierarchyLevel,
@@ -61,7 +65,6 @@ from pmx.process_space import (
     TermClass,
     TermPattern,
     allowed_mask,
-    cj_of_map,
     validate,
 )
 
@@ -482,6 +485,37 @@ def permuted_reduction(
 # ---------------------------------------------------------------------------
 
 
+def permute_factors(
+    m: np.ndarray,
+    dims: "Sequence[int] | SpaceLayout",
+    perm: Sequence[int],
+) -> np.ndarray:
+    """Reorder tensor factors so result factor ``j`` is input factor ``perm[j]``."""
+    dims = _as_dims(dims)
+    d = _check_square(m, dims)
+    n = len(dims)
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"perm {perm!r} is not a permutation of 0..{n - 1}")
+    axes = list(perm) + [p + n for p in perm]
+    return m.reshape(dims + dims).transpose(axes).reshape(d, d)
+
+
+def cj_of_map(smat: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    """CJ operator of a linear map given as a superoperator matrix.
+
+    ``smat`` has shape ``(d_out**2, d_in**2)`` and acts on row-major
+    vectorized operators: ``vec(N(X)) = smat @ vec(X)``.  The superoperator
+    of ``X -> U X U^dag`` is ``np.kron(U, U.conj())``.
+    """
+    smat = np.asarray(smat, dtype=complex)
+    if smat.shape != (d_out * d_out, d_in * d_in):
+        raise ValueError(
+            f"superoperator shape {smat.shape}, expected {(d_out**2, d_in**2)}"
+        )
+    s4 = smat.reshape(d_out, d_out, d_in, d_in)
+    return s4.transpose(2, 0, 3, 1).reshape(d_in * d_out, d_in * d_out)
+
+
 def kron_padded(
     core: np.ndarray, facs: Sequence[int], layout: SpaceLayout
 ) -> np.ndarray:
@@ -802,7 +836,7 @@ class SubspacePair:
 def subspace_pair(w: ProcessMatrix) -> SubspacePair:
     """Materialize both projectors on the vectorized operator space."""
     layout = w.layout
-    pi = _support_vectors(w.matrix)
+    pi = _support(w.matrix)[0]
     pi = pi @ pi.conj().T
     terms = term_stack(layout)
     mapped = np.matmul(np.matmul(pi, terms), pi)
@@ -845,7 +879,7 @@ def svd_dariano_rank(w: ProcessMatrix, direction: str = "a_to_b") -> tuple[int, 
             row[np.ravel_multi_index(pat, qdims)] = 1.0
             d_rows.append(row)
     c_rows = _coefficient_rows(
-        _support_operator_basis(_support_vectors(w.matrix)), w.layout
+        _support_operator_basis(_support(w.matrix)[0]), w.layout
     )
     stacked = np.vstack([c_rows, *d_rows])
     svals = np.linalg.svd(stacked, compute_uv=False)
@@ -867,7 +901,7 @@ def averaged_projector_intersection_dim(w: ProcessMatrix, tol: float = 1e-8) -> 
     if not validate(w).valid:
         raise ValueError("support_intersection_dim needs a valid process")
     rows = _coefficient_rows(
-        _support_operator_basis(_support_vectors(w.matrix)), w.layout
+        _support_operator_basis(_support(w.matrix)[0]), w.layout
     )
     masked = rows[:, allowed_mask(w.layout).reshape(-1)]
     avg = (np.eye(rows.shape[0]) + masked @ masked.T) / 2
@@ -884,7 +918,7 @@ def gram_intersection(w: ProcessMatrix, tol: float = 1e-8) -> tuple[int, int, fl
     """
     if not validate(w).valid:
         raise ValueError("support_intersection_dim needs a valid process")
-    vecs = _support_vectors(w.matrix)
+    vecs = _support(w.matrix)[0]
     r = vecs.shape[1]
     layout = w.layout
     qdims = tuple(d * d for d in layout.dims)
@@ -893,3 +927,18 @@ def gram_intersection(w: ProcessMatrix, tol: float = 1e-8) -> tuple[int, int, fl
     above = mu[mu > 2 * tol]
     margin = float(above.min() - 2 * tol) if above.size else math.inf
     return r * r - above.size, r, margin
+
+
+# ---------------------------------------------------------------------------
+# the PMX document entry by entry
+# ---------------------------------------------------------------------------
+
+
+def pmx_document(w: ProcessMatrix) -> PmxDocument:
+    """The PMX document of ``w``, formatting every entry on its own."""
+    flat = w.matrix.reshape(-1)
+    entries = list(
+        map(list, zip(map(repr, flat.real.tolist()), map(repr, flat.imag.tolist())))
+    )
+    matrix = {"dim": w.layout.dim, "entries": entries}
+    return PmxDocument(FORMAT_VERSION, _factor_records(w.layout), matrix)

@@ -26,7 +26,6 @@ from pmx.process_space import (
     extended_switch_layout,
     grandfather_instrument,
     memory_channel,
-    project_valid_matrix,
     quantum_switch,
     shared_state,
     single_party_layout,
@@ -67,7 +66,9 @@ def random_hermitian(rng, d):
 
 
 def random_valid_process(rng, layout):
-    x = project_valid_matrix(random_hermitian(rng, layout.dim), layout)
+    x = hierarchy_projector(HierarchyLevel.process(layout))(
+        random_hermitian(rng, layout.dim)
+    )
     lo = float(np.linalg.eigvalsh(x)[0])
     x = x + (abs(lo) + 0.1) * np.eye(layout.dim)
     return ProcessMatrix(layout, x * (layout.d_out / np.trace(x).real))
@@ -133,8 +134,9 @@ def test_criterion_3_projector_closed_form_agreement():
     mask = allowed_mask(BIP).reshape(-1)
     worst_gap = 0.0
     worst_coeff = 0.0
+    project = hierarchy_projector(HierarchyLevel.process(BIP))
     for u, t in enumerate(terms):
-        via_rule = project_valid_matrix(t, BIP)
+        via_rule = project(t)
         via_form = project_valid_closed_form(t, BIP)
         worst_gap = max(worst_gap, max_norm(via_rule - via_form))
         # the projector is diagonal on product terms, so the image is

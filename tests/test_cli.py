@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import pmx_document
 from pmx.cli import PmxDocument, PmxFormatError, load_pmx, main, write_pmx
 from pmx.process_space import (
     ProcessMatrix,
@@ -35,8 +36,8 @@ def run(capsys, *argv):
 
 
 def of_process_json(w):
-    """The stdlib encoding of the ``of_process`` document."""
-    image = PmxDocument.of_process(w)
+    """The stdlib encoding of the entry-by-entry document of ``w``."""
+    image = pmx_document(w)
     doc = {
         "format_version": image.format_version,
         "factors": list(image.factors),
@@ -117,7 +118,7 @@ class TestRoundTrip:
         w = extended_switch()
         path = tmp_path / "w.pmx"
         write_pmx(str(path), w)
-        doc = PmxDocument.of_process(w)
+        doc = pmx_document(w)
         expected = json.dumps(
             {
                 "format_version": doc.format_version,

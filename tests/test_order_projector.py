@@ -39,7 +39,6 @@ from pmx.process_space import (
     allowed_mask,
     comb_order_satisfied,
     forbidden_part,
-    project_valid_matrix,
     single_party_layout,
     validate,
 )
@@ -105,7 +104,8 @@ def test_level1_projector_matches_mask(layout, seed):
     m = random_hermitian(rng, layout.dim)
     want = mask_projector(m, layout.dims, allowed_mask(layout))
     scale = max(1.0, max_norm(m))
-    assert max_norm(project_valid_matrix(m, layout) - want) <= 1e-12 * scale
+    project = hierarchy_projector(HierarchyLevel.process(layout))
+    assert max_norm(project(m) - want) <= 1e-12 * scale
     # validate's subspace residual is the max-norm of the forbidden part
     resid = validate(ProcessMatrix(layout, m)).subspace.residual
     assert abs(resid - max_norm(m - want)) <= 1e-12 * scale
@@ -244,7 +244,8 @@ def test_mixed_layout_projector_matches_mask():
     rng = np.random.default_rng(11)
     m = random_hermitian(rng, MIXED.dim)
     want = mask_projector(m, MIXED.dims, allowed_mask(MIXED))
-    assert max_norm(project_valid_matrix(m, MIXED) - want) <= 1e-12 * max_norm(m)
+    project = hierarchy_projector(HierarchyLevel.process(MIXED))
+    assert max_norm(project(m) - want) <= 1e-12 * max_norm(m)
 
 
 def test_level3_projector_matches_mask():
@@ -269,7 +270,7 @@ def test_projector_leaves_its_input_untouched():
     rng = np.random.default_rng(2)
     m = random_hermitian(rng, MIXED.dim)
     keep = m.copy()
-    project_valid_matrix(m, MIXED)
+    hierarchy_projector(HierarchyLevel.process(MIXED))(m)
     m.setflags(write=False)
     validate(ProcessMatrix(MIXED, m))
     assert np.array_equal(m, keep)
@@ -334,8 +335,8 @@ def normalized_psd(m, layout):
 
 
 def random_valid(rng, layout):
-    m = project_valid_matrix(random_hermitian(rng, layout.dim), layout)
-    return normalized_psd(m, layout)
+    project = hierarchy_projector(HierarchyLevel.process(layout))
+    return normalized_psd(project(random_hermitian(rng, layout.dim)), layout)
 
 
 def random_ordered(rng, layout, order):
@@ -423,7 +424,8 @@ def test_validate_is_invariant_under_local_unitaries(layout, seed):
     # process, and one with a negative eigenvalue and a wrong trace
     rng = np.random.default_rng(seed)
     u = tensor(*(random_unitary(rng, d) for d in layout.dims))
-    span = project_valid_matrix(random_hermitian(rng, layout.dim), layout)
+    project = hierarchy_projector(HierarchyLevel.process(layout))
+    span = project(random_hermitian(rng, layout.dim))
     for w in (random_valid(rng, layout), ProcessMatrix(layout, span)):
         before = validate(w)
         after = validate(ProcessMatrix(layout, u @ w.matrix @ u.conj().T))

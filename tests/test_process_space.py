@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    cj_of_map,
     enumerate_patterns,
     full_lowest_eigenvalue,
     hs_decompose,
@@ -40,30 +41,29 @@ from pmx.process_space import (
     bipartite_qubit_layout,
     born_probabilities,
     causal_order_flags,
-    cj_of_map,
     cj_of_unitary,
     classify_term,
     comb_order_satisfied,
     extended_switch,
     grandfather_instrument,
     memory_channel,
-    project_valid_matrix,
     quantum_switch,
     shared_state,
     single_party_layout,
-    superop_of_unitary,
     switch_branch_vectors,
+    switch_input_channel,
     switch_layout,
     validate,
     w_ll,
     w_ocb,
 )
-from pmx.supermaps import apply, instrument_reduction
-from test_order_projector import layouts
+from pmx.supermaps import apply, hierarchy_projector, instrument_reduction
+from test_order_projector import layouts, random_unitary
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 BIPARTITE = bipartite_qubit_layout()
+PROJECT_BIPARTITE = hierarchy_projector(HierarchyLevel.process(BIPARTITE))
 
 
 def random_hermitian(rng, d):
@@ -171,7 +171,7 @@ def test_projector_closed_form_equivalence_all_terms():
     product terms, with coefficients exactly 0 or 1."""
     for pattern in enumerate_patterns(BIPARTITE):
         sigma = product_term(pattern, BIPARTITE)
-        by_rule = project_valid_matrix(sigma, BIPARTITE)
+        by_rule = PROJECT_BIPARTITE(sigma)
         by_form = project_valid_closed_form(sigma, BIPARTITE)
         np.testing.assert_allclose(by_rule, by_form, atol=1e-12)
         keep = 1.0 if classify_term(pattern, BIPARTITE) is TermClass.ALLOWED else 0.0
@@ -181,26 +181,27 @@ def test_projector_closed_form_equivalence_all_terms():
 def test_projector_idempotent_on_random_input():
     rng = np.random.default_rng(21)
     m = random_hermitian(rng, 16)
-    once = project_valid_matrix(m, BIPARTITE)
-    twice = project_valid_matrix(once, BIPARTITE)
+    once = PROJECT_BIPARTITE(m)
+    twice = PROJECT_BIPARTITE(once)
     np.testing.assert_allclose(twice, once, atol=1e-10)
 
 
 def test_projector_fixes_identity_and_kills_loops():
     np.testing.assert_allclose(
-        project_valid_matrix(0.25 * np.eye(16), BIPARTITE), 0.25 * np.eye(16)
+        PROJECT_BIPARTITE(0.25 * np.eye(16)), 0.25 * np.eye(16)
     )
     loop = product_term((3, 3, 3, 3), BIPARTITE)
     np.testing.assert_allclose(
-        project_valid_matrix(loop, BIPARTITE), np.zeros((16, 16)), atol=1e-12
+        PROJECT_BIPARTITE(loop), np.zeros((16, 16)), atol=1e-12
     )
 
 
 def test_project_valid_wrapper_fixed_point():
     w = w_ocb()
-    fixed = project_valid_matrix(w.matrix, w.layout)
+    project = hierarchy_projector(HierarchyLevel.process(w.layout))
+    fixed = project(w.matrix)
     np.testing.assert_allclose(fixed, w.matrix, atol=1e-12)
-    np.testing.assert_allclose(project_valid_matrix(fixed, w.layout), fixed, atol=1e-12)
+    np.testing.assert_allclose(project(fixed), fixed, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +415,37 @@ def test_cj_of_bit_flip():
     np.testing.assert_allclose(c, expected)
 
 
+def sweep_rotation(lam):
+    return np.array([[math.cos(lam), -math.sin(lam)], [math.sin(lam), math.cos(lam)]])
+
+
+def cj_cases():
+    """The sweep's rotations, the identity, the flip, random complex unitaries."""
+    lams = (0.0, 0.3, math.pi / 4, 1.1, math.pi / 2)
+    cases = [sweep_rotation(lam) for lam in lams]
+    cases += [np.eye(2), np.array([[0, 1], [1, 0]]), SX]
+    rng = np.random.default_rng(61)
+    return cases + [random_unitary(rng, d) for d in (2, 3, 4) for _ in range(5)]
+
+
+@pytest.mark.parametrize("u", cj_cases())
+def test_cj_of_unitary_is_bit_identical_to_the_superoperator_route(u):
+    d = u.shape[0]
+    want = cj_of_map(np.kron(u, u.conj()), d, d)
+    got = cj_of_unitary(u)
+    assert got.dtype == want.dtype == complex
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_cj_of_unitary_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match="square"):
+        cj_of_unitary(np.ones((2, 3)))
+
+
 def test_cj_of_depolarizing():
     """Averaging the four Pauli conjugations gives C = 1/2 on two qubits."""
     paulis = [np.eye(2, dtype=complex), SX, np.array([[0, -1j], [1j, 0]]), SZ]
-    smat = sum(superop_of_unitary(p) for p in paulis) / 4.0
+    smat = sum(np.kron(p, p.conj()) for p in paulis) / 4.0
     np.testing.assert_allclose(cj_of_map(smat, 2, 2), np.eye(4) / 2, atol=1e-12)
 
 
@@ -490,9 +518,10 @@ def test_projected_matrices_normalize_probabilities():
     the tripartite switch layout even without positivity."""
     rng = np.random.default_rng(47)
     lay = switch_layout()
+    project = hierarchy_projector(HierarchyLevel.process(lay))
     for _ in range(10):
         g = random_hermitian(rng, lay.dim)
-        m = project_valid_matrix(g, lay)
+        m = project(g)
         m = m + np.eye(lay.dim) * 0.01  # keep trace nonzero, stay in span
         m = m * (lay.d_out / np.trace(m).real)
         w = ProcessMatrix(lay, m)
@@ -730,6 +759,16 @@ def test_switch_with_general_target_state():
     assert validate(s).valid
     with pytest.raises(ValueError):
         quantum_switch(np.array([1.0, 1.0]))  # unnormalized
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_amplitudes_are_refused_as_unnormalized(bad):
+    with pytest.raises(ValueError, match="psi must be normalized"):
+        quantum_switch(np.array([bad, 1.0]))
+    with pytest.raises(ValueError, match="psi must be normalized"):
+        extended_switch(np.array([bad, 1.0]))
+    with pytest.raises(ValueError, match="control must be normalized"):
+        switch_input_channel(control=np.array([bad, 1.0]))
 
 
 def test_extended_switch_valid_trace_8():

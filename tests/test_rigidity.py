@@ -27,13 +27,13 @@ import pmx.rigidity
 from pmx.hs_algebra import pattern_digits, weyl_exponents, weyl_term
 from pmx.operator_core import SpaceLayout, max_norm
 from pmx.process_space import (
+    HierarchyLevel,
     ProcessMatrix,
     allowed_mask,
     bipartite_qubit_layout,
     cj_of_unitary,
     extended_switch_layout,
     memory_channel,
-    project_valid_matrix,
     quantum_switch,
     shared_state,
     single_party_layout,
@@ -47,6 +47,7 @@ from pmx.rigidity import (
     single_body_patterns,
     verify_rigidity,
 )
+from pmx.supermaps import hierarchy_projector
 
 BIP = bipartite_qubit_layout()
 
@@ -176,13 +177,20 @@ def bip_kernel():
     return cached_kernel(BIP)
 
 
+@pytest.fixture(scope="module")
+def bip_kernel_rows(bip_kernel):
+    return indicator_rows(bip_kernel, BIP)
+
+
 def random_hermitian(rng, d):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return g + g.conj().T
 
 
 def random_valid_process(rng, layout):
-    x = project_valid_matrix(random_hermitian(rng, layout.dim), layout)
+    x = hierarchy_projector(HierarchyLevel.process(layout))(
+        random_hermitian(rng, layout.dim)
+    )
     lo = float(np.linalg.eigvalsh(x)[0])
     x = x + (abs(lo) + 0.1) * np.eye(layout.dim)
     w = ProcessMatrix(layout, x * (layout.d_out / np.trace(x).real))
@@ -190,12 +198,15 @@ def random_valid_process(rng, layout):
     return w
 
 
-def indicator_basis(patterns, layout):
-    qdims = tuple(d * d for d in layout.dims)
-    out = np.zeros((len(patterns), int(np.prod(qdims))))
-    for k, pat in enumerate(patterns):
-        out[k, np.ravel_multi_index(pat, qdims)] = 1.0
+def indicator_rows(flat, layout):
+    """One orthonormal row per flat pattern index, over all patterns."""
+    out = np.zeros((len(flat), math.prod(d * d for d in layout.dims)))
+    out[np.arange(len(flat)), flat] = 1.0
     return out
+
+
+def flat_index(pattern, layout):
+    return int(np.ravel_multi_index(pattern, tuple(d * d for d in layout.dims)))
 
 
 # the layouts whose kernel flows are conjugated numerically
@@ -238,7 +249,7 @@ def kernel_generator(rng, layout):
     is a random complex combination plus its adjoint.
     """
     qdims = tuple(d * d for d in layout.dims)
-    kernel = cached_kernel(layout).argmax(axis=1)
+    kernel = cached_kernel(layout)
     coeff = rng.standard_normal(kernel.size) + 1j * rng.standard_normal(kernel.size)
     half = sum(
         c * weyl_term(np.unravel_index(u, qdims), layout.dims)
@@ -362,7 +373,7 @@ def weyl_kernel_in_gell_mann(layout):
     """Real Gell-Mann coefficients of the Hermitian parts of the kernel terms."""
     qdims = tuple(d * d for d in layout.dims)
     out = []
-    for u in np.flatnonzero(generator_kernel(layout).any(axis=0)):
+    for u in generator_kernel(layout):
         w = weyl_term(tuple(np.unravel_index(u, qdims)), layout.dims)
         for h in (w + w.conj().T, 1j * (w - w.conj().T)):
             c = coefficient_tensor(h, layout).reshape(-1)
@@ -385,7 +396,7 @@ class TestExactKernelAgainstSvdOracle:
         "layout", list(CROSS_CHECK_LAYOUTS.values()), ids=list(CROSS_CHECK_LAYOUTS)
     )
     def test_dimension_and_span_match_oracle(self, layout):
-        exact = cached_kernel(layout)
+        exact = indicator_rows(cached_kernel(layout), layout)
         oracle = cached_svd_kernel(layout)
         assert exact.shape[0] == oracle.shape[0]
         # the Weyl kernel's Hermitian operators span the oracle's kernel
@@ -404,10 +415,8 @@ class TestExactKernelAgainstSvdOracle:
         kernel = generator_kernel(layout)
         elapsed = time.perf_counter() - start
         patterns = single_body_patterns(layout)
-        assert kernel.shape[0] == len(patterns) == 33
-        qdims = tuple(d * d for d in layout.dims)
-        flat = [int(np.ravel_multi_index(p, qdims)) for p in patterns]
-        np.testing.assert_array_equal(np.flatnonzero(kernel.any(axis=0)), flat)
+        assert len(kernel) == len(patterns) == 33
+        np.testing.assert_array_equal(kernel, patterns)
         assert elapsed < 3.0
 
     def test_weyl_terms_commute_up_to_the_symplectic_phase(self):
@@ -431,29 +440,25 @@ class TestExactKernelAgainstSvdOracle:
 
 class TestGeneratorKernel:
     def test_bipartite_kernel_dimension(self, bip_kernel):
-        assert bip_kernel.shape[0] == 12
+        assert len(bip_kernel) == 12
 
     def test_kernel_rows_orthonormal_and_traceless(self, bip_kernel):
-        np.testing.assert_allclose(
-            bip_kernel @ bip_kernel.T, np.eye(12), atol=1e-12
-        )
-        assert np.abs(bip_kernel[:, 0]).max() == 0.0
+        # distinct indices are orthonormal rows; index 0 is the identity
+        assert bip_kernel.dtype.kind == "i"
+        assert np.all(np.diff(bip_kernel) > 0)
+        assert 0 not in bip_kernel
 
     def test_single_body_x_on_a_input_in_kernel(self, bip_kernel):
-        v = indicator_basis([(1, 0, 0, 0)], BIP)[0]
-        resid = v - bip_kernel.T @ (bip_kernel @ v)
-        assert np.linalg.norm(resid) <= 1e-9
+        assert flat_index((1, 0, 0, 0), BIP) in bip_kernel
 
     def test_two_body_zz_on_inputs_not_in_kernel(self, bip_kernel):
-        v = indicator_basis([(3, 3, 0, 0)], BIP)[0]
-        proj = bip_kernel.T @ (bip_kernel @ v)
-        assert np.linalg.norm(proj) <= 1e-9
+        assert flat_index((3, 3, 0, 0), BIP) not in bip_kernel
 
-    def test_kernel_commutators_stay_in_allowed_span(self, bip_system, bip_kernel):
+    def test_kernel_commutators_stay_in_allowed_span(self, bip_system, bip_kernel_rows):
         qdims = tuple(d * d for d in BIP.dims)
         gone = ~allowed_mask(BIP)[None]
         terms = np.stack([product_term(p, BIP) for p in bip_system.valid_terms])
-        for coeffs in bip_kernel:
+        for coeffs in bip_kernel_rows:
             h = from_coefficient_tensor(coeffs.reshape(qdims), BIP.dims)
             comm = np.matmul(h, terms) - np.matmul(terms, h)
             c = batch_coefficient_tensors(comm, BIP)
@@ -461,7 +466,7 @@ class TestGeneratorKernel:
             resid = batch_from_coefficient_tensors(np.where(gone, c, 0.0), BIP)
             assert np.abs(resid).max() <= 1e-9
 
-    def test_brute_force_svd_agrees(self, bip_system, bip_kernel):
+    def test_brute_force_svd_agrees(self, bip_system, bip_kernel_rows):
         # independent route: stack Tr(H [T, F]) rows from dense commutators
         forb = np.stack(
             [product_term(p, BIP) for p in bip_system.forbidden_terms]
@@ -481,32 +486,28 @@ class TestGeneratorKernel:
         brute = np.zeros((255 - rank, 256))
         brute[:, 1:] = vt[rank:]
         # mutual projection: same 12-dim subspace as generator_kernel
-        resid1 = brute - brute @ bip_kernel.T @ bip_kernel
-        resid2 = bip_kernel - bip_kernel @ brute.T @ brute
+        resid1 = brute - brute @ bip_kernel_rows.T @ bip_kernel_rows
+        resid2 = bip_kernel_rows - bip_kernel_rows @ brute.T @ brute
         assert np.linalg.norm(resid1, axis=1).max() <= 1e-8
         assert np.linalg.norm(resid2, axis=1).max() <= 1e-8
 
     def test_single_party_kernel_is_both_single_body_sets(self):
         layout = single_party_layout()
         kern = cached_kernel(layout)
-        assert kern.shape[0] == 6
-        sb = indicator_basis(single_body_patterns(layout), layout)
-        assert sb.shape[0] == 6
-        np.testing.assert_allclose(
-            sb - sb @ kern.T @ kern, np.zeros_like(sb), atol=1e-9
-        )
+        assert len(kern) == 6
+        np.testing.assert_array_equal(single_body_patterns(layout), kern)
 
     def test_tripartite_one_sink_kernel_dimension(self):
         kern = cached_kernel(TRIPARTITE_ONE_SINK)
-        assert kern.shape[0] == 15 == 3 * 5
+        assert len(kern) == 15 == 3 * 5
 
     def test_trivial_factor_contributes_nothing(self):
         layout = TRIVIAL_FACTOR
         kern = generator_kernel(layout)
-        assert kern.shape[0] == 3
+        assert len(kern) == 3
         assert len(single_body_patterns(layout)) == 3
 
-    def test_row_order_does_not_change_kernel(self, bip_system, bip_kernel):
+    def test_row_order_does_not_change_kernel(self, bip_system, bip_kernel_rows):
         rng = np.random.default_rng(11)
         perm = rng.permutation(bip_system.rows.shape[0])
         shuffled = bip_system.rows[perm]
@@ -514,8 +515,8 @@ class TestGeneratorKernel:
             bip_system, rows=shuffled.tocsr(), pairs=bip_system.pairs[perm]
         )
         kern2 = svd_generator_kernel(other)
-        assert kern2.shape == bip_kernel.shape
-        resid = bip_kernel - bip_kernel @ kern2.T @ kern2
+        assert kern2.shape == bip_kernel_rows.shape
+        resid = bip_kernel_rows - bip_kernel_rows @ kern2.T @ kern2
         assert np.linalg.norm(resid, axis=1).max() <= 1e-9
 
     def test_rebuild_is_deterministic(self, bip_system):
@@ -531,11 +532,12 @@ class TestSoundnessAndCompleteness:
         # exp(-i lam H) for H in the kernel keeps every process valid
         rng = np.random.default_rng(21)
         processes = reference_processes(layout)
+        project = hierarchy_projector(HierarchyLevel.process(layout))
         for _ in range(3):
             h = kernel_generator(rng, layout)
             for w in processes:
                 c = h @ w.matrix - w.matrix @ h
-                assert max_norm(project_valid_matrix(c, layout) - c) <= 1e-9
+                assert max_norm(project(c) - c) <= 1e-9
             for verdicts in flowed_verdicts(h, processes):
                 assert all(verdicts)
 
@@ -547,7 +549,7 @@ class TestSoundnessAndCompleteness:
         rng = np.random.default_rng(21)
         qdims = tuple(d * d for d in layout.dims)
         digits = pattern_digits(qdims)
-        kernel = set(cached_kernel(layout).argmax(axis=1).tolist())
+        kernel = set(cached_kernel(layout).tolist())
         two_body = np.flatnonzero((digits != 0).sum(axis=1) == 2)
         u = next(int(u) for u in two_body if u not in kernel)
         term = weyl_term(digits[u], layout.dims)
@@ -562,7 +564,7 @@ class TestSoundnessAndCompleteness:
     def test_kernel_dim_is_three_per_qubit_factor(self, layout):
         kern = cached_kernel(layout)
         expect = 3 * sum(1 for d in layout.dims if d == 2)
-        assert kern.shape[0] == expect
+        assert len(kern) == expect
 
 
 class TestVerifyRigidity:
@@ -607,20 +609,17 @@ class TestVerifyRigidity:
 
     def test_single_body_patterns_on_a_joint_input(self):
         patterns = single_body_patterns(TWO_INPUT_PARTY)
-        assert len(patterns) == len(set(patterns)) == 24
+        assert len(patterns) == 24
+        assert np.all(np.diff(patterns) > 0)
         # nontrivial on both of A's inputs, and on nothing else
-        assert (1, 2, 0, 0, 0) in patterns
-        assert (1, 0, 2, 0, 0) not in patterns
-        flat = [np.ravel_multi_index(p, (4,) * 5) for p in patterns]
-        assert flat == sorted(flat)
+        assert flat_index((1, 2, 0, 0, 0), TWO_INPUT_PARTY) in patterns
+        assert flat_index((1, 0, 2, 0, 0), TWO_INPUT_PARTY) not in patterns
 
     def test_single_body_patterns_match_kernel_on_qutrit_layouts(self):
         for layout in (QUTRIT_322, QUTRIT_33):
-            kern = cached_kernel(layout)
-            sb = indicator_basis(single_body_patterns(layout), layout)
-            assert kern.shape[0] == sb.shape[0]
-            resid = sb - sb @ kern.T @ kern
-            assert np.linalg.norm(resid, axis=1).max() <= 1e-9
+            np.testing.assert_array_equal(
+                single_body_patterns(layout), cached_kernel(layout)
+            )
 
 
 class TestConjugationVerdicts:
@@ -651,7 +650,7 @@ class TestConjugationVerdicts:
         qdims = tuple(d * d for d in BIP.dims)
         rng = np.random.default_rng(9)
         for _ in range(5):
-            coeffs = rng.standard_normal(12) @ kern
+            coeffs = rng.standard_normal(12) @ indicator_rows(kern, BIP)
             h = from_coefficient_tensor(coeffs.reshape(qdims), BIP.dims)
             for lam in (0.3, 1.0):
                 u = scipy.linalg.expm(-1j * lam * h)

@@ -10,6 +10,7 @@ from oracles import (
     dense_constant_cj,
     dense_interpolation_cj,
     from_coefficient_tensor,
+    permute_factors,
     permuted_reduction,
     product_term,
     superoperator_reduction_cj,
@@ -18,7 +19,6 @@ from pmx.operator_core import (
     SpaceLayout,
     max_norm,
     partial_trace,
-    permute_factors,
     tensor,
 )
 from pmx.process_space import (
@@ -31,7 +31,6 @@ from pmx.process_space import (
     extended_switch,
     extended_switch_layout,
     memory_channel,
-    project_valid_matrix,
     quantum_switch,
     shared_state,
     single_party_layout,
@@ -80,7 +79,8 @@ def random_unitary(rng, d):
 
 
 def random_valid_process(rng, layout, scale=1.0):
-    x = project_valid_matrix(random_hermitian(rng, layout.dim) * scale, layout)
+    project = hierarchy_projector(HierarchyLevel.process(layout))
+    x = project(random_hermitian(rng, layout.dim) * scale)
     lo = float(np.linalg.eigvalsh(x)[0])
     x = x + (abs(lo) + 0.1) * np.eye(layout.dim)
     w = ProcessMatrix(layout, x * (layout.d_out / np.trace(x).real))
@@ -145,7 +145,8 @@ def random_bad_supermap_cj(rng, l1, l2):
 
 
 def off_span_residual(w):
-    return max_norm(w.matrix - project_valid_matrix(w.matrix, w.layout))
+    project = hierarchy_projector(HierarchyLevel.process(w.layout))
+    return max_norm(w.matrix - project(w.matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +177,20 @@ def test_input_output_mixing_unitary_fails_span_condition():
     assert not r.valid
     assert r.positivity.passed and r.trace.passed
     assert not r.subspace.passed
+
+
+def test_unitary_supermap_cj_is_the_cj_of_its_unitary():
+    rng = np.random.default_rng(19)
+    perm = np.eye(BIP.dim).reshape((2,) * 8)
+    perm = perm.transpose(2, 1, 0, 3, 4, 5, 6, 7).reshape(BIP.dim, BIP.dim)
+    cases = [
+        (tensor(*(random_unitary(rng, 2) for _ in range(4))), BIP),
+        (random_unitary(rng, BIP.dim), BIP),
+        (perm, BIP),
+        (random_unitary(rng, 4), single_party_layout()),
+    ]
+    for u, layout in cases:
+        assert np.array_equal(unitary_supermap(u, layout).cj, cj_of_unitary(u))
 
 
 def test_unitary_supermap_rejects_non_unitary():
@@ -755,9 +770,10 @@ def test_trivial_first_slot_reduces_to_the_process_projector():
     )
     assert level.trace_constant == pytest.approx(BIP.d_out)
     proj = hierarchy_projector(level)
+    proj_bip = hierarchy_projector(HierarchyLevel.process(BIP))
     for _ in range(3):
         x = random_hermitian(rng, 16)
-        assert max_norm(proj(x) - project_valid_matrix(x, BIP)) <= 1e-12
+        assert max_norm(proj(x) - proj_bip(x)) <= 1e-12
     w = random_valid_process(rng, BIP)
     assert validate_order_n(w.matrix, level).valid
 
