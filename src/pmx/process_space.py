@@ -105,27 +105,77 @@ class CausalOrderFlag(enum.Enum):
     NEITHER = "neither"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ProcessMatrix:
     """A Hermitian operator on a layout's product space.
 
-    Hermiticity is enforced at construction (validity is not: invalid
-    matrices are representable so they can be diagnosed).  The stored array
-    is a read-only copy.
+    ``ProcessMatrix(layout, m)`` holds a dense matrix, and Hermiticity is
+    enforced at construction (validity is not: invalid matrices are
+    representable so they can be diagnosed).  The stored array is a
+    read-only copy.
+
+    A pure process ``|v><v|`` is held by its amplitude vector instead
+    (:meth:`of_vector`; ``quantum_switch``, ``switch_input_channel`` and
+    ``extended_switch`` return this form).  It is Hermitian by
+    representation, so construction checks only that ``v`` is finite.
+    ``vector`` is ``v`` (None for a dense process), and ``matrix`` is built
+    once, on its first read, as ``np.outer(v, v.conj())``.  ``validate``,
+    :func:`comb_order_satisfied` and the instrument reduction's action read
+    the vector and never build the matrix; PMX files, ``born_probabilities``
+    and the other readers of ``matrix`` build it.
     """
 
     layout: SpaceLayout
-    matrix: np.ndarray
+    _matrix: np.ndarray | None
+    _vector: np.ndarray | None
 
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)
-        d = self.layout.dim
+    def __init__(self, layout: SpaceLayout, matrix: np.ndarray) -> None:
+        m = np.array(matrix, dtype=complex)
+        d = layout.dim
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} does not match layout dim {d}")
         if not is_hermitian(m):
             raise ValueError("process matrix must be Hermitian")
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        self._hold(layout, m, None)
+
+    @classmethod
+    def of_vector(cls, layout: SpaceLayout, vector: np.ndarray) -> "ProcessMatrix":
+        """The pure process ``|v><v|``, held by a read-only copy of ``v``."""
+        v = np.array(vector, dtype=complex)
+        if v.shape != (layout.dim,):
+            raise ValueError(
+                f"vector shape {v.shape} does not match layout dim {layout.dim}"
+            )
+        # |v_i v_j| <= |v|^2, so a finite norm keeps every matrix entry finite;
+        # a matrix with a nan or inf entry is not Hermitian
+        if not math.isfinite(np.vdot(v, v).real):
+            raise ValueError("process matrix must be Hermitian")
+        v.setflags(write=False)
+        w = cls.__new__(cls)
+        w._hold(layout, None, v)
+        return w
+
+    def _hold(
+        self, layout: SpaceLayout, m: np.ndarray | None, v: np.ndarray | None
+    ) -> None:
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "_matrix", m)
+        object.__setattr__(self, "_vector", v)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The read-only dense matrix, built on first read for a vector."""
+        if self._matrix is None:
+            m = np.outer(self._vector, self._vector.conj())
+            m.setflags(write=False)
+            object.__setattr__(self, "_matrix", m)
+        return self._matrix
+
+    @property
+    def vector(self) -> np.ndarray | None:
+        """The amplitude vector of a process held by one, else None."""
+        return self._vector
 
     @property
     def dim(self) -> int:
@@ -585,9 +635,18 @@ def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidationReport:
     ``Q_L(W)``, see :func:`forbidden_part`).  Each tolerance is
     ``tol`` scaled by the relevant magnitude (trace for positivity, ``d_out``
     for the trace condition, the matrix max-norm for the subspace condition).
+    A process held by its vector enters as that vector, so its positivity
+    residual is exactly 0 by representation, with no eigensolve, and its
+    matrix is not built.
     """
-    op = PaddedOperator.of_matrix(w.matrix, w.layout)
-    return _validity_report([op], HierarchyLevel.process(w.layout), tol)
+    return _validity_report([_operator(w)], HierarchyLevel.process(w.layout), tol)
+
+
+def _operator(w: ProcessMatrix) -> PaddedOperator:
+    """``w`` as a :class:`PaddedOperator`, by its vector when it is held by one."""
+    if w.vector is not None:
+        return PaddedOperator.of_vector(w.vector, w.layout)
+    return PaddedOperator.of_matrix(w.matrix, w.layout)
 
 
 # ---------------------------------------------------------------------------
@@ -679,17 +738,24 @@ def born_probabilities(
 # ---------------------------------------------------------------------------
 
 
+def _check_unitary(u: np.ndarray) -> None:
+    """Refuse a square matrix ``U`` unless ``U U^dag = 1`` within DEFAULT_TOL."""
+    if not max_norm(u @ u.conj().T - np.eye(u.shape[0])) <= DEFAULT_TOL:
+        raise ValueError("matrix is not unitary within tolerance")
+
+
 def cj_of_unitary(u: np.ndarray) -> np.ndarray:
     """CJ operator of unitary conjugation, ``(1 (x) U)|1>><<1|(1 (x) U^dag)``.
 
     That is ``|v><v|`` with ``v = (1 (x) U)|1>>``, which in row-major
     flattening is ``U^T`` read row by row.  The outer product is formed in
     the input's dtype and then made complex, so a real ``U`` keeps the signs
-    of its zero products.
+    of its zero products.  A matrix that is not unitary is refused.
     """
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"unitary must be a square matrix, got shape {u.shape}")
+    _check_unitary(u)
     v = u.T.reshape(-1)
     return np.outer(v, v.conj()).astype(complex)
 
@@ -838,7 +904,8 @@ def quantum_switch(psi: np.ndarray | None = None, d: int = 2) -> ProcessMatrix:
 
     The control qubit (factor C_C) is |0> on the A-then-B branch and |1> on
     the B-then-A branch; the final target state lands on factor C_T.  The
-    result is a rank-1 valid process with trace ``d_out``.
+    result is a rank-1 valid process with trace ``d_out``, held by its
+    amplitude vector.
 
     Args:
         psi: normalized initial target state (defaults to |0>).
@@ -852,7 +919,7 @@ def quantum_switch(psi: np.ndarray | None = None, d: int = 2) -> ProcessMatrix:
     full = vec.reshape(n_t, 2)
     full[:, 0] = abc / np.sqrt(2.0)
     full[:, 1] = bac / np.sqrt(2.0)
-    return ProcessMatrix(switch_layout(d), np.outer(vec, vec.conj()))
+    return ProcessMatrix.of_vector(switch_layout(d), vec)
 
 
 def switch_input_channel(
@@ -881,8 +948,7 @@ def switch_input_channel(
     if not abs(np.linalg.norm(control) - 1.0) <= DEFAULT_TOL:
         raise ValueError("control must be normalized")
     abc, _ = switch_branch_vectors(psi, d)
-    vec = np.kron(abc, control)
-    return ProcessMatrix(switch_layout(d), np.outer(vec, vec.conj()))
+    return ProcessMatrix.of_vector(switch_layout(d), np.kron(abc, control))
 
 
 def extended_branch_vectors(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -911,8 +977,7 @@ def extended_switch(psi: np.ndarray | None = None) -> ProcessMatrix:
     ``cos/sin``-weighted superposition of the two switch branches.
     """
     v1, v2 = extended_branch_vectors(_target_state(psi, 2))
-    vec = v1 + v2
-    return ProcessMatrix(extended_switch_layout(), np.outer(vec, vec.conj()))
+    return ProcessMatrix.of_vector(extended_switch_layout(), v1 + v2)
 
 
 # ---------------------------------------------------------------------------
@@ -970,7 +1035,7 @@ def comb_order_satisfied(w: ProcessMatrix, order: Sequence[str]) -> bool:
     names = [p.name for p in layout.parties]
     if sorted(order) != sorted(names):
         raise ValueError(f"order {order!r} must list the parties {names} exactly once")
-    x = PaddedOperator.of_matrix(w.matrix, layout)
+    x = _operator(w)
     bound = COMB_TOL * max(1.0, x.max_norm())
     for party in reversed([layout.party(name) for name in order]):
         if party.outputs:

@@ -58,7 +58,6 @@ from .operator_core import (
     PaddedOperator,
     SpaceLayout,
     is_hermitian,
-    max_norm,
     tensor,
 )
 from .process_space import (
@@ -66,6 +65,7 @@ from .process_space import (
     ProcessMatrix,
     ValidationReport,
     _absorb,
+    _check_unitary,
     _padded,
     _validity_report,
     forbidden_part,
@@ -101,7 +101,9 @@ class Supermap:
     one term, a pure CJ ``|v><v|`` (unitary conjugation) one term held by
     its vector, and ``interpolation_map`` keeps its rank-one identity part
     and its ``1_in (x) g`` constant part as two terms.  A supermap may
-    instead carry a structured action and build its CJ only on demand.  The
+    instead carry a structured action and build its CJ only on demand; the
+    action gets a process's amplitude vector (a 1-D array) when the process
+    is held by one (``ProcessMatrix.vector``), else its matrix.  The
     ``cj`` property sums the terms into a matrix, caches it for later
     ``cj`` reads only, and refuses dimensions beyond ``MAX_CJ_DIM`` with a
     size error.  A dense CJ is refused unless it is Hermitian, at
@@ -271,15 +273,16 @@ def apply(s: Supermap, w: ProcessMatrix) -> ProcessMatrix:
     """Act with a supermap on a process matrix.
 
     The input layout must match the supermap's; the result lives on the
-    output layout.  A structured action (reductions) is used when available;
-    otherwise each CJ term acts on its own: a rank-one ``|v>><<v|`` term as
+    output layout.  A structured action (reductions) is used when available,
+    on the process's vector when it is held by one; otherwise each CJ term
+    acts on the process matrix on its own: a rank-one ``|v>><<v|`` term as
     ``V^T W V^*``, a term ``1_in (x) g`` as ``Tr(W) g``, and any other
     term by the dense contraction.
     """
     if w.layout != s.in_layout:
         raise ValueError("process layout does not match the supermap input layout")
     if s._action is not None:
-        out = s._action(w.matrix)
+        out = s._action(w.matrix if w.vector is None else w.vector)
     else:
         first, *rest = (
             _term_action(t, w.matrix, s.in_layout.n_factors)
@@ -350,8 +353,7 @@ def unitary_supermap(u: np.ndarray, layout: SpaceLayout, label: str = "") -> Sup
     d = layout.dim
     if u.shape != (d, d):
         raise ValueError(f"unitary shape {u.shape}, expected {(d, d)}")
-    if not max_norm(u @ u.conj().T - np.eye(d)) <= 1e-9:
-        raise ValueError("matrix is not unitary within tolerance")
+    _check_unitary(u)
     vec = u.T.reshape(-1)  # (1 (x) U)|1>> in row-major flattening
     return Supermap(
         layout, layout, cj_vector=vec, label=label or "unitary conjugation"
@@ -394,7 +396,10 @@ def instrument_reduction(
     the rest.  The supermap applies through this formula directly, as one
     contraction of ``C_M`` with the party's row and column axes of ``W``
     (``process_space._absorb``): the embedded ``C_M`` is never formed and
-    ``W`` is not reordered first.  ``C_M`` must be Hermitian, since
+    ``W`` is not reordered first.  A pure process held by its vector
+    ``|w>`` is contracted as that vector: with ``M`` the vector as a (kept
+    factors, party factors) matrix, ``W' = M C_M^T M^dag``, and the
+    process's matrix is not built.  ``C_M`` must be Hermitian, since
     :func:`apply` keeps only the Hermitian part of an action.
 
     Its CJ, built only for small layouts, is ``|1>><<1| (x) C_M^T``: the
@@ -430,6 +435,11 @@ def instrument_reduction(
     d_rest = reduced.dim
 
     def action(w: np.ndarray) -> np.ndarray:
+        if w.ndim == 1:
+            # W = |w><w|: with M the vector as a (kept factors, party
+            # factors) matrix, Tr_X(C_M W) = M C_M^T M^dag
+            m = w.reshape(layout.dims).transpose(keep + x_facs).reshape(d_rest, d_x)
+            return m @ element_cj.T @ m.conj().T
         # one contraction of C_M with the party's row and column axes of W,
         # which leaves the kept factors in layout order
         t = w.reshape(layout.dims * 2)

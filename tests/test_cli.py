@@ -19,6 +19,7 @@ from pmx.process_space import (
     extended_switch,
     extended_switch_layout,
     quantum_switch,
+    switch_input_channel,
     w_ocb,
 )
 from test_order_projector import layouts
@@ -79,6 +80,20 @@ class TestRoundTrip:
         write_pmx(str(path), w)
         back = load_pmx(str(path))
         assert np.array_equal(back.matrix, w.matrix)
+
+    @pytest.mark.parametrize(
+        "build", [quantum_switch, switch_input_channel, complex_psi_switch]
+    )
+    def test_a_vector_held_process_writes_the_bytes_of_its_matrix(self, tmp_path, build):
+        w = build()
+        vec = w.vector
+        held, dense = tmp_path / "held.pmx", tmp_path / "dense.pmx"
+        write_pmx(str(held), w)
+        write_pmx(str(dense), ProcessMatrix(w.layout, np.outer(vec, vec.conj())))
+        assert held.read_bytes() == dense.read_bytes()
+        back = load_pmx(str(held))
+        assert back.vector is None
+        assert np.array_equal(back.matrix.view(np.uint64), w.matrix.view(np.uint64))
 
     def test_layout_survives(self, tmp_path):
         path = tmp_path / "w.pmx"
@@ -238,6 +253,18 @@ class TestBuildCommand:
         code, _, err = run(capsys, "build", "switch", "--psi", "0,0", "-o", str(tmp_path / "x"))
         assert code == 2
         assert "zero vector" in err
+
+    @pytest.mark.parametrize(
+        "psi, message",
+        [("1,0,0", "psi must have length 2"), ("nan,1", "--psi amplitudes must be finite")],
+        ids=["length", "nan"],
+    )
+    def test_malformed_extended_switch_psi_exits_2(self, tmp_path, capsys, psi, message):
+        path = tmp_path / "x"
+        code, out, err = run(capsys, "build", "extended-switch", "--psi", psi, "-o", str(path))
+        assert code == 2
+        assert out == "" and err == f"error: {message}\n"
+        assert not path.exists()
 
     @pytest.mark.parametrize("psi", ["nan,1", "1,inf"], ids=["nan", "inf"])
     def test_non_finite_psi_exits_2(self, tmp_path, capsys, psi):

@@ -44,6 +44,7 @@ from pmx.process_space import (
     cj_of_unitary,
     classify_term,
     comb_order_satisfied,
+    extended_branch_vectors,
     extended_switch,
     grandfather_instrument,
     memory_channel,
@@ -442,6 +443,16 @@ def test_cj_of_unitary_rejects_a_non_square_matrix():
         cj_of_unitary(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize(
+    "u", [2 * np.eye(2), np.ones((2, 2)), np.array([[np.nan, 0], [0, 1]])]
+)
+def test_cj_of_unitary_refuses_a_non_unitary_matrix(u):
+    # 2 * 1 once gave a CJ of trace 8, which a reduction turned into a
+    # process of trace 16
+    with pytest.raises(ValueError, match="matrix is not unitary within tolerance"):
+        cj_of_unitary(u)
+
+
 def test_cj_of_depolarizing():
     """Averaging the four Pauli conjugations gives C = 1/2 on two qubits."""
     paulis = [np.eye(2, dtype=complex), SX, np.array([[0, -1j], [1j, 0]]), SZ]
@@ -713,6 +724,10 @@ def test_non_finite_process_matrix_is_rejected():
     # LinAlgError from the eigenvalue solver
     with pytest.raises(ValueError, match="Hermitian"):
         ProcessMatrix(BIPARTITE, np.full((16, 16), np.nan))
+    # held by its vector: 1e200 is finite, but its outer product is not
+    for bad in (np.nan, np.inf, 1e200):
+        with pytest.raises(ValueError, match="process matrix must be Hermitian"):
+            ProcessMatrix.of_vector(BIPARTITE, np.full(16, bad))
 
 
 def test_wocb_coefficients():
@@ -780,13 +795,120 @@ def test_extended_switch_valid_trace_8():
 
 def test_extended_switch_branch_overlaps():
     """The two embedded branches are orthogonal with norm-squared 4 each."""
-    from pmx.process_space import extended_branch_vectors
-
     psi = np.array([1.0, 0.0])
     v1, v2 = extended_branch_vectors(psi)
     np.testing.assert_allclose(np.vdot(v1, v1), 4.0)
     np.testing.assert_allclose(np.vdot(v2, v2), 4.0)
     np.testing.assert_allclose(np.vdot(v1, v2), 0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# pure processes held by their vectors
+# ---------------------------------------------------------------------------
+
+
+def _psis():
+    skew = np.array([0.28 - 0.5j, 0.3 + 0.76j])
+    return [None, np.array([0.6, 0.8j]), skew / np.linalg.norm(skew)]
+
+
+def _target(psi):
+    return np.array([1.0, 0.0], dtype=complex) if psi is None else psi
+
+
+def pure_processes(psi):
+    """Each pure constructor's process and its amplitude vector, built by hand."""
+    abc, bac = switch_branch_vectors(_target(psi), 2)
+    switch = np.stack([abc, bac], axis=1).reshape(-1) / np.sqrt(2.0)
+    control = np.array([0.6, 0.8j])
+    v1, v2 = extended_branch_vectors(_target(psi))
+    return [
+        (quantum_switch(psi), switch),
+        (switch_input_channel(psi), np.kron(abc, np.full(2, 1.0 / np.sqrt(2.0)))),
+        (switch_input_channel(psi, control), np.kron(abc, control)),
+        (extended_switch(psi), v1 + v2),
+    ]
+
+
+@pytest.fixture
+def no_dense_build(monkeypatch):
+    """Make reading ``matrix`` of a process held by its vector raise."""
+    read = ProcessMatrix.matrix.fget
+
+    def refuse(w):
+        if w.vector is not None:
+            raise AssertionError(f"built the {w.dim}^2 matrix of a vector-held process")
+        return read(w)
+
+    monkeypatch.setattr(ProcessMatrix, "matrix", property(refuse))
+
+
+def test_a_sweep_operation_never_builds_the_extended_switch_matrix(no_dense_build):
+    rng = np.random.default_rng(29)
+    reduced = switch_layout()
+    instruments = [random_instrument(rng, reduced, p.name) for p in reduced.parties]
+    for psi in _psis():
+        w4 = extended_switch(psi)
+        assert validate(w4).valid
+        for lam in (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2):
+            red = instrument_reduction(w4.layout, "D", cj_of_unitary(sweep_rotation(lam)))
+            out = apply(red, w4)
+            assert out.vector is None and out.dim == 64
+            assert validate(out).valid
+            causal_order_flags(out)
+            probs = born_probabilities(out, instruments, check=False)
+            assert abs(probs.sum() - 1.0) <= 1e-12
+
+
+def test_the_reduction_of_a_vector_matches_that_of_its_matrix():
+    for psi in _psis():
+        w4 = extended_switch(psi)
+        dense = ProcessMatrix(w4.layout, w4.matrix)
+        for lam in (0.0, 0.3, math.pi / 4, 1.1, math.pi / 2):
+            red = instrument_reduction(w4.layout, "D", cj_of_unitary(sweep_rotation(lam)))
+            assert max_norm(apply(red, w4).matrix - apply(red, dense).matrix) <= 1e-15
+
+
+@pytest.mark.parametrize("psi", _psis())
+def test_pure_constructors_hold_the_vector_of_their_matrix(psi):
+    for w, vec in pure_processes(psi):
+        assert np.array_equal(w.vector.view(np.uint64), vec.view(np.uint64))
+        assert not w.vector.flags.writeable
+        m = w.matrix
+        want = np.outer(vec, vec.conj())
+        assert np.array_equal(m.view(np.uint64), want.view(np.uint64))
+        # built once, read-only
+        assert w.matrix is m and not m.flags.writeable
+
+
+@pytest.mark.parametrize("psi", _psis())
+def test_validate_of_a_vector_matches_that_of_its_matrix(psi):
+    cases = [w for w, _ in pure_processes(psi)]
+    # invalid ones: a causal loop (subspace) and a doubled amplitude (trace)
+    cases.append(ProcessMatrix.of_vector(single_party_layout(), [1, 0, 0, 1]))
+    cases.append(ProcessMatrix.of_vector(switch_layout(), 2 * quantum_switch(psi).vector))
+    for w in cases:
+        got = validate(w)
+        want = validate(ProcessMatrix(w.layout, w.matrix))
+        assert got.positivity.residual == 0.0
+        assert got.valid == want.valid
+        for g, x in zip(got.conditions, want.conditions):
+            assert g.name == x.name and g.passed == x.passed
+            assert abs(g.residual - x.residual) <= 1e-13
+
+
+def test_causal_order_flags_read_the_vector(no_dense_build):
+    assert causal_order_flags(quantum_switch()) == CausalOrderFlag.NEITHER
+    assert causal_order_flags(switch_input_channel()) == CausalOrderFlag.A_TO_B
+    order = ["A", "B", "D", "C"]
+    assert comb_order_satisfied(extended_switch(), order) is False
+
+
+def test_a_vector_of_the_wrong_length_is_refused():
+    with pytest.raises(ValueError, match="does not match layout dim 16"):
+        ProcessMatrix.of_vector(BIPARTITE, np.ones(4))
+    with pytest.raises(ValueError, match="does not match layout dim 16"):
+        ProcessMatrix.of_vector(BIPARTITE, np.eye(4))
 
 
 # ---------------------------------------------------------------------------
