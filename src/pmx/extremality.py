@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 SUPPORT_TOL = 1e-9
+INTERSECTION_TOL = 1e-8  # forbidden-term Gram eigenvalues above twice this count
+DARIANO_TOL = 1e-9  # D-term Gram eigenvalues within this of 1 count
 
 
 def _support(m: np.ndarray) -> tuple[np.ndarray, float]:
@@ -98,7 +100,7 @@ def _term_spectrum(
     return np.linalg.eigvalsh(gram / dim)
 
 
-def _intersection(w: ProcessMatrix, tol: float) -> tuple[int, int, float, float]:
+def _intersection(w: ProcessMatrix) -> tuple[int, int, float, float]:
     """Intersection dimension, support rank, the count's margin and the rank's."""
     if not validate(w).valid:
         raise ValueError("support_intersection_dim needs a valid process")
@@ -112,36 +114,40 @@ def _intersection(w: ProcessMatrix, tol: float) -> tuple[int, int, float, float]
     else:
         qdims = tuple(d * d for d in layout.dims)
         mu = _term_spectrum(vecs, layout.dims, pattern_digits(qdims)[~allowed])
-    above = mu[mu > 2 * tol]
-    margin = float(above.min() - 2 * tol) if above.size else math.inf
+    cut = 2 * INTERSECTION_TOL
+    above = mu[mu > cut]
+    margin = float(above.min() - cut) if above.size else math.inf
     return r * r - above.size, r, margin, support_margin
 
 
-def support_intersection_dim(w: ProcessMatrix, tol: float = 1e-8) -> int:
+def support_intersection_dim(w: ProcessMatrix) -> int:
     """Dimension of ``T`` intersected with ``V`` for a valid process ``W``.
 
     ``T`` is the ``r**2``-dimensional space of Hermitian operators on
     ``supp(W)``; ``T`` meets ``V`` in the kernel of ``R_F``, the map to the
     forbidden coefficients.  So the dimension is ``r**2`` minus the number
     of eigenvalues of the forbidden-term Gram ``R_F R_F^dag`` (see
-    ``_term_spectrum``) above ``2 tol``.  This is the decision
-    ``|lambda - 1| <= tol`` on the averaged projector ``(P_T + P_V)/2``
-    compressed to ``T``, whose eigenvalues are ``1 - mu/2``.  At full rank
-    ``T`` holds every operator, the Gram is the identity and the dimension
-    is the number of allowed patterns, read from the layout with no Gram.
+    ``_term_spectrum``) above ``2 INTERSECTION_TOL``.  This is the
+    decision ``|lambda - 1| <= INTERSECTION_TOL`` on the averaged projector
+    ``(P_T + P_V)/2`` compressed to ``T``, whose eigenvalues are
+    ``1 - mu/2``.  At full rank ``T`` holds every operator, the Gram is the
+    identity and the dimension is the number of allowed patterns, read from
+    the layout with no Gram.
     """
-    return _intersection(w, tol)[0]
+    return _intersection(w)[0]
 
 
 @dataclass(frozen=True)
 class ExtremalityCertificate:
     """Verdict plus the intersection dimension that produced it.
 
-    ``margin`` is the distance from the threshold ``2 tol`` up to the
-    nearest eigenvalue of the forbidden-term Gram that the intersection
-    count left out (``inf`` when every eigenvalue is counted): how far a
-    larger tolerance would have to move before the count grows.  At full
-    rank every left-out eigenvalue is exactly 1, so it is ``1 - 2 tol``.
+    ``tolerance`` is ``INTERSECTION_TOL``, and ``margin`` is the distance
+    from the threshold ``2 INTERSECTION_TOL`` up to the nearest eigenvalue
+    of the forbidden-term Gram that the intersection count left out
+    (``inf`` when every eigenvalue is counted): how far a larger tolerance
+    would have to move before the count grows.  At full
+    rank every left-out eigenvalue is exactly 1, so it is
+    ``1 - 2 INTERSECTION_TOL``.
 
     ``support_margin`` is the same for the support rank: the distance of
     the nearest eigenvalue of ``W`` from the cut ``SUPPORT_TOL`` times the
@@ -161,10 +167,12 @@ class ExtremalityCertificate:
         return self.extremal
 
 
-def is_extremal(w: ProcessMatrix, tol: float = 1e-8) -> ExtremalityCertificate:
+def is_extremal(w: ProcessMatrix) -> ExtremalityCertificate:
     """A valid process is extremal iff the intersection is one dimensional."""
-    dim, rank, margin, support_margin = _intersection(w, tol)
-    return ExtremalityCertificate(dim == 1, dim, rank, tol, margin, support_margin)
+    dim, rank, margin, support_margin = _intersection(w)
+    return ExtremalityCertificate(
+        dim == 1, dim, rank, INTERSECTION_TOL, margin, support_margin
+    )
 
 
 @dataclass(frozen=True)
@@ -198,7 +206,7 @@ def dariano_test(w: ProcessMatrix, direction: str = "a_to_b") -> DarianoReport:
     linearly independent.  Both sets are orthonormal, so the rank of
     ``C ⊔ D`` is ``r**2 + |D|`` minus the dimension of their intersection,
     which is the number of eigenvalues of the D-term Gram (see
-    ``_term_spectrum``) within ``1e-9`` of 1.  The certificate is the count
+    ``_term_spectrum``) within ``DARIANO_TOL`` of 1.  The certificate is the count
     itself: when ``r**2 + |D|`` exceeds the operator space dimension the
     sets cannot be independent.
     """
@@ -227,7 +235,7 @@ def dariano_test(w: ProcessMatrix, direction: str = "a_to_b") -> DarianoReport:
     order_card = int(in_d.sum())
     nu = _term_spectrum(vecs, layout.dims, digits[in_d])
     total = support_card + order_card
-    rank = total - int(np.sum(np.abs(nu - 1.0) <= 1e-9))
+    rank = total - int(np.sum(np.abs(nu - 1.0) <= DARIANO_TOL))
     return DarianoReport(
         independent=rank == total,
         support_card=support_card,

@@ -505,10 +505,10 @@ def max_norm(m: np.ndarray) -> float:
 _HERMITIAN_TILE = 256
 
 
-def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Whether ``m`` equals its conjugate transpose within ``tol`` (scaled).
+def is_hermitian(m: np.ndarray) -> bool:
+    """Whether ``m`` equals its conjugate transpose within ``DEFAULT_TOL`` (scaled).
 
-    The test is ``max_norm(m - m^H) <= tol * max(1, max_norm(m))``.  It is
+    The test is ``max_norm(m - m^H) <= DEFAULT_TOL * max(1, max_norm(m))``.  It is
     evaluated tile by tile over the upper block triangle, which holds every
     entry of ``m - m^H`` up to sign, so no full-size temporary is formed.
     A matrix with a nan or infinite entry is not Hermitian.
@@ -528,4 +528,4 @@ def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
             upper = m[i : i + step, j : j + step]
             lower = m[j : j + step, i : i + step]
             worst = max(worst, max_norm(upper - lower.conj().T))
-    return worst <= tol * max(1.0, biggest)
+    return worst <= DEFAULT_TOL * max(1.0, biggest)

@@ -120,9 +120,9 @@ class ProcessMatrix:
     representation, so construction checks only that ``v`` is finite.
     ``vector`` is ``v`` (None for a dense process), and ``matrix`` is built
     once, on its first read, as ``np.outer(v, v.conj())``.  ``validate``,
-    :func:`comb_order_satisfied` and the instrument reduction's action read
-    the vector and never build the matrix; PMX files, ``born_probabilities``
-    and the other readers of ``matrix`` build it.
+    :func:`comb_order_satisfied`, :func:`born_probabilities` and the
+    instrument reduction's action read the vector and never build the
+    matrix; PMX files and the other readers of ``matrix`` build it.
     """
 
     layout: SpaceLayout
@@ -154,6 +154,17 @@ class ProcessMatrix:
         v.setflags(write=False)
         w = cls.__new__(cls)
         w._hold(layout, None, v)
+        return w
+
+    @classmethod
+    def _hermitian_part(cls, layout: SpaceLayout, m: np.ndarray) -> "ProcessMatrix":
+        """``(m + m^H) / 2``, exactly Hermitian, so only finiteness is checked."""
+        h = (m + m.conj().T) / 2
+        if not math.isfinite(max_norm(h)):
+            raise ValueError("process matrix must be Hermitian")
+        h.setflags(write=False)
+        w = cls.__new__(cls)
+        w._hold(layout, h, None)
         return w
 
     def _hold(
@@ -680,6 +691,20 @@ def _absorb(
     return np.tensordot(c, w, axes=(range(1, 1 + 2 * len(factors)), w_axes))
 
 
+def _absorb_vector(
+    v: np.ndarray, dims: Sequence[int], factors: Sequence[int], stack: np.ndarray
+) -> np.ndarray:
+    """:func:`_absorb` of ``|v><v|``, as ``M C_k^T M^dag`` with no ``|v><v|``.
+
+    ``M`` is ``v`` as a (remaining factors in order, ``X``) matrix; the
+    result has shape ``(K, d_rest, d_rest)``.
+    """
+    rest = [k for k in range(len(dims)) if k not in factors]
+    d_x = math.prod(dims[k] for k in factors)
+    m = v.reshape(dims).transpose(rest + list(factors)).reshape(-1, d_x)
+    return np.stack([m @ c.T @ m.conj().T for c in stack])
+
+
 def born_probabilities(
     w: ProcessMatrix,
     instruments: Sequence[Instrument],
@@ -691,6 +716,8 @@ def born_probabilities(
     contraction of its stacked elements with the operator (``W ->
     Tr_X(C_k W)`` for every element ``k``): the table is the chain of the
     parties' reductions, and no product ``C_i (x) C_j (x) ...`` is formed.
+    A process held by its vector ``|v>`` gives its first step as
+    ``M C_k^T M^dag`` (:func:`_absorb_vector`), so its matrix is not built.
 
     Args:
         w: process matrix.
@@ -722,10 +749,19 @@ def born_probabilities(
                 f"instrument for party {p.name!r} has dims "
                 f"({inst.d_in}, {inst.d_out}), layout expects ({d_in}, {d_out})"
             )
-    table = w.matrix.reshape(layout.dims * 2)
+    steps = list(zip(reversed(ordered), reversed(layout.parties)))
     left = list(range(layout.n_factors))
+    if w.vector is None:
+        table = w.matrix.reshape(layout.dims * 2)
+    else:
+        # the first party is absorbed from the vector, so |v><v| is not built
+        inst, p = steps.pop(0)
+        x = p.inputs + p.outputs
+        left = [f for f in left if f not in x]
+        table = _absorb_vector(w.vector, layout.dims, x, np.array(inst.elements))
+        table = table.reshape((-1,) + tuple(layout.dims[f] for f in left) * 2)
     # each step puts its outcome axis first, so last-to-first ends in party order
-    for inst, p in zip(reversed(ordered), reversed(layout.parties)):
+    for inst, p in steps:
         x = p.inputs + p.outputs
         dims = [layout.dims[f] for f in left]
         table = _absorb(table, dims, [left.index(f) for f in x], np.array(inst.elements))
@@ -874,17 +910,19 @@ def grandfather_instrument() -> Instrument:
     return Instrument("A", (tensor(p0, p1), tensor(p1, p0)), 2, 2)
 
 
+def _unit_vector(x: np.ndarray, d: int, name: str) -> np.ndarray:
+    """``x`` as a complex vector, refused unless it has length ``d`` and norm 1."""
+    x = np.asarray(x, dtype=complex).reshape(-1)
+    if x.shape != (d,):
+        raise ValueError(f"{name} must have length {d}")
+    if not abs(np.linalg.norm(x) - 1.0) <= DEFAULT_TOL:
+        raise ValueError(f"{name} must be normalized")
+    return x
+
+
 def _target_state(psi: np.ndarray | None, d: int) -> np.ndarray:
     """A switch's initial target state: ``psi`` checked, or |0> when None."""
-    if psi is None:
-        psi = np.zeros(d)
-        psi[0] = 1.0
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.shape != (d,):
-        raise ValueError(f"psi must have length {d}")
-    if not abs(np.linalg.norm(psi) - 1.0) <= DEFAULT_TOL:
-        raise ValueError("psi must be normalized")
-    return psi
+    return _unit_vector(np.eye(d)[0] if psi is None else psi, d, "psi")
 
 
 def switch_branch_vectors(psi: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -911,14 +949,9 @@ def quantum_switch(psi: np.ndarray | None = None, d: int = 2) -> ProcessMatrix:
         psi: normalized initial target state (defaults to |0>).
         d: target dimension.
     """
-    psi = _target_state(psi, d)
-    abc, bac = switch_branch_vectors(psi, d)
-    n_t = d**5
-    vec = np.zeros(n_t * 2, dtype=complex)
+    abc, bac = switch_branch_vectors(_target_state(psi, d), d)
     # control qubit is the last tensor factor
-    full = vec.reshape(n_t, 2)
-    full[:, 0] = abc / np.sqrt(2.0)
-    full[:, 1] = bac / np.sqrt(2.0)
+    vec = np.stack([abc, bac], axis=1).reshape(-1) / np.sqrt(2.0)
     return ProcessMatrix.of_vector(switch_layout(d), vec)
 
 
@@ -939,15 +972,10 @@ def switch_input_channel(
         control: normalized control-qubit amplitudes (defaults to |+>).
         d: target dimension.
     """
-    psi = _target_state(psi, d)
     if control is None:
         control = np.full(2, 1.0 / np.sqrt(2.0))
-    control = np.asarray(control, dtype=complex).reshape(-1)
-    if control.shape != (2,):
-        raise ValueError("control must be a qubit state")
-    if not abs(np.linalg.norm(control) - 1.0) <= DEFAULT_TOL:
-        raise ValueError("control must be normalized")
-    abc, _ = switch_branch_vectors(psi, d)
+    control = _unit_vector(control, 2, "control")
+    abc, _ = switch_branch_vectors(_target_state(psi, d), d)
     return ProcessMatrix.of_vector(switch_layout(d), np.kron(abc, control))
 
 
@@ -959,12 +987,10 @@ def extended_branch_vectors(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     control 1.
     """
     abc, bac = switch_branch_vectors(psi, 2)
-    abc5 = abc.reshape(2, 2, 2, 2, 2)
-    bac5 = bac.reshape(2, 2, 2, 2, 2)
     v1 = np.zeros((2,) * 8, dtype=complex)
     v2 = np.zeros((2,) * 8, dtype=complex)
-    v1[:, :, 0, :, :, 0, :, 0] = abc5
-    v2[:, :, 0, :, :, 1, :, 1] = bac5
+    v1[:, :, 0, :, :, 0, :, 0] = abc.reshape((2,) * 5)
+    v2[:, :, 0, :, :, 1, :, 1] = bac.reshape((2,) * 5)
     return v1.reshape(-1), v2.reshape(-1)
 
 

@@ -34,19 +34,22 @@ shrinks the operator instead of padding it with an identity, and a pure CJ
 ``|v><v|`` enters through ``Tr_X |v><v| = V V^dag``, so the rank-one CJ is
 never formed.
 
-A :class:`Supermap` holds its CJ as a sum of positive terms, and
-validation and application read only the terms: a pure CJ is one vector,
-``constant_map`` keeps ``1_in (x) w_tilde / d'`` by its output block, and
-``interpolation_map`` keeps both of its terms.  So only a dense CJ handed
-in by the caller is ever checked as one matrix.  The reduction supermaps
-carry a structured action.  Their CJ ``|1>><<1| (x) C_M^T`` (a wire from
-each kept input factor to its output copy, the transposed element on the
-party's factors) is placed on those factors by label on request, and refused
-above ``MAX_CJ_DIM`` (the 8-factor ones), so they cannot be validated there.
+A :class:`Supermap` holds its CJ one way, as a sum of positive terms, and
+validation reads only the terms: a pure CJ is one vector,
+``constant_map`` keeps ``1_in (x) w_tilde / d'`` by its output block,
+``interpolation_map`` keeps both of its terms, and a reduction keeps
+``|1>><<1| (x) C_M^T`` (a wire from each kept input factor to its output
+copy, the transposed element on the party's factors) as one exact term on
+those factors, formed on first read.  So only a dense CJ handed in by the
+caller is ever checked as one matrix.  :func:`apply` acts term by term,
+except that a reduction contracts its element with the process directly.
+A CJ above ``MAX_CJ_DIM`` (the 8-factor reductions) is refused before its
+terms are read, so those supermaps apply but cannot be validated.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -65,8 +68,8 @@ from .process_space import (
     ProcessMatrix,
     ValidationReport,
     _absorb,
+    _absorb_vector,
     _check_unitary,
-    _padded,
     _validity_report,
     forbidden_part,
     switch_layout,
@@ -94,21 +97,19 @@ __all__ = [
 
 
 class Supermap:
-    """A process-matrix transformation, canonically a CJ operator.
+    """A process-matrix transformation, held by its CJ operator.
 
-    The CJ is held as a sum of positive terms, each a ``PaddedOperator`` on
-    the joint factors (input layout, then output layout): a dense matrix is
-    one term, a pure CJ ``|v><v|`` (unitary conjugation) one term held by
-    its vector, and ``interpolation_map`` keeps its rank-one identity part
-    and its ``1_in (x) g`` constant part as two terms.  A supermap may
-    instead carry a structured action and build its CJ only on demand; the
-    action gets a process's amplitude vector (a 1-D array) when the process
-    is held by one (``ProcessMatrix.vector``), else its matrix.  The
-    ``cj`` property sums the terms into a matrix, caches it for later
-    ``cj`` reads only, and refuses dimensions beyond ``MAX_CJ_DIM`` with a
-    size error.  A dense CJ is refused unless it is Hermitian, at
-    construction or when its builder first runs: :func:`apply` reads only
-    the Hermitian part of an action.
+    The CJ is held one way, as a sum of positive terms, each a
+    ``PaddedOperator`` on the joint factors (input layout, then output
+    layout): a dense ``cj`` is one term, a pure CJ ``|v><v|`` given as
+    ``cj_vector`` (unitary conjugation) one term held by its vector, and
+    ``interpolation_map`` keeps its rank-one identity part and its
+    ``1_in (x) g`` constant part as two terms.  A dense CJ is refused
+    unless it is Hermitian: :func:`apply` keeps only the Hermitian part of
+    an action.  The ``cj`` property sums the terms into a matrix, caches it
+    for later ``cj`` reads only, and refuses dimensions beyond
+    ``MAX_CJ_DIM`` with a size error.  Only :func:`instrument_reduction`
+    acts other than term by term.
 
     :func:`validate_supermap` checks the terms one at a time.  Its
     positivity residual ``-sum_k lambda_min(term_k)`` (see
@@ -127,32 +128,28 @@ class Supermap:
         *,
         cj: np.ndarray | None = None,
         cj_vector: np.ndarray | None = None,
-        action: Callable[[np.ndarray], np.ndarray] | None = None,
-        cj_builder: Callable[[], np.ndarray] | None = None,
         label: str = "",
     ) -> None:
         d = in_layout.dim * out_layout.dim
         dims = in_layout.dims + out_layout.dims
-        terms = None
         if cj is not None:
             cj = np.asarray(cj, dtype=complex)
             if cj.shape != (d, d):
                 raise ValueError(f"CJ shape {cj.shape}, expected {(d, d)}")
-            _check_hermitian(cj)
+            if not is_hermitian(cj):
+                raise ValueError("supermap CJ is not Hermitian")
             terms = (PaddedOperator.of_matrix(cj, dims),)
         elif cj_vector is not None:
             v = np.asarray(cj_vector, dtype=complex)
             if v.shape != (d,):
                 raise ValueError(f"CJ vector length {v.shape}, expected {d}")
             terms = (PaddedOperator.of_vector(v, dims),)
-        elif cj_builder is None:
-            raise ValueError("supermap needs a CJ operator, vector, or builder")
+        else:
+            raise ValueError("supermap needs a CJ operator or vector")
         self.in_layout = in_layout
         self.out_layout = out_layout
         self.label = label
         self._terms = terms
-        self._action = action
-        self._cj_builder = cj_builder
         self._cj = cj
 
     @classmethod
@@ -166,7 +163,7 @@ class Supermap:
         """A supermap whose CJ is the sum of the positive ``terms``."""
         s = cls.__new__(cls)
         s.in_layout, s.out_layout, s.label = in_layout, out_layout, label
-        s._terms, s._action, s._cj_builder, s._cj = terms, None, None, None
+        s._terms, s._cj = terms, None
         return s
 
     @property
@@ -176,42 +173,30 @@ class Supermap:
     @property
     def cj(self) -> np.ndarray:
         if self._cj is None:
-            d = self._check_cj_size()
-            if self._terms is not None:
-                self._cj = self._sum_terms()
-            else:
-                cj = self._cj_builder()
-                if cj.shape != (d, d):
-                    raise ValueError("CJ builder returned a wrong-shaped operator")
-                _check_hermitian(cj)
-                self._cj = cj
+            self._check_cj_size()
+            first, *rest = self._terms
+            dims = first.dims
+            total = PaddedOperator(
+                dims, range(len(dims)), g=first.dense().reshape(dims * 2), owned=True
+            )
+            for t in rest:
+                total.add(t)
+            self._cj = total.matrix()
         return self._cj
 
-    def _sum_terms(self) -> np.ndarray:
-        first, *rest = self._terms
-        dims = first.dims
-        total = PaddedOperator(
-            dims, range(len(dims)), g=first.dense().reshape(dims * 2), owned=True
-        )
-        for t in rest:
-            total.add(t)
-        return total.matrix()
-
-    def _term_operators(self) -> list[PaddedOperator]:
-        """The CJ's terms, as aliases the caller may consume."""
-        if self._terms is None:
-            dims = self.in_layout.dims + self.out_layout.dims
-            self._terms = (PaddedOperator.of_matrix(self.cj, dims),)
-        return [t.alias() for t in self._terms]
-
-    def _check_cj_size(self) -> int:
+    def _check_cj_size(self) -> None:
         d = self.cj_dim
         if d > MAX_CJ_DIM:
             raise ValueError(
                 f"CJ operator would be {d} x {d}; this supermap is applied "
                 "through its structured action and its CJ is not materialized"
             )
-        return d
+
+    def _act(self, w: ProcessMatrix) -> np.ndarray:
+        """``Tr_in(C (W^T (x) 1_out))``, summed over the CJ's terms."""
+        n_in = self.in_layout.n_factors
+        first, *rest = (_term_action(t, w.matrix, n_in) for t in self._terms)
+        return sum(rest, first)
 
     def __repr__(self) -> str:
         tag = self.label or "supermap"
@@ -220,38 +205,32 @@ class Supermap:
         )
 
 
-def _check_hermitian(cj: np.ndarray) -> None:
-    if not is_hermitian(cj):
-        raise ValueError("supermap CJ is not Hermitian")
-
-
-def validate_supermap(s: Supermap, tol: float = DEFAULT_TOL) -> ValidationReport:
+def validate_supermap(s: Supermap) -> ValidationReport:
     """Check the three supermap validity conditions on the CJ operator.
 
     Report conditions: ``positivity`` (most negative eigenvalue),
     ``trace`` (max-norm of ``Tr_out_side(C) - (d_out'/d_in') 1``), and
     ``subspace`` (max-norm of ``(P_in (x) Q_out)(C)``, the part that
     projecting the input side only keeps and projecting both sides drops).
-    This is :func:`validate_order_n` at the level pairing the two layouts.
+    This is :func:`validate_order_n` at the level pairing the two layouts,
+    with tolerance ``DEFAULT_TOL``.
 
     The CJ's terms are checked one at a time and never summed into one
-    matrix; a supermap known only by its CJ builder is one dense term, and
-    every dense CJ was checked Hermitian where it entered.  A rank-one term
-    is positive by representation, and any other term's lowest eigenvalue
-    is that of its stored block, solved on the block's live indices (those
-    whose row or column holds a nonzero entry; the others only add zeros to
-    the spectrum, see ``process_space._lowest_eigenvalue``).  So for a pure
-    supermap or ``constant_map`` (one term) and for ``interpolation_map``
-    (see :class:`Supermap` for the interlacing argument) the positivity
-    residual is exact; for other sums it is an upper bound.  Trace, marginal
-    and forbidden part are linear and are summed from the terms.  The
-    ``MAX_CJ_DIM`` size limit still applies.
+    matrix; every dense CJ was checked Hermitian where it entered.  A
+    rank-one term is positive by representation, and any other term's
+    lowest eigenvalue is that of its stored block, solved on the block's
+    live indices (see ``process_space._lowest_eigenvalue``).  So for one
+    term (a pure supermap, ``constant_map``, a reduction) and for
+    ``interpolation_map`` (see :class:`Supermap`) the positivity residual
+    is exact; for other sums it is an upper bound.  Trace, marginal and
+    forbidden part are linear and are summed from the terms.  The
+    ``MAX_CJ_DIM`` size limit is checked before any term is read.
     """
     s._check_cj_size()
     level = HierarchyLevel.pair(
         HierarchyLevel.process(s.in_layout), HierarchyLevel.process(s.out_layout)
     )
-    return _validity_report(s._term_operators(), level, tol)
+    return _validity_report([t.alias() for t in s._terms], level, DEFAULT_TOL)
 
 
 def _term_action(t: PaddedOperator, w: np.ndarray, n_in: int) -> np.ndarray:
@@ -264,7 +243,7 @@ def _term_action(t: PaddedOperator, w: np.ndarray, n_in: int) -> np.ndarray:
         # T = 1_in (x) G, so the action is Tr(W) G
         out_kept = [f - n_in for f in t.kept]
         return np.trace(w) * PaddedOperator(t.dims[n_in:], out_kept, g=t.g).dense()
-    full = t.matrix() if len(t.kept) == len(t.dims) else t.dense()
+    full = t.matrix() if t.kept == tuple(range(len(t.dims))) else t.dense()
     d2 = full.shape[0] // d1
     return np.einsum("abcd,ac->bd", full.reshape(d1, d2, d1, d2), w)
 
@@ -273,24 +252,16 @@ def apply(s: Supermap, w: ProcessMatrix) -> ProcessMatrix:
     """Act with a supermap on a process matrix.
 
     The input layout must match the supermap's; the result lives on the
-    output layout.  A structured action (reductions) is used when available,
-    on the process's vector when it is held by one; otherwise each CJ term
-    acts on the process matrix on its own: a rank-one ``|v>><<v|`` term as
-    ``V^T W V^*``, a term ``1_in (x) g`` as ``Tr(W) g``, and any other
-    term by the dense contraction.
+    output layout.  Each CJ term acts on the process matrix on its own: a
+    rank-one ``|v>><<v|`` term as ``V^T W V^*``, a term ``1_in (x) g`` as
+    ``Tr(W) g``, and any other term by the dense contraction; a reduction
+    contracts its element with the process or its vector instead.  The
+    result is the action's Hermitian part, held with no second check; one
+    with a nan or infinite entry is refused.
     """
     if w.layout != s.in_layout:
         raise ValueError("process layout does not match the supermap input layout")
-    if s._action is not None:
-        out = s._action(w.matrix if w.vector is None else w.vector)
-    else:
-        first, *rest = (
-            _term_action(t, w.matrix, s.in_layout.n_factors)
-            for t in s._term_operators()
-        )
-        out = sum(rest, first)
-    out = (out + out.conj().T) / 2
-    return ProcessMatrix(s.out_layout, out)
+    return ProcessMatrix._hermitian_part(s.out_layout, s._act(w))
 
 
 # ---------------------------------------------------------------------------
@@ -360,25 +331,18 @@ def unitary_supermap(u: np.ndarray, layout: SpaceLayout, label: str = "") -> Sup
     )
 
 
-def _reduced_layout(layout: SpaceLayout, party_name: str) -> tuple[SpaceLayout, list[int]]:
+def _reduced_layout(layout: SpaceLayout, party_name: str) -> SpaceLayout:
+    """``layout`` without the party and its factors, the rest in order."""
     p = layout.party(party_name)
-    removed = sorted(set(p.inputs) | set(p.outputs))
-    keep = [k for k in range(layout.n_factors) if k not in removed]
-    factors = [
-        (layout.factors[k].label, layout.factors[k].dim) for k in keep
+    gone = set(p.inputs) | set(p.outputs)
+    label = [f.label for f in layout.factors]
+    factors = [(f.label, f.dim) for k, f in enumerate(layout.factors) if k not in gone]
+    parties = [
+        (q.name, [label[k] for k in q.inputs], [label[k] for k in q.outputs])
+        for q in layout.parties
+        if q.name != party_name
     ]
-    parties = []
-    for q in layout.parties:
-        if q.name == party_name:
-            continue
-        parties.append(
-            (
-                q.name,
-                [layout.factors[k].label for k in q.inputs],
-                [layout.factors[k].label for k in q.outputs],
-            )
-        )
-    return SpaceLayout.build(factors, parties), keep
+    return SpaceLayout.build(factors, parties)
 
 
 def instrument_reduction(
@@ -398,15 +362,18 @@ def instrument_reduction(
     (``process_space._absorb``): the embedded ``C_M`` is never formed and
     ``W`` is not reordered first.  A pure process held by its vector
     ``|w>`` is contracted as that vector: with ``M`` the vector as a (kept
-    factors, party factors) matrix, ``W' = M C_M^T M^dag``, and the
-    process's matrix is not built.  ``C_M`` must be Hermitian, since
+    factors, party factors) matrix, ``W' = M C_M^T M^dag``
+    (``process_space._absorb_vector``, which ``born_probabilities`` shares),
+    and the process's matrix is not built.  ``C_M`` must be Hermitian, since
     :func:`apply` keeps only the Hermitian part of an action.
 
-    Its CJ, built only for small layouts, is ``|1>><<1| (x) C_M^T``: the
-    unnormalized ``|1>>`` wires each kept input factor to its copy in the
-    reduced layout, and ``C_M^T`` closes the loop on the party's factors.
-    The product is placed on those factors by label, with no superoperator
-    matrix and no permutation.
+    Its CJ is one exact term, ``|1>><<1| (x) C_M^T``: the unnormalized
+    ``|1>>`` wires each kept input factor to its copy in the reduced layout,
+    and ``C_M^T`` closes the loop on the party's factors.  The term is held
+    on those factors by label, with no superoperator matrix and no
+    permutation, and is formed when it is first read (``cj`` and
+    :func:`validate_supermap`, which refuse it above ``MAX_CJ_DIM`` before
+    reading it, so the 16,384^2 term of the extended switch is never made).
 
     On the CJ representative: the formula above fixes the supermap only on
     the span of valid processes.  This natural wiring CJ is positive
@@ -421,44 +388,46 @@ def instrument_reduction(
     therefore reports the trace condition as failed for such reductions
     even though every valid process is mapped to a valid process.
     """
-    p = layout.party(party)
-    x_facs = list(p.inputs) + list(p.outputs)
-    if not x_facs:
-        raise ValueError(f"party {party!r} has no factors to reduce over")
-    reduced, keep = _reduced_layout(layout, party)
-    d_x = math.prod(layout.dims[k] for k in x_facs)
-    element_cj = np.asarray(element_cj, dtype=complex)
-    if element_cj.shape != (d_x, d_x):
-        raise ValueError(f"element CJ shape {element_cj.shape}, expected {(d_x, d_x)}")
-    if not is_hermitian(element_cj):
-        raise ValueError("element CJ must be Hermitian")
-    d_rest = reduced.dim
+    return _Reduction(layout, party, np.asarray(element_cj, dtype=complex))
 
-    def action(w: np.ndarray) -> np.ndarray:
-        if w.ndim == 1:
-            # W = |w><w|: with M the vector as a (kept factors, party
-            # factors) matrix, Tr_X(C_M W) = M C_M^T M^dag
-            m = w.reshape(layout.dims).transpose(keep + x_facs).reshape(d_rest, d_x)
-            return m @ element_cj.T @ m.conj().T
+
+class _Reduction(Supermap):
+    """A supermap that absorbs one party's element; see :func:`instrument_reduction`."""
+
+    def __init__(self, layout: SpaceLayout, party: str, element_cj: np.ndarray) -> None:
+        p = layout.party(party)
+        self._x_facs = list(p.inputs) + list(p.outputs)
+        if not self._x_facs:
+            raise ValueError(f"party {party!r} has no factors to reduce over")
+        d = math.prod(layout.dims[k] for k in self._x_facs)
+        if element_cj.shape != (d, d):
+            raise ValueError(f"element CJ shape {element_cj.shape}, expected {(d, d)}")
+        if not is_hermitian(element_cj):
+            raise ValueError("element CJ must be Hermitian")
+        self.in_layout, self.out_layout = layout, _reduced_layout(layout, party)
+        self.label, self._cj, self._element = f"reduction({party})", None, element_cj
+
+    @functools.cached_property
+    def _terms(self) -> tuple[PaddedOperator, ...]:
+        """``|1>><<1| (x) C_M^T``, held on the kept, output and party factors."""
+        n = self.in_layout.n_factors
+        dims = self.in_layout.dims + self.out_layout.dims
+        keep = [k for k in range(n) if k not in self._x_facs]
+        facs = keep + list(range(n, len(dims))) + self._x_facs
+        wire = np.eye(self.out_layout.dim).reshape(-1)
+        g = np.kron(np.outer(wire, wire), self._element.T)
+        g = g.reshape(tuple(dims[k] for k in facs) * 2)
+        return (PaddedOperator(dims, facs, g=g),)
+
+    def _act(self, w: ProcessMatrix) -> np.ndarray:
+        dims, stack = self.in_layout.dims, self._element[None]
+        if w.vector is not None:
+            return _absorb_vector(w.vector, dims, self._x_facs, stack)[0]
         # one contraction of C_M with the party's row and column axes of W,
         # which leaves the kept factors in layout order
-        t = w.reshape(layout.dims * 2)
-        return _absorb(t, layout.dims, x_facs, element_cj[None]).reshape(d_rest, d_rest)
-
-    def build_cj() -> np.ndarray:
-        wire = np.eye(d_rest).reshape(-1)
-        core = np.kron(np.outer(wire, wire), element_cj.T)
-        dims = layout.dims + reduced.dims
-        outs = list(range(layout.n_factors, len(dims)))
-        return _padded(core, keep + outs + x_facs, dims)
-
-    return Supermap(
-        layout,
-        reduced,
-        action=action,
-        cj_builder=build_cj,
-        label=f"reduction({party})",
-    )
+        t = w.matrix.reshape(dims * 2)
+        d_rest = self.out_layout.dim
+        return _absorb(t, dims, self._x_facs, stack).reshape(d_rest, d_rest)
 
 
 # ---------------------------------------------------------------------------
@@ -466,12 +435,10 @@ def instrument_reduction(
 # ---------------------------------------------------------------------------
 
 
-def _swap(d: int) -> np.ndarray:
-    s = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            s[i * d + j, j * d + i] = 1.0
-    return s
+def _pair_swap(d: int) -> np.ndarray:
+    """The SWAP of (A_I, B_I) times the SWAP of (A_O, B_O), on those factors."""
+    s = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
+    return np.kron(s, s)
 
 
 def c_swap_unitary(d: int = 2) -> np.ndarray:
@@ -480,10 +447,8 @@ def c_swap_unitary(d: int = 2) -> np.ndarray:
     Identity when the control factor is |0>, the simultaneous SWAP of
     (A_I, B_I) and (A_O, B_O) when it is |1>.
     """
-    s2 = np.kron(_swap(d), _swap(d))
-    p0 = np.diag([1.0, 0.0])
-    p1 = np.diag([0.0, 1.0])
-    return tensor(np.eye(d**4), np.eye(d), p0) + tensor(s2, np.eye(d), p1)
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    return tensor(np.eye(d**4), np.eye(d), p0) + tensor(_pair_swap(d), np.eye(d), p1)
 
 
 def c_swap_v(d: int = 2) -> Supermap:
@@ -505,9 +470,7 @@ def c_swap_v(d: int = 2) -> Supermap:
 
 def v_lambda_hamiltonian(d: int = 2) -> np.ndarray:
     """Generator of the interpolating family: ``(SWAP_pair - 1) (x) |1><1|``."""
-    s2 = np.kron(_swap(d), _swap(d))
-    p1 = np.diag([0.0, 1.0])
-    return tensor(s2 - np.eye(d**4), np.eye(d), p1)
+    return tensor(_pair_swap(d) - np.eye(d**4), np.eye(d), np.diag([0.0, 1.0]))
 
 
 def v_lambda_unitary(lam: float, d: int = 2) -> np.ndarray:
@@ -551,16 +514,15 @@ def hierarchy_projector(level: HierarchyLevel) -> Callable[[np.ndarray], np.ndar
     return project
 
 
-def validate_order_n(
-    x: np.ndarray, level: HierarchyLevel, tol: float = DEFAULT_TOL
-) -> ValidationReport:
+def validate_order_n(x: np.ndarray, level: HierarchyLevel) -> ValidationReport:
     """Positivity, trace rescaling, and ``P^(n)`` invariance at any level.
 
     For ``n = 1`` this is process validation; for ``n = 2`` on a pair of
     process layouts it coincides with :func:`validate_supermap` on the CJ.
+    The tolerance is ``DEFAULT_TOL``.
     """
     x = np.asarray(x, dtype=complex)
     op = PaddedOperator.of_matrix(x, level.dims)  # checks the shape
     if not is_hermitian(x):
         raise ValueError("operator must be Hermitian")
-    return _validity_report([op], level, tol)
+    return _validity_report([op], level, DEFAULT_TOL)

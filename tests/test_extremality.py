@@ -217,7 +217,8 @@ class TestIsExtremal:
     def test_margin_is_the_distance_to_the_threshold(self, w):
         # eigenvalues of R_F R_F^T from the coefficient rows, an independent
         # route to the spectrum the count thresholds
-        cert = is_extremal(w, tol=1e-8)
+        cert = is_extremal(w)
+        assert cert.tolerance == 1e-8
         rows = _coefficient_rows(
             _support_operator_basis(_support(w.matrix)[0]), w.layout
         )

@@ -176,7 +176,10 @@ def test_is_hermitian_matches_full_difference_across_tiles(n):
     bad = h.copy()
     bad[n - 1, 0] += 1e-6
     assert is_hermitian(bad) == (n == 1)
-    assert is_hermitian(bad, 1e-6)
+    # a defect below DEFAULT_TOL, scaled by the max-norm, is forgiven
+    near = h.copy()
+    near[n - 1, 0] += 1e-10
+    assert is_hermitian(near)
 
 
 @pytest.mark.parametrize(

@@ -860,6 +860,21 @@ def test_a_sweep_operation_never_builds_the_extended_switch_matrix(no_dense_buil
             assert abs(probs.sum() - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("make", [extended_switch, quantum_switch])
+def test_born_table_of_a_vector_needs_no_matrix(make, no_dense_build):
+    w = make()
+    dense = ProcessMatrix(w.layout, np.outer(w.vector, w.vector.conj()))
+    rng = np.random.default_rng(w.dim)
+    instruments = [
+        random_instrument(rng, w.layout, p.name, n_outcomes=2 + k)
+        for k, p in enumerate(w.layout.parties)
+    ]
+    expected = born_probabilities(dense, instruments, check=False)
+    table = born_probabilities(w, instruments)
+    assert table.shape == expected.shape
+    assert np.abs(table - expected).max() <= 1e-14
+
+
 def test_the_reduction_of_a_vector_matches_that_of_its_matrix():
     for psi in _psis():
         w4 = extended_switch(psi)

@@ -512,7 +512,7 @@ def test_reduction_action_agrees_with_the_permuted_formula(party):
     red = instrument_reduction(lay, party, c_m)
     for w in (extended_switch(), ProcessMatrix(lay, random_hermitian(rng, lay.dim))):
         expected = permuted_reduction(w.matrix, lay, party, c_m)
-        out = red._action(w.matrix)
+        out = apply(red, ProcessMatrix(lay, w.matrix)).matrix
         assert out.shape == (red.out_layout.dim,) * 2
         assert max_norm(out - expected) <= 1e-12 * max(1.0, max_norm(expected))
 
@@ -581,21 +581,96 @@ def test_supermap_rejects_a_non_hermitian_cj():
         Supermap(BIP, BIP, cj=_non_hermitian_cj())
 
 
-def test_supermap_rejects_a_non_hermitian_built_cj():
-    s = Supermap(BIP, BIP, action=lambda w: w, cj_builder=_non_hermitian_cj)
-    with pytest.raises(ValueError, match="not Hermitian"):
-        s.cj
-    # the refused CJ is not cached, so every later read is refused too
-    with pytest.raises(ValueError, match="not Hermitian"):
-        validate_supermap(s)
-
-
 def test_oversized_reduction_cj_is_refused_but_applies():
     red = instrument_reduction(extended_switch_layout(), "D", np.eye(4) / 2)
     with pytest.raises(ValueError, match="not materialized"):
         red.cj
+    with pytest.raises(ValueError, match="16384 x 16384.*not materialized"):
+        validate_supermap(red)
     out = apply(red, extended_switch())
     assert validate(out).valid
+    # the size check runs before the CJ term is read, so it is never formed
+    assert "_terms" not in vars(red)
+
+
+def test_supermap_takes_no_free_standing_action():
+    # an action given beside the CJ could disagree with it: this one doubled
+    # every process while the identity CJ passed validate_supermap
+    with pytest.raises(TypeError):
+        Supermap(BIP, BIP, cj_vector=np.eye(16).reshape(-1), action=lambda w: 2 * w)
+    with pytest.raises(TypeError):
+        Supermap(BIP, BIP, cj_builder=lambda: np.eye(256))
+    with pytest.raises(ValueError, match="CJ operator or vector"):
+        Supermap(BIP, BIP)
+
+
+REDUCTION_CASES = [(BIP, p) for p in "AB"] + [(INTERLEAVED, p) for p in "ABC"] + [
+    (SWITCH, p) for p in "ABC"
+]
+
+
+@pytest.mark.parametrize(
+    "layout, party",
+    REDUCTION_CASES,
+    ids=["bip-A", "bip-B", "interleaved-A", "interleaved-B", "interleaved-C",
+         "switch-A", "switch-B", "switch-C"],
+)
+@pytest.mark.parametrize("element", ["identity", "random"])
+def test_reduction_term_validates_as_its_dense_cj(layout, party, element):
+    # the one exact term, held on the kept, output and party factors, gives
+    # the verdicts and residuals of the same CJ handed in as a dense matrix
+    p = layout.party(party)
+    d_x = int(np.prod([layout.dims[k] for k in p.inputs + p.outputs]))
+    if element == "identity":
+        c_m = np.eye(d_x)
+    else:
+        rng = np.random.default_rng(layout.dim + ord(party))
+        g = rng.standard_normal((d_x, d_x)) + 1j * rng.standard_normal((d_x, d_x))
+        c_m = g @ g.conj().T / d_x
+    red = instrument_reduction(layout, party, c_m)
+    got = validate_supermap(red)
+    want = validate_supermap(Supermap(layout, red.out_layout, cj=red.cj))
+    for a, b in zip(got.conditions, want.conditions):
+        assert a.name == b.name
+        assert a.passed == b.passed
+        assert abs(a.residual - b.residual) <= 1e-13
+    assert got.valid == want.valid
+
+
+def _sweep_reductions():
+    lay = extended_switch_layout()
+    for lam in (0.0, 0.3, np.pi / 4, 1.1, np.pi / 2):
+        rot = np.array([[np.cos(lam), -np.sin(lam)], [np.sin(lam), np.cos(lam)]])
+        yield instrument_reduction(lay, "D", cj_of_unitary(rot)), extended_switch()
+
+
+def test_apply_holds_the_hermitian_part_without_a_second_check(monkeypatch):
+    cases = list(_sweep_reductions()) + [
+        (c_swap_v(), switch_input_channel()),
+        (interpolation_map(quantum_switch(), 0.4), switch_input_channel(control=E1)),
+    ]
+    # the result as a checked ProcessMatrix held it before
+    refs = []
+    for s, w in cases:
+        x = s._act(w)
+        refs.append(ProcessMatrix(s.out_layout, (x + x.conj().T) / 2).matrix)
+
+    def refuse(m):
+        raise AssertionError("apply checked Hermiticity")
+
+    monkeypatch.setattr("pmx.process_space.is_hermitian", refuse)
+    monkeypatch.setattr("pmx.supermaps.is_hermitian", refuse)
+    for (s, w), ref in zip(cases, refs):
+        out = apply(s, w).matrix
+        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+        assert not out.flags.writeable
+
+
+def test_apply_refuses_an_overflowing_result():
+    s = Supermap(BIP, BIP, cj_vector=1e160 * np.eye(16).reshape(-1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="must be Hermitian"):
+            apply(s, w_ocb())
 
 
 def test_blockwise_reduction_equals_the_dense_embedding():
