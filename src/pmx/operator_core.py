@@ -439,6 +439,26 @@ class PaddedOperator:
         rows = views[0].ndim - g.ndim // 2
         return views, g[tuple(None if j in inner else slice(None) for j in range(rows))]
 
+    def absorbed(self, factors: Sequence[int], stack: np.ndarray) -> np.ndarray:
+        """``Tr_X(C_k .)`` for every ``C_k`` of a ``(K, d_X, d_X)`` stack.
+
+        ``X`` is ``factors``, each ``C_k`` on them in the listed order.  The
+        result has shape ``(K, d, d)`` on the remaining factors, in factor
+        order.  A held ``|v><v|`` gives ``M C_k^T M^dag``, with ``M`` the
+        vector as a (remaining factors, ``X``) matrix, so ``|v><v|`` is never
+        formed; any other operator goes into :func:`_absorb` as its tensor
+        in factor order.
+        """
+        factors = list(factors)
+        rest = [f for f in range(len(self.dims)) if f not in factors]
+        d = math.prod(self._dims_of(rest))
+        if self._vector is not None:
+            m = self._ordered_vector(rest + factors).reshape(d, -1)
+            return np.stack([m @ c.T @ m.conj().T for c in stack])
+        every = tuple(range(len(self.dims)))
+        t = self.g if self.kept == every else self._widened(every)
+        return _absorb(t, self.dims, factors, stack).reshape(-1, d, d)
+
     def max_norm(self) -> float:
         if self._vector is not None:
             return float(np.max(np.abs(self._vector), initial=0.0)) ** 2
@@ -482,6 +502,33 @@ class PaddedOperator:
         """The held vector as a tensor with its axes in ``factors``' order."""
         # a vector-held operator keeps every factor, in factor order
         return self._vector.reshape(self.dims).transpose(factors)
+
+
+def _absorb(
+    w: np.ndarray, dims: Sequence[int], factors: Sequence[int], stack: np.ndarray
+) -> np.ndarray:
+    """``Tr_X(C_k W)`` for every ``C_k`` of ``stack``, by one contraction.
+
+    ``w`` is a layout tensor: any leading axes, then one row axis per entry
+    of ``dims``, then one column axis per entry.  ``X`` is the factors at the
+    positions ``factors``, and ``stack`` has shape ``(K, d_X, d_X)`` with each
+    ``C_k`` on those factors in the listed order.  ``1 (x) C_k`` is never
+    formed, and ``w`` goes into one ``np.tensordot`` as it is, with no
+    reordering of its factors before it (``tensordot`` itself copies ``w``
+    with the contracted axes moved together).  Entrywise,
+
+        Tr_X(C W)[r, r'] = sum_{x, y} C[x, y] W[(r, y), (r', x)],
+
+    so ``C``'s row axes meet ``w``'s column axes of ``X`` and its column
+    axes meet the row axes.  The result has the stack axis first, then
+    ``w``'s leading axes, then the remaining row and column axes in order.
+    """
+    n = len(dims)
+    lead = w.ndim - 2 * n
+    sub = tuple(dims[f] for f in factors)
+    c = stack.reshape(stack.shape[:1] + sub * 2)
+    w_axes = [lead + n + f for f in factors] + [lead + f for f in factors]
+    return np.tensordot(c, w, axes=(range(1, 1 + 2 * len(factors)), w_axes))
 
 
 # entries max_norm takes in one pass; a larger input is split along its

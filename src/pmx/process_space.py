@@ -49,6 +49,7 @@ from .operator_core import (
     DEFAULT_TOL,
     PaddedOperator,
     SpaceLayout,
+    _absorb,
     is_hermitian,
     max_norm,
     partial_trace,
@@ -665,46 +666,6 @@ def _operator(w: ProcessMatrix) -> PaddedOperator:
 # ---------------------------------------------------------------------------
 
 
-def _absorb(
-    w: np.ndarray, dims: Sequence[int], factors: Sequence[int], stack: np.ndarray
-) -> np.ndarray:
-    """``Tr_X(C_k W)`` for every ``C_k`` of ``stack``, by one contraction.
-
-    ``w`` is a layout tensor: any leading axes, then one row axis per entry
-    of ``dims``, then one column axis per entry.  ``X`` is the factors at the
-    positions ``factors``, and ``stack`` has shape ``(K, d_X, d_X)`` with each
-    ``C_k`` on those factors in the listed order.  ``1 (x) C_k`` is never
-    formed, and ``w`` goes into one ``np.tensordot`` as it is, with no
-    reordering of its factors before it.  Entrywise,
-
-        Tr_X(C W)[r, r'] = sum_{x, y} C[x, y] W[(r, y), (r', x)],
-
-    so ``C``'s row axes meet ``w``'s column axes of ``X`` and its column
-    axes meet the row axes.  The result has the stack axis first, then
-    ``w``'s leading axes, then the remaining row and column axes in order.
-    """
-    n = len(dims)
-    lead = w.ndim - 2 * n
-    sub = tuple(dims[f] for f in factors)
-    c = stack.reshape(stack.shape[:1] + sub * 2)
-    w_axes = [lead + n + f for f in factors] + [lead + f for f in factors]
-    return np.tensordot(c, w, axes=(range(1, 1 + 2 * len(factors)), w_axes))
-
-
-def _absorb_vector(
-    v: np.ndarray, dims: Sequence[int], factors: Sequence[int], stack: np.ndarray
-) -> np.ndarray:
-    """:func:`_absorb` of ``|v><v|``, as ``M C_k^T M^dag`` with no ``|v><v|``.
-
-    ``M`` is ``v`` as a (remaining factors in order, ``X``) matrix; the
-    result has shape ``(K, d_rest, d_rest)``.
-    """
-    rest = [k for k in range(len(dims)) if k not in factors]
-    d_x = math.prod(dims[k] for k in factors)
-    m = v.reshape(dims).transpose(rest + list(factors)).reshape(-1, d_x)
-    return np.stack([m @ c.T @ m.conj().T for c in stack])
-
-
 def born_probabilities(
     w: ProcessMatrix,
     instruments: Sequence[Instrument],
@@ -716,8 +677,9 @@ def born_probabilities(
     contraction of its stacked elements with the operator (``W ->
     Tr_X(C_k W)`` for every element ``k``): the table is the chain of the
     parties' reductions, and no product ``C_i (x) C_j (x) ...`` is formed.
-    A process held by its vector ``|v>`` gives its first step as
-    ``M C_k^T M^dag`` (:func:`_absorb_vector`), so its matrix is not built.
+    The first step is :meth:`PaddedOperator.absorbed`, so a process held
+    by its vector ``|v>`` is absorbed from the vector and ``|v><v|`` is
+    not built.
 
     Args:
         w: process matrix.
@@ -749,17 +711,13 @@ def born_probabilities(
                 f"instrument for party {p.name!r} has dims "
                 f"({inst.d_in}, {inst.d_out}), layout expects ({d_in}, {d_out})"
             )
-    steps = list(zip(reversed(ordered), reversed(layout.parties)))
-    left = list(range(layout.n_factors))
-    if w.vector is None:
-        table = w.matrix.reshape(layout.dims * 2)
-    else:
-        # the first party is absorbed from the vector, so |v><v| is not built
-        inst, p = steps.pop(0)
-        x = p.inputs + p.outputs
-        left = [f for f in left if f not in x]
-        table = _absorb_vector(w.vector, layout.dims, x, np.array(inst.elements))
-        table = table.reshape((-1,) + tuple(layout.dims[f] for f in left) * 2)
+    if not layout.parties:  # no factors either: the table is the number Tr W
+        return np.array(w.matrix[0, 0].real)
+    (inst, p), *steps = zip(reversed(ordered), reversed(layout.parties))
+    x = p.inputs + p.outputs
+    left = [f for f in range(layout.n_factors) if f not in x]
+    table = _operator(w).absorbed(x, np.array(inst.elements))
+    table = table.reshape((-1,) + tuple(layout.dims[f] for f in left) * 2)
     # each step puts its outcome axis first, so last-to-first ends in party order
     for inst, p in steps:
         x = p.inputs + p.outputs

@@ -42,7 +42,8 @@ validation reads only the terms: a pure CJ is one vector,
 copy, the transposed element on the party's factors) as one exact term on
 those factors, formed on first read.  So only a dense CJ handed in by the
 caller is ever checked as one matrix.  :func:`apply` acts term by term,
-except that a reduction contracts its element with the process directly.
+each term through the one link product ``PaddedOperator.absorbed``, except
+that a reduction absorbs its element into the process directly.
 A CJ above ``MAX_CJ_DIM`` (the 8-factor reductions) is refused before its
 terms are read, so those supermaps apply but cannot be validated.
 """
@@ -54,7 +55,6 @@ import math
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .operator_core import (
     DEFAULT_TOL,
@@ -67,9 +67,8 @@ from .process_space import (
     HierarchyLevel,
     ProcessMatrix,
     ValidationReport,
-    _absorb,
-    _absorb_vector,
     _check_unitary,
+    _operator,
     _validity_report,
     forbidden_part,
     switch_layout,
@@ -188,8 +187,8 @@ class Supermap:
         d = self.cj_dim
         if d > MAX_CJ_DIM:
             raise ValueError(
-                f"CJ operator would be {d} x {d}; this supermap is applied "
-                "through its structured action and its CJ is not materialized"
+                f"CJ operator would be {d} x {d}, above MAX_CJ_DIM = "
+                f"{MAX_CJ_DIM}; it is not materialized"
             )
 
     def _act(self, w: ProcessMatrix) -> np.ndarray:
@@ -234,18 +233,12 @@ def validate_supermap(s: Supermap) -> ValidationReport:
 
 
 def _term_action(t: PaddedOperator, w: np.ndarray, n_in: int) -> np.ndarray:
-    """``Tr_in(T (W^T (x) 1_out))`` for one CJ term ``T``."""
-    d1 = w.shape[0]
-    if t.vector is not None:
-        v2 = t.vector.reshape(d1, -1)
-        return v2.T @ w @ v2.conj()
+    """``Tr_in(T (W^T (x) 1_out))`` for one CJ term ``T``: the link product."""
     if all(f >= n_in for f in t.kept):
         # T = 1_in (x) G, so the action is Tr(W) G
         out_kept = [f - n_in for f in t.kept]
         return np.trace(w) * PaddedOperator(t.dims[n_in:], out_kept, g=t.g).dense()
-    full = t.matrix() if t.kept == tuple(range(len(t.dims))) else t.dense()
-    d2 = full.shape[0] // d1
-    return np.einsum("abcd,ac->bd", full.reshape(d1, d2, d1, d2), w)
+    return t.absorbed(range(n_in), w.T[None])[0]
 
 
 def apply(s: Supermap, w: ProcessMatrix) -> ProcessMatrix:
@@ -253,15 +246,18 @@ def apply(s: Supermap, w: ProcessMatrix) -> ProcessMatrix:
 
     The input layout must match the supermap's; the result lives on the
     output layout.  Each CJ term acts on the process matrix on its own: a
-    rank-one ``|v>><<v|`` term as ``V^T W V^*``, a term ``1_in (x) g`` as
-    ``Tr(W) g``, and any other term by the dense contraction; a reduction
-    contracts its element with the process or its vector instead.  The
-    result is the action's Hermitian part, held with no second check; one
-    with a nan or infinite entry is refused.
+    term ``1_in (x) g`` as ``Tr(W) g``, any other term ``T`` as the link
+    product ``Tr_in(T (W^T (x) 1))`` by ``PaddedOperator.absorbed``, which
+    takes a rank-one term as ``V^T W V^*``; a reduction absorbs its element
+    into the process or its vector instead.  The result is the action's
+    Hermitian part, held with no second check; one with a nan or infinite
+    entry is refused, and numpy's overflow warnings on the way are
+    silenced so that refusal is the one signal.
     """
     if w.layout != s.in_layout:
         raise ValueError("process layout does not match the supermap input layout")
-    return ProcessMatrix._hermitian_part(s.out_layout, s._act(w))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ProcessMatrix._hermitian_part(s.out_layout, s._act(w))
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +353,14 @@ def instrument_reduction(
 
     with ``C_M`` embedded on the party's factors and identity elsewhere.
     The reduced layout deletes the party's factors, preserving the order of
-    the rest.  The supermap applies through this formula directly, as one
-    contraction of ``C_M`` with the party's row and column axes of ``W``
-    (``process_space._absorb``): the embedded ``C_M`` is never formed and
-    ``W`` is not reordered first.  A pure process held by its vector
-    ``|w>`` is contracted as that vector: with ``M`` the vector as a (kept
-    factors, party factors) matrix, ``W' = M C_M^T M^dag``
-    (``process_space._absorb_vector``, which ``born_probabilities`` shares),
-    and the process's matrix is not built.  ``C_M`` must be Hermitian, since
-    :func:`apply` keeps only the Hermitian part of an action.
+    the rest.  The supermap applies through this formula directly, as
+    ``PaddedOperator.absorbed`` of the process, the contraction
+    ``born_probabilities`` shares: the embedded ``C_M`` is never formed,
+    ``W`` is not reordered first, and a pure process held by its vector
+    ``|w>`` gives ``W' = M C_M^T M^dag`` with ``M`` the vector as a (kept
+    factors, party factors) matrix, so its matrix is not built.  ``C_M``
+    must be Hermitian, since :func:`apply` keeps only the Hermitian part of
+    an action.
 
     Its CJ is one exact term, ``|1>><<1| (x) C_M^T``: the unnormalized
     ``|1>>`` wires each kept input factor to its copy in the reduced layout,
@@ -420,14 +415,7 @@ class _Reduction(Supermap):
         return (PaddedOperator(dims, facs, g=g),)
 
     def _act(self, w: ProcessMatrix) -> np.ndarray:
-        dims, stack = self.in_layout.dims, self._element[None]
-        if w.vector is not None:
-            return _absorb_vector(w.vector, dims, self._x_facs, stack)[0]
-        # one contraction of C_M with the party's row and column axes of W,
-        # which leaves the kept factors in layout order
-        t = w.matrix.reshape(dims * 2)
-        d_rest = self.out_layout.dim
-        return _absorb(t, dims, self._x_facs, stack).reshape(d_rest, d_rest)
+        return _operator(w).absorbed(self._x_facs, self._element[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +462,13 @@ def v_lambda_hamiltonian(d: int = 2) -> np.ndarray:
 
 
 def v_lambda_unitary(lam: float, d: int = 2) -> np.ndarray:
-    """``exp(-i lam H)``: identity at 0, the controlled-SWAP at pi/2."""
-    return scipy.linalg.expm(-1j * lam * v_lambda_hamiltonian(d))
+    """``exp(-i lam H)``: identity at 0, the controlled-SWAP at pi/2.
+
+    The pair SWAP squares to 1, so ``H^2 = -2H`` and, in closed form,
+    ``exp(-i lam H) = 1 - (e^{2 i lam} - 1) H / 2``.
+    """
+    h = v_lambda_hamiltonian(d)
+    return np.eye(len(h)) - (np.expm1(2j * lam) / 2) * h
 
 
 def v_lambda(lam: float, d: int = 2) -> Supermap:

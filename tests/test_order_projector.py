@@ -23,12 +23,14 @@ from oracles import (
     from_coefficient_tensor,
     hierarchy_mask,
     order_mask,
+    permute_factors,
 )
 from pmx.operator_core import (
     DEFAULT_TOL,
     PaddedOperator,
     SpaceLayout,
     max_norm,
+    partial_trace,
     tensor,
 )
 from pmx.process_space import (
@@ -290,6 +292,48 @@ def test_padded_operator_depolarizes_without_expanding():
     pure = PaddedOperator.of_vector(v, (2, 3, 2)).depolarized([1])
     dense = PaddedOperator.of_matrix(np.outer(v, v.conj()), (2, 3, 2)).depolarized([1])
     assert max_norm(pure.g - dense.g) <= 1e-12
+
+
+def embedded_link_product(m, dims, factors, stack):
+    """The oracle: ``Tr_X((C_k (x) 1) W)`` with ``W`` reordered to put ``X`` first."""
+    order = factors + [f for f in range(len(dims)) if f not in factors]
+    w = permute_factors(m, dims, order)
+    eye = np.eye(len(w) // len(stack[0]))
+    sub = [dims[f] for f in order]
+    x = range(len(factors))
+    return np.stack([partial_trace(np.kron(c, eye) @ w, sub, x) for c in stack])
+
+
+@PROPERTY_SETTINGS
+@given(
+    dims=st.lists(st.integers(2, 3), min_size=2, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_absorbed_vector_matches_its_dense_copy(dims, seed):
+    # the one link product: a held |v><v|, its dense copy and a block padded
+    # on some factors against the embedded product, with X in shuffled order
+    rng = np.random.default_rng(seed)
+    dims = tuple(dims)
+    n = len(dims)
+    factors = [int(f) for f in rng.permutation(n)[: rng.integers(1, n + 1)]]
+    d_x = int(np.prod([dims[f] for f in factors]))
+    d_rest = int(np.prod(dims)) // d_x
+    stack = rng.standard_normal((3, d_x, d_x)) + 1j * rng.standard_normal((3, d_x, d_x))
+    v = rng.standard_normal(d_x * d_rest) + 1j * rng.standard_normal(d_x * d_rest)
+    m = np.outer(v, v.conj())
+    pure = PaddedOperator.of_vector(v, dims).absorbed(factors, stack)
+    dense = PaddedOperator.of_matrix(m, dims).absorbed(factors, stack)
+    assert pure.shape == dense.shape == (3, d_rest, d_rest)
+    scale = max_norm(dense)
+    assert max_norm(pure - dense) <= 1e-13 * scale
+    want = embedded_link_product(m, dims, factors, stack)
+    assert max_norm(dense - want) <= 1e-13 * scale
+    kept = sorted(int(f) for f in rng.permutation(n)[: rng.integers(1, n + 1)])
+    g = random_hermitian(rng, int(np.prod([dims[f] for f in kept])))
+    padded = PaddedOperator(dims, kept, g=g.reshape(tuple(dims[f] for f in kept) * 2))
+    want = embedded_link_product(padded.dense(), dims, factors, stack)
+    got = padded.absorbed(factors, stack)
+    assert max_norm(got - want) <= 1e-13 * max(1.0, max_norm(want))
 
 
 def test_padded_operator_takes_strided_blocks():

@@ -547,6 +547,13 @@ def test_born_rejects_mismatched_instruments():
         born_probabilities(w, [grandfather_instrument()])
 
 
+def test_born_table_of_a_partyless_process_is_its_trace():
+    empty = SpaceLayout((), ())
+    for w in (ProcessMatrix(empty, [[0.5]]), ProcessMatrix.of_vector(empty, [0.5])):
+        table = born_probabilities(w, [], check=False)
+        assert table.shape == () and table == w.matrix[0, 0].real
+
+
 BORN_LAYOUTS = {
     # party C has two input factors and no output
     "switch": switch_layout(),

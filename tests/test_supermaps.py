@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -53,6 +54,7 @@ from pmx.supermaps import (
     interpolation_map,
     unitary_supermap,
     v_lambda,
+    v_lambda_hamiltonian,
     v_lambda_unitary,
     validate_order_n,
     validate_supermap,
@@ -63,6 +65,11 @@ BIP = bipartite_qubit_layout()
 SWITCH = switch_layout()
 TOY = single_party_layout()
 ONE_DIM = SpaceLayout.build([("E", 1)], [("E", ["E"], [])])
+SEVEN_LABELS = ["A_I", "B_I", "A_O", "B_O", "C_1", "C_2", "C_3"]
+SEVEN = SpaceLayout.build(
+    [(label, 2) for label in SEVEN_LABELS],
+    [("A", ["A_I"], ["A_O"]), ("B", ["B_I"], ["B_O"]), ("C", SEVEN_LABELS[4:], [])],
+)
 E0 = np.array([1.0, 0.0])
 E1 = np.array([0.0, 1.0])
 
@@ -346,6 +353,24 @@ def test_term_held_maps_match_the_dense_oracle(l1, l2, p, seed):
 
 def test_v_at_quarter_turn_is_the_controlled_swap():
     assert max_norm(v_lambda_unitary(np.pi / 2) - c_swap_unitary()) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_v_family_closed_form_matches_the_exponential(d):
+    h = v_lambda_hamiltonian(d)
+    for lam in np.linspace(0.0, np.pi, 7):
+        u = v_lambda_unitary(lam, d)
+        assert max_norm(u - scipy.linalg.expm(-1j * lam * h)) <= 1e-14
+        assert max_norm(u @ u.conj().T - np.eye(len(u))) <= 1e-14
+    assert max_norm(v_lambda_unitary(np.pi / 2, d) - c_swap_unitary(d)) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_switch_family_at_slot_dimension(d):
+    sw, chan = quantum_switch(d=d), switch_input_channel(d=d)
+    assert validate(sw).valid and causal_order_flags(sw) is CausalOrderFlag.NEITHER
+    assert validate(chan).valid and causal_order_flags(chan) is CausalOrderFlag.A_TO_B
+    assert max_norm(apply(c_swap_v(d), chan).matrix - sw.matrix) <= 1e-12
 
 
 def test_controlled_swap_is_an_involution():
@@ -668,9 +693,8 @@ def test_apply_holds_the_hermitian_part_without_a_second_check(monkeypatch):
 
 def test_apply_refuses_an_overflowing_result():
     s = Supermap(BIP, BIP, cj_vector=1e160 * np.eye(16).reshape(-1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="must be Hermitian"):
-            apply(s, w_ocb())
+    with pytest.raises(ValueError, match="must be Hermitian"):
+        apply(s, w_ocb())
 
 
 def test_blockwise_reduction_equals_the_dense_embedding():
@@ -717,16 +741,21 @@ def test_reading_cj_leaves_validation_and_application_unchanged():
 
 def test_oversized_pure_supermap_is_refused_by_validation():
     # validating a pure supermap never forms its CJ, but the size limit holds
-    labels = ["A_I", "B_I", "A_O", "B_O", "C_1", "C_2", "C_3"]
-    seven = SpaceLayout.build(
-        [(label, 2) for label in labels],
-        [("A", ["A_I"], ["A_O"]), ("B", ["B_I"], ["B_O"]), ("C", labels[4:], [])],
-    )
-    s = unitary_supermap(np.eye(128), seven)
+    s = unitary_supermap(np.eye(128), SEVEN)
     assert s.cj_dim == 16384
     with pytest.raises(ValueError, match="16384 x 16384.*not materialized"):
         validate_supermap(s)
     assert s._cj is None
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: unitary_supermap(np.eye(128), SEVEN), lambda: c_swap_v(3)]
+)
+def test_size_refusal_names_the_cap_not_an_action(make):
+    # neither map has a structured action, so the refusal says only the size
+    with pytest.raises(ValueError, match="above MAX_CJ_DIM = 4096") as err:
+        validate_supermap(make())
+    assert "structured action" not in str(err.value)
 
 
 def test_rotation_reduction_sweeps_channel_to_reversed_channel():
