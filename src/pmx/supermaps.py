@@ -31,8 +31,9 @@ reads ``(1 - Q_in) (x) Q_out (C) = 0``.  :func:`validate_supermap` and
 :func:`validate_order_n` check their input and hand the CJ to that core.  A
 depolarization reads and writes only diagonal entries, an output-less party
 shrinks the operator instead of padding it with an identity, and a pure CJ
-``|v><v|`` enters through ``Tr_X |v><v| = V V^dag``, so the rank-one CJ is
-never formed.
+``|v><v|`` is depolarized from its vector, ``Tr_X |v><v| = V V^dag`` held
+by the factor ``V`` while the block would be large, so neither the rank-one
+CJ nor the forbidden part's largest blocks are formed.
 
 A :class:`Supermap` holds its CJ one way, as a sum of positive terms, and
 validation reads only the terms: a pure CJ is one vector,
@@ -179,7 +180,7 @@ class Supermap:
                 dims, range(len(dims)), g=first.dense().reshape(dims * 2), owned=True
             )
             for t in rest:
-                total.add(t)
+                total.add(t.alias())
             self._cj = total.matrix()
         return self._cj
 
@@ -222,8 +223,11 @@ def validate_supermap(s: Supermap) -> ValidationReport:
     term (a pure supermap, ``constant_map``, a reduction) and for
     ``interpolation_map`` (see :class:`Supermap`) the positivity residual
     is exact; for other sums it is an upper bound.  Trace, marginal and
-    forbidden part are linear and are summed from the terms.  The
-    ``MAX_CJ_DIM`` size limit is checked before any term is read.
+    forbidden part are linear and are summed from the terms.  A pure term's
+    forbidden part is held as a sum of padded pieces and its max-norm read
+    band by band, so on the switch layout (a 4096^2 CJ) validation stays
+    within 8 MiB.  The ``MAX_CJ_DIM`` size limit is checked before any term
+    is read.
     """
     s._check_cj_size()
     level = HierarchyLevel.pair(

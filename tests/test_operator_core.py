@@ -5,8 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pmx import operator_core
 from pmx.operator_core import (
     SpaceLayout,
+    _absorb,
     is_hermitian,
     max_norm,
     partial_trace,
@@ -235,3 +237,22 @@ def test_max_norm_allocates_blocks_not_the_input_size():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20  # one pass makes an 8 MB float temporary
+
+
+@pytest.mark.parametrize(
+    "dims, factors, lead",
+    [((2, 3, 2), [2, 0], ()), ((2, 2, 2, 2), [1], (3,)), ((3, 2), [0, 1], (2, 2))],
+)
+def test_absorb_by_einsum_equals_absorb_by_tensordot(monkeypatch, dims, factors, lead):
+    # above _COPY_FREE_ENTRIES the contraction reads the operator in place;
+    # both formulas sum the same products
+    rng = np.random.default_rng(7)
+    shape = lead + dims * 2
+    w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    d_x = int(np.prod([dims[f] for f in factors]))
+    stack = rng.standard_normal((3, d_x, d_x)) + 1j * rng.standard_normal((3, d_x, d_x))
+    want = _absorb(w, dims, factors, stack)
+    monkeypatch.setattr(operator_core, "_COPY_FREE_ENTRIES", 0)
+    got = _absorb(w, dims, factors, stack)
+    assert got.shape == want.shape
+    assert max_norm(got - want) <= 1e-13 * max_norm(want)

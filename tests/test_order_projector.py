@@ -8,7 +8,9 @@ coefficient support of a causally ordered process.  They also check that
 the one validity core gives the same report through every entry point.
 """
 
+import contextlib
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from oracles import (
     order_mask,
     permute_factors,
 )
+from pmx import operator_core
 from pmx.operator_core import (
     DEFAULT_TOL,
     PaddedOperator,
@@ -42,6 +45,7 @@ from pmx.process_space import (
     comb_order_satisfied,
     forbidden_part,
     single_party_layout,
+    switch_layout,
     validate,
 )
 from pmx.supermaps import (
@@ -54,6 +58,7 @@ from pmx.supermaps import (
 )
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+SWITCH = switch_layout()
 
 
 def mask_projector(m, dims, mask):
@@ -227,6 +232,121 @@ def test_reordered_forbidden_part_matches_mask_entrywise(l1, l2, seed):
         assert list(got.kept) == [f for f in order if f in got.kept]
         want = m - mask_projector(m, dims, mask)
         assert max_norm(got.dense() - want) <= 1e-12 * max(1.0, max_norm(m))
+
+
+@contextlib.contextmanager
+def held_in_pieces(factored, band):
+    """Lower the sizes at which blocks stay factors and sums are banded.
+
+    With the package's sizes only operators above 256^2 take those forms;
+    lowered, the small layouts the oracle can afford take them too.
+    """
+    with mock.patch.object(operator_core, "_FACTORED_BLOCK", factored):
+        with mock.patch.object(operator_core, "_BAND_BLOCK", band):
+            yield
+
+
+def check_pieces_against_mask(level, seed, factored, band):
+    """Forbidden parts and the subspace residual, in pieces, against the mask.
+
+    The terms are a vector, a factor padded on some factors (a depolarized
+    vector), a block padded on others and a dense operator.  Each
+    forbidden part's ``dense``, ``max_norm`` and Hermitian max-norm, and the
+    report's subspace residual of their sum, are compared with
+    ``m - mask_projector(m)``.
+    """
+    rng = np.random.default_rng(seed)
+    dims = level.dims
+    mask = hierarchy_mask(level)
+
+    def vector():
+        return rng.standard_normal(level.dim) + 1j * rng.standard_normal(level.dim)
+
+    def factor_subset():
+        return sorted(rng.permutation(len(dims))[: rng.integers(len(dims) + 1)])
+
+    kept = factor_subset()
+    kept_dims = tuple(dims[f] for f in kept)
+    g = random_hermitian(rng, int(np.prod(kept_dims)))
+    dense = random_hermitian(rng, level.dim)
+    with held_in_pieces(factored, band):
+        terms = [
+            PaddedOperator.of_vector(vector(), dims),
+            PaddedOperator.of_vector(vector(), dims).depolarized(factor_subset()),
+            PaddedOperator(dims, kept, g=g.reshape(kept_dims * 2)),
+            PaddedOperator.of_matrix(dense, dims),
+        ]
+        order = _storage_order(level)
+        total = 0
+        for term in terms:
+            m = term.dense()
+            total = total + m
+            want = m - mask_projector(m, dims, mask)
+            scale = max(1.0, max_norm(m))
+            got = forbidden_part(term.alias(), level)
+            assert list(got.kept) == [f for f in order if f in got.kept]
+            assert abs(got.max_norm() - max_norm(want)) <= 1e-12 * scale
+            hermitian = forbidden_part(term.alias(), level)._hermitian_max_norm()
+            assert abs(hermitian - max_norm(want)) <= 1e-12 * scale
+            assert max_norm(got.dense() - want) <= 1e-12 * scale
+        report = _validity_report([t.alias() for t in terms], level, DEFAULT_TOL)
+    want = max_norm(total - mask_projector(total, dims, mask))
+    assert abs(report.subspace.residual - want) <= 1e-12 * max(1.0, max_norm(total))
+
+
+# an output-less party, a qutrit and a dimension-1 factor
+SMALL_MIXED = SpaceLayout.build(
+    [("A_I", 3), ("A_O", 1), ("C_I", 2)],
+    [("A", ["A_I"], ["A_O"]), ("C", ["C_I"], [])],
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    l1=layouts(max_dim=8),
+    l2=layouts(max_dim=8),
+    seed=st.integers(0, 2**32 - 1),
+    factored=st.sampled_from([0, 16, 256]),
+    band=st.sampled_from([1, 16, 256]),
+)
+@example(
+    l1=SMALL_MIXED, l2=single_party_layout(2, 3), seed=3, factored=0, band=16
+)
+def test_level2_forbidden_part_in_pieces_matches_mask(l1, l2, seed, factored, band):
+    level = HierarchyLevel.pair(HierarchyLevel.process(l1), HierarchyLevel.process(l2))
+    check_pieces_against_mask(level, seed, factored, band)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    l1=layouts(max_dim=3),
+    l2=layouts(max_dim=3),
+    seed=st.integers(0, 2**32 - 1),
+    factored=st.sampled_from([16, 256]),
+    band=st.sampled_from([64, 256]),
+)
+@example(l1=SMALL_MIXED, l2=single_party_layout(1, 1), seed=4, factored=16, band=64)
+def test_level3_forbidden_part_in_pieces_matches_mask(l1, l2, seed, factored, band):
+    a, b = HierarchyLevel.process(l1), HierarchyLevel.process(l2)
+    level = HierarchyLevel.pair(HierarchyLevel.pair(a, b), HierarchyLevel.pair(b, a))
+    check_pieces_against_mask(level, seed, factored, band)
+
+
+def test_switch_pair_forbidden_part_in_bands_matches_the_dense_path():
+    # at the package's sizes the pure CJ's forbidden part on the switch pair
+    # is a sum of pieces over a 1024^2 block; the dense CJ takes the
+    # depolarizations of dense blocks, which the mask properties check
+    (term,) = v_lambda(0.7)._terms
+    level = HierarchyLevel.pair(
+        HierarchyLevel.process(SWITCH), HierarchyLevel.process(SWITCH)
+    )
+    got = forbidden_part(term.alias(), level)
+    assert got._pieces is not None and len(got.kept) == 10
+    want = forbidden_part(PaddedOperator.of_matrix(term.dense(), level.dims), level)
+    assert got._hermitian_max_norm() == pytest.approx(want.max_norm(), abs=1e-15)
+    assert got.max_norm() == pytest.approx(want.max_norm(), abs=1e-15)
+    assert got.kept == want.kept
+    assert max_norm(got.matrix() - want.matrix()) <= 1e-15
 
 
 # one fixed layout with every feature: an output-less party, an input-less

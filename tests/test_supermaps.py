@@ -1,5 +1,7 @@
 """Tests for supermap validity, application, constructors, and the hierarchy."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -725,6 +727,50 @@ def test_dense_positivity_residual_repeats_exactly():
     )
     assert first.positivity.residual == second.positivity.residual
     assert first.valid and second.valid
+
+
+def traced_peak(call):
+    """``call()`` and the tracemalloc peak, in bytes, of what it allocates."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "make, residuals",
+    [
+        # positivity, trace and subspace residuals as read when the forbidden
+        # part was formed as one 1024^2 block
+        (lambda: v_lambda(0.7), (0.0, 6.206335383118183e-17, 0.12318121624855753)),
+        (
+            lambda: interpolation_map(quantum_switch(), 0.4),
+            (2.0318491543960188e-17, 0.0, 0.0),
+        ),
+    ],
+)
+def test_switch_pair_validation_stays_within_8_mib(make, residuals):
+    # the level-2 forbidden part is held in pieces and assembled in bands
+    # of rows; its 1024^2 block (16 MiB) is never formed
+    s = make()
+    report, peak = traced_peak(lambda: validate_supermap(s))
+    assert peak <= 8 * 2**20
+    for cond, want in zip(report.conditions, residuals):
+        assert abs(cond.residual - want) <= 1e-13
+
+
+def test_dense_cj_applies_without_a_copy_of_it():
+    # a 4096^2 CJ term is contracted in place: the parent commit's tensordot
+    # copied it (256 MiB) on every application
+    sw = quantum_switch()
+    s = Supermap(SWITCH, SWITCH, cj=interpolation_map(sw, 0.4).cj)
+    w = switch_input_channel()
+    out, peak = traced_peak(lambda: apply(s, w))
+    assert peak <= 8 * 2**20
+    want = apply(interpolation_map(sw, 0.4), w)
+    assert max_norm(out.matrix - want.matrix) <= 1e-12
 
 
 def test_reading_cj_leaves_validation_and_application_unchanged():
