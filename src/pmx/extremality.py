@@ -16,16 +16,31 @@ eigenvalues are the squared cosines of the principal angles between the
 operators on ``supp(W)`` and the span of those terms.  Over the forbidden
 patterns, the eigenvalues above a threshold count the support operators that
 leave the allowed span; over the order patterns ``D``, the eigenvalues at 1
-count the support operators inside ``span(D)``.  Each Gram is taken on its
-smaller side, so its cost follows ``min(|patterns|, rank(W)**2)``.
+count the support operators inside ``span(D)``.  Every ``A_p`` comes from
+one Weyl transform of the ``r**2`` support operators ``|v_i><v_j|``,
+applied factor by factor (:func:`pmx.hs_algebra.compressed_terms`); its
+working array has ``dim**2 r**2`` entries, where applying the terms one
+pattern at a time would hold ``|patterns| dim r``.  A boolean mask over the
+patterns picks the rows.  Both pattern sets are closed under ``p -> -p``, so
+on a Hermitian basis of the support operators the Gram is real.  Each Gram
+is taken on its smaller side, so its cost follows
+``min(2 |patterns|, rank(W)**2)``.
 
-At full rank the intersection count needs no Gram.  There ``V`` is unitary,
-so the ``A_p`` are orthonormal like the ``W_p`` and the forbidden-term Gram
-is the identity: every support operator outside the allowed span is counted
-with eigenvalue exactly 1, and the intersection is the allowed span itself,
-whose dimension is the number of allowed patterns.  Whether ``W`` has full
-rank is still a threshold decision (``SUPPORT_TOL``), and its distance from
-that threshold is reported as the certificate's ``support_margin``.
+Two ranks need no Gram for the intersection count.  At full rank ``V`` is
+unitary, so the ``A_p`` are orthonormal like the ``W_p`` and the
+forbidden-term Gram is the identity: every support operator outside the
+allowed span is counted with eigenvalue exactly 1, and the intersection is
+the allowed span itself, whose dimension is the number of allowed patterns.
+At rank one ``T`` is spanned by ``W`` itself, which lies in ``V``, so the
+intersection is ``T`` and its dimension is 1.  The 1 x 1 Gram agrees: its
+entry is ``||Q(W)||_2^2 / Tr(W)^2``, the squared Hilbert-Schmidt norm of the
+forbidden part of ``W / Tr W``.  ``validate`` bounds ``max|Q(W)|`` by
+``1e-9 max(1, max|W|)``, and ``max|W| <= Tr W = d_out >= 1`` for a rank-one
+``W``, so the entry is at most ``dim**2 1e-18``, below the cut
+``2 INTERSECTION_TOL`` for every ``dim`` up to about ``1.4e5``.  Whether
+``W`` has full rank (or rank one) is still a threshold decision
+(``SUPPORT_TOL``), and its distance from that threshold is reported as the
+certificate's ``support_margin``.
 """
 
 from __future__ import annotations
@@ -35,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hs_algebra import pattern_digits, weyl_elements
+from .hs_algebra import compressed_terms, touched_mask
 from .operator_core import SpaceLayout
 from .process_space import (
     ProcessMatrix,
@@ -62,41 +77,59 @@ INTERSECTION_TOL = 1e-8  # forbidden-term Gram eigenvalues above twice this coun
 DARIANO_TOL = 1e-9  # D-term Gram eigenvalues within this of 1 count
 
 
-def _support(m: np.ndarray) -> tuple[np.ndarray, float]:
+def _support(w: ProcessMatrix) -> tuple[np.ndarray, float]:
     """Support vectors, and the distance of the nearest eigenvalue from the cut.
 
     An eigenvalue belongs to the support when it exceeds ``SUPPORT_TOL``
-    times the largest one; the distance is ``min_i |lambda_i - cut|``.
+    times the largest one; the distance is ``min_i |lambda_i - cut|``.  A
+    process held by its vector ``v`` has the eigenvalues ``|v|^2`` (on
+    ``v / |v|``) and 0, so it needs no eigensolve: the support is
+    ``v / |v|`` and the distance is the cut ``SUPPORT_TOL |v|^2`` itself.
     """
-    vals, vecs = np.linalg.eigh(m)
-    cut = SUPPORT_TOL * max(vals.max(), 0.0)
-    return vecs[:, vals > cut], float(np.abs(vals - cut).min())
+    v = w.vector
+    if v is None:
+        vals, vecs = np.linalg.eigh(w.matrix)
+        cut = SUPPORT_TOL * max(vals.max(), 0.0)
+        return vecs[:, vals > cut], float(np.abs(vals - cut).min())
+    top = float(np.vdot(v, v).real)
+    if top == 0.0:
+        return np.zeros((w.dim, 0), dtype=complex), 0.0
+    cut = SUPPORT_TOL * top
+    return (v / math.sqrt(top)).reshape(-1, 1), cut if w.dim > 1 else top - cut
 
 
 def _term_spectrum(
-    vecs: np.ndarray, dims: tuple[int, ...], patterns: np.ndarray
+    vecs: np.ndarray, dims: tuple[int, ...], mask: np.ndarray
 ) -> np.ndarray:
-    """Eigenvalues of the Gram of ``A_p = V^dag W_p V`` over ``patterns``.
+    """Eigenvalues of the Gram of ``A_p = V^dag W_p V`` over ``mask``.
 
-    ``V`` holds the support vectors as columns and ``patterns`` the
-    per-factor digits of the Weyl terms, one row each; the Gram is
-    normalized by the space dimension, so its eigenvalues lie in ``[0, 1]``.
-    Each ``W_p`` is applied to ``V`` factor by factor, so no product term is
-    formed as a matrix: the leading axis is acted on, then rotated to the
-    back, which after every factor leaves ``(W_p V)^T`` and hence ``A_p^T``.
-    With the ``A_p`` as rows of ``M``, the Gram is ``M M^dag`` when there are
-    no more patterns than ``rank**2`` and ``M^dag M`` otherwise; both have
-    the same nonzero eigenvalues.
+    ``V`` holds the support vectors as columns and ``mask`` flags patterns
+    by flat index; the set must be closed under ``p -> -p``, as every union
+    of support classes is.  The Gram is normalized by the space dimension,
+    so its eigenvalues lie in ``[0, 1]``.  Every ``A_p`` comes from one
+    Weyl transform of the support operators
+    (:func:`pmx.hs_algebra.compressed_terms`), whose working array has
+    ``dim**2 r**2`` entries (applying the terms one pattern at a time would
+    hold ``|patterns| dim r``); ``mask`` then selects the rows.
+
+    The Gram is real on the Hermitian basis ``|v_i><v_i|``,
+    ``(|v_i><v_j| + |v_j><v_i|)/sqrt2`` and ``(|v_i><v_j| - |v_j><v_i|)/(i sqrt2)``
+    (``i < j``): with ``M`` the rows ``Tr(W_p H)`` on that basis,
+    ``W_{-p}`` is a phase times ``W_p^dag``, so the rows of ``p`` and
+    ``-p`` contribute complex conjugate terms to ``M^dag M``, and the Gram
+    is ``Re(M^dag M) = R^T R`` with ``R = [Re M; Im M]``.  It is taken as
+    ``R R^T`` when ``R`` has no more rows than ``rank**2`` and ``R^T R``
+    otherwise; both have the same nonzero eigenvalues.
     """
     dim = math.prod(dims)
     r = vecs.shape[1]
-    size = dim * r
-    y = vecs.reshape(1, dims[0], size // dims[0])
-    for k, d in enumerate(dims):
-        y = weyl_elements(d)[patterns[:, k]] @ y.reshape(-1, d, size // d)
-        y = y.transpose(0, 2, 1)
-    m = (y.reshape(len(patterns), r, dim) @ vecs.conj()).reshape(len(patterns), r * r)
-    gram = m @ m.conj().T if len(patterns) <= r * r else m.conj().T @ m
+    m = compressed_terms(vecs, dims)[mask]
+    i, j = np.triu_indices(r, 1)
+    a, b = m[:, i * r + j], m[:, j * r + i]
+    g, s, d = m[:, :: r + 1], (a + b) / math.sqrt(2), (a - b) / math.sqrt(2)
+    # [Re M; Im M], with -i d for the antisymmetric part
+    rows = np.block([[g.real, s.real, d.imag], [g.imag, s.imag, -d.real]])
+    gram = rows @ rows.T if len(rows) <= r * r else rows.T @ rows
     return np.linalg.eigvalsh(gram / dim)
 
 
@@ -104,16 +137,18 @@ def _intersection(w: ProcessMatrix) -> tuple[int, int, float, float]:
     """Intersection dimension, support rank, the count's margin and the rank's."""
     if not validate(w).valid:
         raise ValueError("support_intersection_dim needs a valid process")
-    vecs, support_margin = _support(w.matrix)
+    vecs, support_margin = _support(w)
     r = vecs.shape[1]
     layout = w.layout
-    allowed = allowed_mask(layout).reshape(-1)
+    forbidden = ~allowed_mask(layout).reshape(-1)
     if r == layout.dim:
         # the forbidden-term Gram is the identity (see the module docstring)
-        mu = np.ones(allowed.size - int(allowed.sum()))
+        mu = np.ones(int(forbidden.sum()))
+    elif r == 1:
+        # W spans T and lies in V (see the module docstring)
+        mu = np.zeros(0)
     else:
-        qdims = tuple(d * d for d in layout.dims)
-        mu = _term_spectrum(vecs, layout.dims, pattern_digits(qdims)[~allowed])
+        mu = _term_spectrum(vecs, layout.dims, forbidden)
     cut = 2 * INTERSECTION_TOL
     above = mu[mu > cut]
     margin = float(above.min() - cut) if above.size else math.inf
@@ -132,7 +167,8 @@ def support_intersection_dim(w: ProcessMatrix) -> int:
     ``(P_T + P_V)/2`` compressed to ``T``, whose eigenvalues are
     ``1 - mu/2``.  At full rank ``T`` holds every operator, the Gram is the
     identity and the dimension is the number of allowed patterns, read from
-    the layout with no Gram.
+    the layout with no Gram; at rank one it is 1, also with no Gram (see
+    the module docstring for the bound under which this agrees with it).
     """
     return _intersection(w)[0]
 
@@ -147,7 +183,8 @@ class ExtremalityCertificate:
     (``inf`` when every eigenvalue is counted): how far a larger tolerance
     would have to move before the count grows.  At full
     rank every left-out eigenvalue is exactly 1, so it is
-    ``1 - 2 INTERSECTION_TOL``.
+    ``1 - 2 INTERSECTION_TOL``; at rank one none is left out, so it is
+    ``inf``.
 
     ``support_margin`` is the same for the support rank: the distance of
     the nearest eigenvalue of ``W`` from the cut ``SUPPORT_TOL`` times the
@@ -224,16 +261,16 @@ def dariano_test(w: ProcessMatrix, direction: str = "a_to_b") -> DarianoReport:
     f_in, f_out = _party_factor_positions(layout, first)
     s_in, _ = _party_factor_positions(layout, second)
     qdims = tuple(d * d for d in layout.dims)
-    digits = pattern_digits(qdims)
-    touched = digits != 0
-    elsewhere = np.ones(len(qdims), dtype=bool)
-    elsewhere[[f_in, f_out]] = False
-    in_d = touched[:, s_in] | (touched[:, f_in] & ~touched[:, elsewhere].any(axis=1))
+    elsewhere = [k for k in range(len(qdims)) if k not in (f_in, f_out)]
+    in_d = touched_mask(qdims, [s_in]) | (
+        touched_mask(qdims, [f_in]) & ~touched_mask(qdims, elsewhere)
+    )
+    in_d = np.broadcast_to(in_d, qdims).reshape(-1)
 
-    vecs, _ = _support(w.matrix)
+    vecs, _ = _support(w)
     support_card = vecs.shape[1] ** 2
     order_card = int(in_d.sum())
-    nu = _term_spectrum(vecs, layout.dims, digits[in_d])
+    nu = _term_spectrum(vecs, layout.dims, in_d)
     total = support_card + order_card
     rank = total - int(np.sum(np.abs(nu - 1.0) <= DARIANO_TOL))
     return DarianoReport(
@@ -242,7 +279,7 @@ def dariano_test(w: ProcessMatrix, direction: str = "a_to_b") -> DarianoReport:
         order_card=order_card,
         total=total,
         rank=rank,
-        space_dim=len(digits),
+        space_dim=in_d.size,
         direction=direction,
     )
 

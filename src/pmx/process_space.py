@@ -45,6 +45,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse.linalg
 
+from .hs_algebra import touched_mask
 from .operator_core import (
     DEFAULT_TOL,
     PaddedOperator,
@@ -425,22 +426,11 @@ def allowed_mask(layout: SpaceLayout) -> np.ndarray:
     """
     n = layout.n_factors
     qdims = tuple(d * d for d in layout.dims)
-
-    def axis_flag(k: int) -> np.ndarray:
-        shape = [1] * n
-        shape[k] = qdims[k]
-        return (np.arange(qdims[k]) > 0).reshape(shape)
-
     any_output = np.zeros((1,) * n, dtype=bool)
     every_touched_leaks = np.ones((1,) * n, dtype=bool)
     for p in layout.parties:
-        touched = np.zeros((1,) * n, dtype=bool)
-        out_touched = np.zeros((1,) * n, dtype=bool)
-        for k in p.inputs:
-            touched = touched | axis_flag(k)
-        for k in p.outputs:
-            touched = touched | axis_flag(k)
-            out_touched = out_touched | axis_flag(k)
+        touched = touched_mask(qdims, p.inputs + p.outputs)
+        out_touched = touched_mask(qdims, p.outputs)
         any_output = any_output | out_touched
         every_touched_leaks = every_touched_leaks & (~touched | out_touched)
     forbidden = any_output & every_touched_leaks

@@ -57,7 +57,6 @@ from pmx.operator_core import (
     tensor,
 )
 from pmx.extremality import _party_factor_positions, _support, _term_spectrum
-from pmx.hs_algebra import pattern_digits
 from pmx.process_space import (
     HierarchyLevel,
     Instrument,
@@ -836,7 +835,7 @@ class SubspacePair:
 def subspace_pair(w: ProcessMatrix) -> SubspacePair:
     """Materialize both projectors on the vectorized operator space."""
     layout = w.layout
-    pi = _support(w.matrix)[0]
+    pi = _support(w)[0]
     pi = pi @ pi.conj().T
     terms = term_stack(layout)
     mapped = np.matmul(np.matmul(pi, terms), pi)
@@ -851,21 +850,20 @@ def subspace_pair(w: ProcessMatrix) -> SubspacePair:
     return SubspacePair(p_t, p_v, dims)
 
 
-def svd_dariano_rank(w: ProcessMatrix, direction: str = "a_to_b") -> tuple[int, int]:
-    """Numerical rank and row count of the stacked vectors of ``C ⊔ D``.
+def order_pattern_mask(layout: SpaceLayout, direction: str = "a_to_b") -> np.ndarray:
+    """Flat mask of the order patterns ``D`` of :func:`pmx.extremality.dariano_test`.
 
-    ``C`` holds the coefficient vectors of the support operators and ``D``
-    the indicator vectors of the order patterns of
-    :func:`pmx.extremality.dariano_test`, enumerated pattern by pattern.
-    Singular values at most ``1e-9`` times the largest count as zero.
+    Every pattern nontrivial on the later party's input, and every pattern
+    nontrivial on the earlier party's input and on no factor outside the
+    earlier party, enumerated pattern by pattern.
     """
-    first, second = (p.name for p in w.layout.parties)
+    first, second = (p.name for p in layout.parties)
     if direction == "b_to_a":
         first, second = second, first
-    f_in, f_out = _party_factor_positions(w.layout, first)
-    s_in, s_out = _party_factor_positions(w.layout, second)
-    qdims = tuple(d * d for d in w.layout.dims)
-    d_rows = []
+    f_in, f_out = _party_factor_positions(layout, first)
+    s_in, s_out = _party_factor_positions(layout, second)
+    qdims = tuple(d * d for d in layout.dims)
+    mask = np.zeros(math.prod(qdims), dtype=bool)
     for pat in np.ndindex(*qdims):
         later = pat[s_in] >= 1
         earlier = (
@@ -874,14 +872,21 @@ def svd_dariano_rank(w: ProcessMatrix, direction: str = "a_to_b") -> tuple[int, 
             and pat[s_out] == 0
             and all(pat[k] == 0 for k in range(len(qdims)) if k not in (f_in, f_out))
         )
-        if later or earlier:
-            row = np.zeros(math.prod(qdims))
-            row[np.ravel_multi_index(pat, qdims)] = 1.0
-            d_rows.append(row)
-    c_rows = _coefficient_rows(
-        _support_operator_basis(_support(w.matrix)[0]), w.layout
-    )
-    stacked = np.vstack([c_rows, *d_rows])
+        mask[np.ravel_multi_index(pat, qdims)] = later or earlier
+    return mask
+
+
+def svd_dariano_rank(w: ProcessMatrix, direction: str = "a_to_b") -> tuple[int, int]:
+    """Numerical rank and row count of the stacked vectors of ``C ⊔ D``.
+
+    ``C`` holds the coefficient vectors of the support operators and ``D``
+    the indicator vectors of the order patterns (:func:`order_pattern_mask`).
+    Singular values at most ``1e-9`` times the largest count as zero.
+    """
+    mask = order_pattern_mask(w.layout, direction)
+    d_rows = np.eye(mask.size)[mask]
+    c_rows = _coefficient_rows(_support_operator_basis(_support(w)[0]), w.layout)
+    stacked = np.vstack([c_rows, d_rows])
     svals = np.linalg.svd(stacked, compute_uv=False)
     return int(np.sum(svals > 1e-9 * svals[0])), stacked.shape[0]
 
@@ -901,7 +906,7 @@ def averaged_projector_intersection_dim(w: ProcessMatrix, tol: float = 1e-8) -> 
     if not validate(w).valid:
         raise ValueError("support_intersection_dim needs a valid process")
     rows = _coefficient_rows(
-        _support_operator_basis(_support(w.matrix)[0]), w.layout
+        _support_operator_basis(_support(w)[0]), w.layout
     )
     masked = rows[:, allowed_mask(w.layout).reshape(-1)]
     avg = (np.eye(rows.shape[0]) + masked @ masked.T) / 2
@@ -918,12 +923,10 @@ def gram_intersection(w: ProcessMatrix, tol: float = 1e-8) -> tuple[int, int, fl
     """
     if not validate(w).valid:
         raise ValueError("support_intersection_dim needs a valid process")
-    vecs = _support(w.matrix)[0]
+    vecs = _support(w)[0]
     r = vecs.shape[1]
     layout = w.layout
-    qdims = tuple(d * d for d in layout.dims)
-    forbidden = pattern_digits(qdims)[~allowed_mask(layout).reshape(-1)]
-    mu = _term_spectrum(vecs, layout.dims, forbidden)
+    mu = _term_spectrum(vecs, layout.dims, ~allowed_mask(layout).reshape(-1))
     above = mu[mu > 2 * tol]
     margin = float(above.min() - 2 * tol) if above.size else math.inf
     return r * r - above.size, r, margin

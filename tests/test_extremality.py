@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 import pmx.extremality
 from pmx.extremality import (
+    DARIANO_TOL,
+    INTERSECTION_TOL,
     SUPPORT_TOL,
     _support,
+    _term_spectrum,
     dariano_test,
     is_extremal,
     non_reachability_report,
@@ -22,19 +25,23 @@ from oracles import (
     averaged_projector_intersection_dim,
     coefficient_tensor,
     gram_intersection,
+    order_pattern_mask,
     permute_factors,
     subspace_pair,
     svd_dariano_rank,
 )
+from pmx.hs_algebra import compressed_terms, weyl_term
 from pmx.operator_core import SpaceLayout, tensor
 from pmx.supermaps import hierarchy_projector
 from test_order_projector import layouts
+from test_process_space import no_dense_build  # noqa: F401 (a fixture)
 from pmx.process_space import (
     HierarchyLevel,
     ProcessMatrix,
     allowed_mask,
     bipartite_qubit_layout,
     cj_of_unitary,
+    extended_switch,
     memory_channel,
     quantum_switch,
     validate,
@@ -220,7 +227,7 @@ class TestIsExtremal:
         cert = is_extremal(w)
         assert cert.tolerance == 1e-8
         rows = _coefficient_rows(
-            _support_operator_basis(_support(w.matrix)[0]), w.layout
+            _support_operator_basis(_support(w)[0]), w.layout
         )
         r_f = rows[:, ~allowed_mask(w.layout).reshape(-1)]
         mu = np.linalg.eigvalsh(r_f @ r_f.T)
@@ -318,7 +325,7 @@ class TestFullRankShortcut:
     def test_rank_one_short_takes_the_gram(self, monkeypatch):
         w = rank_one_short(BIP)
         assert validate(w).valid
-        assert _support(w.matrix)[0].shape[1] == w.dim - 1
+        assert _support(w)[0].shape[1] == w.dim - 1
         calls = []
         spectrum = pmx.extremality._term_spectrum
 
@@ -344,11 +351,108 @@ class TestFullRankShortcut:
         assert cert.support_margin == pytest.approx(SUPPORT_TOL * 0.5, rel=1e-6)
 
 
+class TestRankOne:
+    def test_rank_one_forms_no_gram_and_builds_no_matrix(
+        self, monkeypatch, no_dense_build
+    ):
+        def refuse(*args):
+            raise AssertionError("_term_spectrum called at rank one")
+
+        monkeypatch.setattr(pmx.extremality, "_term_spectrum", refuse)
+        w = extended_switch()
+        cert = is_extremal(w)
+        assert (cert.extremal, cert.intersection_dim, cert.support_rank) == (True, 1, 1)
+        assert cert.margin == math.inf
+        v = w.vector
+        assert cert.support_margin == SUPPORT_TOL * float(np.vdot(v, v).real)
+
+    @pytest.mark.parametrize("held", ["vector", "matrix"])
+    @pytest.mark.parametrize("make", [quantum_switch, extended_switch])
+    def test_rank_one_agrees_with_its_gram(self, make, held):
+        w = make()
+        if held == "matrix":
+            w = ProcessMatrix(w.layout, w.matrix)
+        cert = is_extremal(w)
+        assert gram_intersection(w) == (1, 1, math.inf)
+        assert cert.intersection_dim == cert.support_rank == 1
+        assert cert.margin == math.inf
+        # the 1 x 1 Gram entry is within the bound validate implies
+        forbidden = ~allowed_mask(w.layout).reshape(-1)
+        (mu,) = _term_spectrum(_support(w)[0], w.layout.dims, forbidden)
+        assert mu <= w.dim**2 * 1e-18 < 2 * INTERSECTION_TOL
+
+
+# two parties, three qutrit factors and a qubit
+QUTRITS_3332 = SpaceLayout.build(
+    [("A_I", 3), ("A_O", 3), ("B_I", 3), ("B_O", 2)],
+    [("A", ["A_I"], ["A_O"]), ("B", ["B_I"], ["B_O"])],
+)
+
+
+def gell_mann_spectrum(vecs, layout, mask):
+    """The same Gram from the Gell-Mann coefficient rows of the support operators."""
+    rows = _coefficient_rows(_support_operator_basis(vecs), layout)[:, mask]
+    return np.linalg.eigvalsh(rows @ rows.T)
+
+
+def assert_same_spectrum(got, want):
+    """Same counts at both thresholds, same nonzero eigenvalues within 1e-12."""
+    for count in (
+        lambda x: int(np.sum(x > 2 * INTERSECTION_TOL)),
+        lambda x: int(np.sum(np.abs(x - 1.0) <= DARIANO_TOL)),
+    ):
+        assert count(got) == count(want)
+    got, want = np.sort(got[got > 1e-9]), np.sort(want[want > 1e-9])
+    assert got.size == want.size
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "layout, rank, directions",
+    [
+        (QUTRIT_QUBIT, 5, ()),
+        (QUTRITS_3332, 5, ("a_to_b", "b_to_a")),
+        (QUTRITS_3332, 27, ()),
+    ],
+    ids=["qutrit-qubit-5", "3332-5", "3332-27"],
+)
+def test_term_spectrum_matches_the_gell_mann_route_at_d3(layout, rank, directions):
+    # a transform acting with W_p^T would leave every Gram spectrum as it is:
+    # the transposed terms of a support class span that class (at d = 2 each
+    # is the term up to a sign), so each A_p is also compared with its term
+    rng = np.random.default_rng(rank)
+    shape = (layout.dim, rank)
+    vecs = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+    qdims = tuple(d * d for d in layout.dims)
+    terms = compressed_terms(vecs, layout.dims).reshape(-1, rank, rank)
+    for p, pattern in enumerate(np.ndindex(*qdims)):
+        want = vecs.conj().T @ weyl_term(pattern, layout.dims) @ vecs
+        assert np.abs(terms[p] - want).max() <= 1e-12
+    masks = [~allowed_mask(layout).reshape(-1)]
+    masks += [order_pattern_mask(layout, d) for d in directions]
+    for mask in masks:
+        got = _term_spectrum(vecs, layout.dims, mask)
+        assert_same_spectrum(got, gell_mann_spectrum(vecs, layout, mask))
+
+
+@pytest.mark.parametrize("direction", ["a_to_b", "b_to_a"])
+def test_witness_order_terms_match_the_gell_mann_route(direction):
+    cjm = (cj_of_unitary(np.eye(2)) + cj_of_unitary(X)) / 2
+    w = memory_channel(np.eye(2) / 2, cjm, direction)
+    mask = order_pattern_mask(w.layout, direction)
+    vecs = _support(w)[0]
+    want = gell_mann_spectrum(vecs, w.layout, mask)
+    assert_same_spectrum(_term_spectrum(vecs, w.layout.dims, mask), want)
+    rep = dariano_test(w, direction)
+    assert rep.order_card == int(mask.sum())
+    assert rep.rank == rep.total - int(np.sum(np.abs(want - 1.0) <= DARIANO_TOL))
+
+
 class TestDarianoTest:
     def test_rank_eight_witness_counts(self):
         cjm = (cj_of_unitary(np.eye(2)) + cj_of_unitary(X)) / 2
         w = memory_channel(np.eye(2) / 2, cjm)
-        assert _support(w.matrix)[0].shape[1] == 8
+        assert _support(w)[0].shape[1] == 8
         rep = dariano_test(w)
         assert rep.support_card == 64
         assert rep.order_card == 204 == 3 * 4 * 4 * 4 + 3 * 4
