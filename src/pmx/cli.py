@@ -273,6 +273,11 @@ def _global_tol() -> float:
 
 
 def _build_named(name: str, psi: np.ndarray | None) -> ProcessMatrix:
+    if psi is not None and name in ("channel", "wocb", "wll"):
+        raise ValueError(
+            f"{name} takes no --psi; the processes that take amplitudes are "
+            "state, switch and extended-switch"
+        )
     if name == "state":
         if psi is None:
             return shared_state(np.eye(4) / 4)

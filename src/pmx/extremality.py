@@ -21,10 +21,8 @@ one Weyl transform of the ``r**2`` support operators ``|v_i><v_j|``,
 applied factor by factor (:func:`pmx.hs_algebra.compressed_terms`); its
 working array has ``dim**2 r**2`` entries, where applying the terms one
 pattern at a time would hold ``|patterns| dim r``.  A boolean mask over the
-patterns picks the rows.  Both pattern sets are closed under ``p -> -p``, so
-on a Hermitian basis of the support operators the Gram is real.  Each Gram
-is taken on its smaller side, so its cost follows
-``min(2 |patterns|, rank(W)**2)``.
+patterns picks the rows.  Each Gram is taken on its smaller side, so its
+cost follows ``min(|patterns|, rank(W)**2)``.
 
 Two ranks need no Gram for the intersection count.  At full rank ``V`` is
 unitary, so the ``A_p`` are orthonormal like the ``W_p`` and the
@@ -104,32 +102,20 @@ def _term_spectrum(
     """Eigenvalues of the Gram of ``A_p = V^dag W_p V`` over ``mask``.
 
     ``V`` holds the support vectors as columns and ``mask`` flags patterns
-    by flat index; the set must be closed under ``p -> -p``, as every union
-    of support classes is.  The Gram is normalized by the space dimension,
-    so its eigenvalues lie in ``[0, 1]``.  Every ``A_p`` comes from one
-    Weyl transform of the support operators
+    by flat index.  The Gram is normalized by the space dimension, so its
+    eigenvalues lie in ``[0, 1]``.  Every ``A_p`` comes from one Weyl
+    transform of the support operators
     (:func:`pmx.hs_algebra.compressed_terms`), whose working array has
     ``dim**2 r**2`` entries (applying the terms one pattern at a time would
-    hold ``|patterns| dim r``); ``mask`` then selects the rows.
-
-    The Gram is real on the Hermitian basis ``|v_i><v_i|``,
-    ``(|v_i><v_j| + |v_j><v_i|)/sqrt2`` and ``(|v_i><v_j| - |v_j><v_i|)/(i sqrt2)``
-    (``i < j``): with ``M`` the rows ``Tr(W_p H)`` on that basis,
-    ``W_{-p}`` is a phase times ``W_p^dag``, so the rows of ``p`` and
-    ``-p`` contribute complex conjugate terms to ``M^dag M``, and the Gram
-    is ``Re(M^dag M) = R^T R`` with ``R = [Re M; Im M]``.  It is taken as
-    ``R R^T`` when ``R`` has no more rows than ``rank**2`` and ``R^T R``
-    otherwise; both have the same nonzero eigenvalues.
+    hold ``|patterns| dim r``); ``mask`` then selects the rows ``M``.  The
+    Gram is taken as ``M M^dag`` when ``M`` has no more rows than
+    ``rank**2`` and ``M^dag M`` otherwise; both have the same nonzero
+    eigenvalues.
     """
     dim = math.prod(dims)
     r = vecs.shape[1]
     m = compressed_terms(vecs, dims)[mask]
-    i, j = np.triu_indices(r, 1)
-    a, b = m[:, i * r + j], m[:, j * r + i]
-    g, s, d = m[:, :: r + 1], (a + b) / math.sqrt(2), (a - b) / math.sqrt(2)
-    # [Re M; Im M], with -i d for the antisymmetric part
-    rows = np.block([[g.real, s.real, d.imag], [g.imag, s.imag, -d.real]])
-    gram = rows @ rows.T if len(rows) <= r * r else rows.T @ rows
+    gram = m @ m.conj().T if len(m) <= r * r else m.conj().T @ m
     return np.linalg.eigvalsh(gram / dim)
 
 

@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -231,44 +231,23 @@ def _axes(kept: Sequence[int], factors: Sequence[int]) -> list[int]:
     return rows + [len(kept) + j for j in rows]
 
 
-# entries a diagonal block must hold before _diagonal_views loops over the
-# blocks: on 1024 x 1024 blocks the loop ran about 2x faster than one
-# strided view, while on the 16 x 16 blocks of a level-1 qubit process its
-# Python overhead cost more than it saved
-_LOOPED_BLOCK = 1 << 12
+def _aligned(
+    target: np.ndarray, target_kept: Sequence[int], kept: Sequence[int]
+) -> np.ndarray:
+    """The view of ``target`` that a block on ``kept`` lands on, in its axes.
 
-
-def _diagonal_views(
-    t: np.ndarray, pos: list[int]
-) -> tuple[list[np.ndarray], list[int]]:
-    """Views that together cover ``t``'s entries whose row and column agree on ``pos``.
-
-    ``t`` is as for :func:`_diagonal`.  Each position of ``pos`` outside the
-    innermost axis not in ``pos`` is fixed, one view per diagonal value,
-    when that gives at least two blocks of ``_LOOPED_BLOCK`` entries: numpy
-    runs such blocks one at a time about twice as fast as one strided view
-    with a broadcast or reduced axis among the kept ones.  The other
-    positions stay diagonal axes of every view; they are returned
-    renumbered for the views.
+    ``target`` is a C-contiguous block on ``target_kept``, which lists every
+    factor of ``kept``.  The block pads the factors only ``target_kept``
+    lists, so it lands on the entries of ``target`` whose row and column
+    agree on them (see :func:`_diagonal`).  The view has one row axis for
+    each of those first, over which the block broadcasts, then the block's
+    row and column axes in ``kept`` order.
     """
-    if t.size >= 4 * _LOOPED_BLOCK:
-        k = t.ndim // 2
-        rest = [j for j in range(k) if j not in pos]
-        outer = [j for j in pos if rest and j < rest[-1]]
-        n_blocks = math.prod(t.shape[j] for j in outer)
-        if n_blocks > 1 and t.size >= _LOOPED_BLOCK * n_blocks**2:
-            inner = [j for j in pos if j not in outer]
-            diag = _diagonal(t, inner)
-            # the inner positions lie past every outer one, so an outer
-            # position keeps its row axis j and its column axis k + j
-            views = []
-            for x in itertools.product(*(range(t.shape[j]) for j in outer)):
-                idx = [slice(None)] * diag.ndim
-                for j, xj in zip(outer, x):
-                    idx[j] = idx[k + j] = xj
-                views.append(diag[tuple(idx)])
-            return views, [j - len(outer) for j in inner]
-    return [_diagonal(t, pos)], pos
+    pos = [j for j, f in enumerate(target_kept) if f not in kept]
+    both = [f for f in target_kept if f in kept]
+    rows = [target_kept.index(f) for f in kept]
+    cols = [len(target_kept) + both.index(f) for f in kept]
+    return _diagonal(target, pos).transpose(pos + rows + cols)
 
 
 # entries a block may hold before an operator derived from one held by a
@@ -278,9 +257,9 @@ def _diagonal_views(
 # are held by 1024 x 4 and 512 x 8 factors
 _FACTORED_BLOCK = 1 << 16
 
-# entries of the band of rows in which a sum of pieces is assembled: on the
-# switch pair's 1024^2 forbidden part, bands of 2^16 and 2^15 entries timed
-# alike, and 2^16 keeps the buffer at 1 MiB
+# entries of the sub-block in which a sum of pieces is assembled: on the
+# switch pair's 1024^2 forbidden part, 2^16 gives 16 sub-blocks of 256^2 and
+# keeps the buffer at 1 MiB
 _BAND_BLOCK = 1 << 16
 
 
@@ -310,9 +289,11 @@ class PaddedOperator:
       ``_FACTORED_BLOCK`` from an operand that has none.  A piece no larger
       than that joins a block piece that keeps its factors.  Depolarizing
       acts piece by piece, and forms one block once the result is that
-      small.  ``max_norm`` assembles the sum one band of rows at a time in
-      one reused buffer of ``_BAND_BLOCK`` entries; ``g`` (so ``matrix`` and
-      ``dense``) assembles it once into a block.
+      small.  ``max_norm`` assembles the sum one sub-block at a time in one
+      reused buffer of ``_BAND_BLOCK`` entries: a sub-block fixes the row
+      and the column indices of a few kept factors, and each piece lands in
+      it as a padded block on the others, as in ``add``.  ``g`` (so
+      ``matrix`` and ``dense``) assembles it once into a block.
 
     ``order`` lists every factor, in factor order unless :meth:`reordered`
     sets another.  Each block the operator creates (a depolarization, the
@@ -387,8 +368,8 @@ class PaddedOperator:
             self.kept, self._factor, self.owned = tuple(kept), None, True
         elif self._pieces is not None:
             full = np.empty(self._dims_of(self.kept) * 2, dtype=complex)
-            for idx, band in self._assembled():
-                full[idx] = band
+            for idx, sub in self._assembled():
+                full[idx] = sub
             self._g, self._pieces, self.owned = full, None, True
         return self._g
 
@@ -445,10 +426,7 @@ class PaddedOperator:
             g = np.empty(self._dims_of(kept) * 2, dtype=complex)
             # the sum keeps the rest in self's order; write it in g's order
             out = g if rest == kept else g.transpose(_axes(kept, rest))
-            views, inner = _diagonal_views(self._g, pos)
-            views[0].sum(axis=tuple(inner), out=out)
-            for view in views[1:]:
-                out += view.sum(axis=tuple(inner)) if inner else view
+            _diagonal(self._g, pos).sum(axis=tuple(pos), out=out)
             # the real reciprocal scales in place, with no complex division
             g *= 1.0 / d_x
         return self._derived(kept, g, owned=True)
@@ -487,10 +465,10 @@ class PaddedOperator:
                 g = g.transpose(_axes(self.kept, kept))
             self._g, self.kept, self.owned = g.copy(), kept, True
         for s, p in [(1.0, other)] if other._pieces is None else other._pieces:
-            views, rhs = p._aligned(self._g, self.kept)
+            g = p.g  # a factor forms its block, and its kept, here
+            view = _aligned(self._g, self.kept, p.kept)
             ufunc = np.add if sign * s > 0 else np.subtract
-            for view in views:
-                ufunc(view, rhs, out=view)
+            ufunc(view, g, out=view)
 
     def _append(self, sign: float, piece: "PaddedOperator") -> None:
         """Add ``sign * piece`` to a sum.
@@ -557,16 +535,19 @@ class PaddedOperator:
         return total
 
     def _assembled(self, upper: bool = False) -> Iterator[tuple[tuple, np.ndarray]]:
-        """A sum's block, one band of rows at a time, in one reused buffer.
+        """A sum's block, one sub-block at a time, in one reused buffer.
 
-        A band fixes the row indices of as few kept factors as keep it
-        within ``_BAND_BLOCK`` entries, taken first among the factors every
+        A sub-block ``(x, y)`` fixes the row indices ``x`` and the column
+        indices ``y`` on as few kept factors as keep it within
+        ``_BAND_BLOCK`` entries, taken first among the factors every
         factor-held piece keeps: a piece padded on a fixed factor would form
-        the same rows again in the band of each of its values.  Each band is
-        filled piece by piece and yielded with its index into the block.
-        With ``upper`` a band holds only the columns whose index on the
-        first fixed factor is at least its row's, a part of the block that
-        meets every entry or its transpose.
+        the same product again in each sub-block it meets.  Fixed there,
+        each piece is a padded block on the other factors (see
+        :meth:`_sub_block`), which lands in the buffer through
+        :func:`_aligned`'s view, computed once.  Each sub-block is yielded
+        with its index into the block.  With ``upper`` only those with
+        ``y >= x`` (as flat indices) are: with their transposes they meet
+        every entry.
         """
         kept = self.kept
         dims = self._dims_of(kept)
@@ -574,162 +555,55 @@ class PaddedOperator:
             f for _, p in self._pieces if p._factor is not None
             for f in kept if f not in p.kept
         }
-        side = rows = math.prod(dims)
-        fixed = []
+        pos, side = [], math.prod(dims)
         for i in sorted(range(len(kept)), key=lambda i: kept[i] in pads):
-            if rows * side <= _BAND_BLOCK:
+            if side * side <= _BAND_BLOCK:
                 break
-            fixed.append(i)
-            rows //= dims[i]
-        fixed.sort()
-        band = np.empty(
-            tuple(d for i, d in enumerate(dims) if i not in fixed) + dims, dtype=complex
-        )
-        split = fixed[0] if upper and fixed else None
-        fills = [
-            (sign, p._band_fill(band, kept, fixed, split)) for sign, p in self._pieces
+            pos.append(i)
+            side //= dims[i]
+        pos.sort()
+        fixed = [kept[i] for i in pos]
+        rest = [f for f in kept if f not in fixed]
+        sub = np.empty(self._dims_of(rest) * 2, dtype=complex)
+        lands = [
+            (s, p, _aligned(sub, rest, [f for f in p.kept if f not in fixed]))
+            for s, p in self._pieces
         ]
-        # a first piece on every factor writes each band, with no zero fill
-        if not fills or fills[0][0] < 0 or set(self._pieces[0][1].kept) != set(kept):
-            fills.insert(0, (0.0, lambda values, sign: band.fill(0)))
-        for values in itertools.product(*(range(dims[i]) for i in fixed)):
-            fills[0][1](values, 0.0)
-            for sign, fill in fills[1:]:
-                fill(values, sign)
-            idx = [slice(None)] * len(kept)
-            for i, v in zip(fixed, values):
-                idx[i] = v
-            part = [slice(None)] * band.ndim
-            if split is not None:
-                part[band.ndim - len(kept) + split] = slice(values[0], None)
-            yield tuple(idx), band[tuple(part)]
+        values = list(itertools.product(*(range(dims[i]) for i in pos)))
+        for n, x in enumerate(values):
+            for y in values[n if upper else 0 :]:
+                sub.fill(0)
+                for s, p, view in lands:
+                    block = p._sub_block(fixed, x, y)
+                    if block is not None:
+                        (np.add if s > 0 else np.subtract)(view, block, out=view)
+                idx = [slice(None)] * 2 * len(kept)
+                for i, xi, yi in zip(pos, x, y):
+                    idx[i], idx[len(kept) + i] = xi, yi
+                yield tuple(idx), sub
 
-    def _band_fill(
-        self,
-        band: np.ndarray,
-        kept: Sequence[int],
-        fixed: Sequence[int],
-        split: int | None,
-    ) -> Callable[[Sequence[int], float], None]:
-        """How this operator's share of each band of a block on ``kept`` is filled in.
+    def _sub_block(
+        self, fixed: Sequence[int], x: Sequence[int], y: Sequence[int]
+    ) -> np.ndarray | None:
+        """The block where the factors ``fixed`` have rows ``x`` and columns ``y``.
 
-        A band holds the rows of that block whose row indices on the
-        factors at the positions ``fixed`` are given: ``band`` is
-        C-contiguous, with a row axis per other factor, then a column axis
-        per factor, in ``kept`` order.  This operator keeps some of
-        ``kept`` and pads the rest, so its rows land where a padded factor's
-        column equals its row: a fixed column where the row is fixed, else
-        one axis that walks both.  With ``split`` (the first fixed
-        position) only the columns from the band's row index on that factor
-        on are filled.  The returned function takes the band's fixed row
-        indices and a sign, and adds (1) or subtracts (-1) the rows, or with
-        sign 0 writes them (then this operator keeps every factor of
-        ``kept``).
+        It is on the other factors this operator keeps, in ``kept`` order,
+        and None where this operator pads a fixed factor whose row and
+        column differ.  A block gives the slice ``g[x.., y..]``, a factor
+        ``w F_x F_y^dag``.
         """
-        dims = self._dims_of(kept)
-        free = [i for i in range(len(kept)) if i not in fixed]
-        cols = band.strides[len(free) :]
-        keep = [f in self.kept for f in kept]
-        shape, steps = [], []
-        for r, i in enumerate(free):
-            shape.append(dims[i])
-            steps.append(band.strides[r] + (0 if keep[i] else cols[i]))
-        for i in range(len(kept)):
-            if keep[i]:
-                shape.append(dims[i])
-                steps.append(cols[i])
-        moves = [(j, cols[i]) for j, i in enumerate(fixed) if not keep[i]]
-        both = [f for f in kept if f in self.kept]
-        picks = [
-            fixed.index(i) if i in fixed else None for i in range(len(kept)) if keep[i]
-        ]
-        n_rows = sum(1 for i in free if keep[i])
-        # the view's and the rows' column axis that split cuts, if this keeps it
-        cut = None
-        if split is not None and keep[split]:
-            cut = len(free) + sum(keep[:split])
-        expand = tuple(slice(None) if keep[i] else None for i in free)
-        if self._factor is not None:
-            t = self._ordered_factor(both)
-            k = t.shape[-1]
-            fh = t.reshape(-1, k).conj().T
-            row_shape = tuple(dims[i] for i in free if keep[i])
-            # F^dag as a matrix, with the shape of its columns, and cut to
-            # start the split column axis at each value
-            cols_t = fh.reshape((k,) + self._dims_of(both))
-            fh_from = [(fh, cols_t.shape[1:])]
-            if cut is not None:
-                at = (slice(None),) * (1 + cut - len(free))
-                for lo in range(1, dims[split]):
-                    part = cols_t[at + (slice(lo, None),)]
-                    fh_from.append((part.reshape(k, -1), part.shape[1:]))
-
-            def rows(idx: tuple, lo: int) -> np.ndarray:
-                a = t[idx].reshape(-1, k) * self._weight
-                f, col_shape = fh_from[lo]
-                return (a @ f).reshape(row_shape + col_shape)
-
-        else:
-            g = self.g
-            if both != list(self.kept):
-                g = g.transpose(_axes(self.kept, both))
-
-            def rows(idx: tuple, lo: int) -> np.ndarray:
-                r = g[idx]
-                if lo:
-                    at = (slice(None),) * (n_rows + cut - len(free))
-                    r = r[at + (slice(lo, None),)]
-                return r
-
-        def fill(values: Sequence[int], sign: float) -> None:
-            idx = tuple(slice(None) if j is None else values[j] for j in picks)
-            lo = values[0] if cut is not None else 0
-            offset = sum(values[j] * c for j, c in moves)
-            if lo:
-                view_shape = list(shape)
-                view_shape[cut] -= lo
-                offset += lo * steps[cut]
-            else:
-                view_shape = shape
-            if sign == 0 and not lo and self._factor is not None:
-                # the product goes straight into the band
-                a = t[idx].reshape(-1, k) * self._weight
-                np.matmul(a, fh, out=band.reshape(a.shape[0], -1))
-                return
-            view = np.ndarray(
-                tuple(view_shape), band.dtype, buffer=band, offset=offset,
-                strides=tuple(steps),
-            )
-            r = rows(idx, lo)
-            if sign == 0:
-                view[...] = r
-            elif sign > 0:
-                np.add(view, r[expand], out=view)
-            else:
-                np.subtract(view, r[expand], out=view)
-
-        return fill
-
-    def _aligned(
-        self, target: np.ndarray, target_kept: Sequence[int]
-    ) -> tuple[list[np.ndarray], np.ndarray]:
-        """Views of ``target`` that ``g`` lands on, and ``g`` shaped for them.
-
-        ``self`` pads the factors only ``target_kept`` lists, so ``g`` lands
-        on the entries of ``target`` whose row and column agree on them
-        (see :func:`_diagonal_views`).
-        """
-        pos = [j for j, f in enumerate(target_kept) if f not in self.kept]
-        views, inner = _diagonal_views(target, pos)
-        both = [f for f in target_kept if f in self.kept]
-        g = self.g
-        if both != list(self.kept):
-            g = g.transpose(_axes(self.kept, both))
-        if not inner:
-            return views, g
-        # a unit row axis on each diagonal axis of the views
-        rows = views[0].ndim - g.ndim // 2
-        return views, g[tuple(None if j in inner else slice(None) for j in range(rows))]
+        if any(xi != yi for f, xi, yi in zip(fixed, x, y) if f not in self.kept):
+            return None
+        at = {f: (xi, yi) for f, xi, yi in zip(fixed, x, y)}
+        rows = tuple(at[f][0] if f in at else slice(None) for f in self.kept)
+        cols = tuple(at[f][1] if f in at else slice(None) for f in self.kept)
+        if self._factor is None:
+            return self.g[rows + cols]
+        t = self._ordered_factor(self.kept)
+        k = t.shape[-1]
+        f_x, f_y = t[rows], t[cols]
+        block = (f_x.reshape(-1, k) * self._weight) @ f_y.reshape(-1, k).conj().T
+        return block.reshape(f_x.shape[:-1] * 2)
 
     def absorbed(self, factors: Sequence[int], stack: np.ndarray) -> np.ndarray:
         """``Tr_X(C_k .)`` for every ``C_k`` of a ``(K, d_X, d_X)`` stack.
@@ -757,21 +631,21 @@ class PaddedOperator:
             rows = np.abs(f[:, 0]) if f.shape[1] == 1 else np.linalg.norm(f, axis=1)
             return self._weight * float(np.max(rows, initial=0.0)) ** 2
         if self._pieces is not None:
-            # np.max, unlike the builtin max, keeps a nan from any band
-            return float(np.max([max_norm(band) for _, band in self._assembled()]))
+            # np.max, unlike the builtin max, keeps a nan from any sub-block
+            return float(np.max([max_norm(sub) for _, sub in self._assembled()]))
         return max_norm(self._g)
 
     def _hermitian_max_norm(self) -> float:
         """``max_norm`` of an operator that is Hermitian.
 
-        A sum is assembled only where a column's index on the first fixed
-        factor of its bands is at least the row's: that part holds every
-        entry or its conjugate transpose, ``(d + 1) / 2d`` of the block for a
-        fixed factor of dimension ``d`` (three quarters for a qubit).
+        A sum is assembled only in its sub-blocks ``(x, y)`` with ``y >= x``:
+        the sub-block ``(y, x)`` is the conjugate transpose of ``(x, y)``, so
+        they hold every entry or its conjugate, ``(n + 1) / 2n`` of the
+        ``n^2`` sub-blocks (10 of 16 on the switch pair).
         """
         if self._pieces is None:
             return self.max_norm()
-        return float(np.max([max_norm(band) for _, band in self._assembled(True)]))
+        return float(np.max([max_norm(sub) for _, sub in self._assembled(True)]))
 
     def dense(self) -> np.ndarray:
         """The full ``d x d`` matrix in factor order, identity padding included."""
@@ -784,9 +658,8 @@ class PaddedOperator:
     def _widened(self, kept: Sequence[int]) -> np.ndarray:
         """A fresh block on the factors ``kept``, a superset of ``self.kept``."""
         full = np.zeros(self._dims_of(kept) * 2, dtype=complex)
-        views, rhs = self._aligned(full, kept)
-        for view in views:
-            view[...] = rhs
+        g = self.g
+        _aligned(full, kept, self.kept)[...] = g
         return full
 
     def _derived(

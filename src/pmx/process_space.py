@@ -471,8 +471,8 @@ def forbidden_part(op: PaddedOperator, level: HierarchyLevel) -> PaddedOperator:
     An ``op`` held by a vector (or any factor, see :class:`PaddedOperator`)
     is depolarized from that factor while the blocks would exceed 256^2, so
     on the switch pair the 1024^2 and 512^2 blocks are never formed, and
-    the result is a signed sum of padded pieces, assembled band by band of
-    rows only when ``max_norm`` or ``dense`` reads it.  Every block of a
+    the result is a signed sum of padded pieces, assembled one sub-block
+    at a time only when ``max_norm`` or ``dense`` reads it.  Every block of a
     level-1 process is at most 256^2 and is formed as before.
     """
     return _forbidden(op.reordered(_storage_order(level)), level, 0)
@@ -606,11 +606,11 @@ def _validity_report(
     * subspace: the max-norm of the forbidden part ``Q^(n)(X)``, which is
       linear, so it is summed from the terms' forbidden parts.  A term held
       by a vector leaves its forbidden part as a sum of pieces (see
-      :func:`forbidden_part`); the max-norm assembles that sum one band of
-      rows at a time, and since the sum is Hermitian only the bands' part
-      that holds every entry or its conjugate transpose (three quarters of
-      the block on qubits).  On the switch pair the validation stays
-      within 8 MiB, where a 1024^2 block alone is 16 MiB.
+      :func:`forbidden_part`); the max-norm assembles that sum one
+      sub-block at a time, and since the sum is Hermitian only the
+      sub-blocks that hold every entry or its conjugate transpose (10 of
+      16 on the switch pair).  There the validation stays within 8 MiB,
+      where a 1024^2 block alone is 16 MiB.
 
     Each tolerance is ``tol`` scaled by the relevant magnitude (the trace,
     the trace target, the sum of the terms' max-norms, which bounds the

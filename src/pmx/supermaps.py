@@ -33,7 +33,8 @@ depolarization reads and writes only diagonal entries, an output-less party
 shrinks the operator instead of padding it with an identity, and a pure CJ
 ``|v><v|`` is depolarized from its vector, ``Tr_X |v><v| = V V^dag`` held
 by the factor ``V`` while the block would be large, so neither the rank-one
-CJ nor the forbidden part's largest blocks are formed.
+CJ nor the forbidden part's largest blocks are formed: that part is read
+one sub-block at a time.
 
 A :class:`Supermap` holds its CJ one way, as a sum of positive terms, and
 validation reads only the terms: a pure CJ is one vector,
@@ -225,9 +226,9 @@ def validate_supermap(s: Supermap) -> ValidationReport:
     is exact; for other sums it is an upper bound.  Trace, marginal and
     forbidden part are linear and are summed from the terms.  A pure term's
     forbidden part is held as a sum of padded pieces and its max-norm read
-    band by band, so on the switch layout (a 4096^2 CJ) validation stays
-    within 8 MiB.  The ``MAX_CJ_DIM`` size limit is checked before any term
-    is read.
+    one sub-block at a time, so on the switch layout (a 4096^2 CJ)
+    validation stays within 8 MiB.  The ``MAX_CJ_DIM`` size limit is
+    checked before any term is read.
     """
     s._check_cj_size()
     level = HierarchyLevel.pair(

@@ -266,6 +266,17 @@ class TestBuildCommand:
         assert out == "" and err == f"error: {message}\n"
         assert not path.exists()
 
+    @pytest.mark.parametrize("name", ["channel", "wocb", "wll"])
+    def test_psi_for_a_process_without_amplitudes_exits_2(self, tmp_path, capsys, name):
+        path = tmp_path / "x"
+        code, out, err = run(capsys, "build", name, "--psi", "1,0", "-o", str(path))
+        assert code == 2
+        assert out == "" and err == (
+            f"error: {name} takes no --psi; the processes that take amplitudes "
+            "are state, switch and extended-switch\n"
+        )
+        assert not path.exists()
+
     @pytest.mark.parametrize("psi", ["nan,1", "1,inf"], ids=["nan", "inf"])
     def test_non_finite_psi_exits_2(self, tmp_path, capsys, psi):
         path = tmp_path / "x"

@@ -349,6 +349,40 @@ def test_switch_pair_forbidden_part_in_bands_matches_the_dense_path():
     assert max_norm(got.matrix() - want.matrix()) <= 1e-15
 
 
+def test_switch_pair_hermitian_max_norm_reads_the_upper_sub_blocks():
+    # the forbidden part's 1024^2 block is cut into 4 x 4 sub-blocks of
+    # 256^2; the Hermitian read takes the 10 with y >= x, the diagonal ones
+    # included, and together with their transposes they cover the block
+    (term,) = v_lambda(0.7)._terms
+    level = HierarchyLevel.pair(
+        HierarchyLevel.process(SWITCH), HierarchyLevel.process(SWITCH)
+    )
+    got = forbidden_part(term.alias(), level)
+    every = [idx for idx, _ in got._assembled()]
+    upper = [idx for idx, _ in got._assembled(upper=True)]
+    assert len(every) == 16 and len(upper) == 10
+    n = len(got.kept)
+
+    def cut(idx):
+        # the sub-block's row and column indices on the cut factors
+        at = [i for i in range(n) if idx[i] != slice(None)]
+        return tuple(idx[i] for i in at), tuple(idx[n + i] for i in at)
+
+    pairs = {cut(idx) for idx in upper}
+    assert len(pairs) == 10
+    assert pairs | {(y, x) for x, y in pairs} == {cut(idx) for idx in every}
+    assert sum(x == y for x, y in pairs) == 4
+    # a sum of pieces whose only nonzero entry, |0><0|, lies on a diagonal
+    # sub-block: here 2 of 3 qubits are cut, 4 x 4 sub-blocks of 2^2
+    dims = (2, 2, 2)
+    with held_in_pieces(0, 4):
+        total = PaddedOperator(dims, [0], g=np.zeros((2, 2), dtype=complex))
+        total.add(PaddedOperator.of_vector(np.eye(1, 8, 0).reshape(-1), dims))
+        assert total._pieces is not None
+        assert len(list(total._assembled(upper=True))) == 10
+        assert total._hermitian_max_norm() == total.max_norm() == 1.0
+
+
 # one fixed layout with every feature: an output-less party, an input-less
 # party, a party with two input factors, and factors of dimension 1 and 3
 MIXED = SpaceLayout.build(

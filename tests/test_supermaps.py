@@ -19,6 +19,8 @@ from oracles import (
     superoperator_reduction_cj,
 )
 from pmx.operator_core import (
+    DEFAULT_TOL,
+    PaddedOperator,
     SpaceLayout,
     max_norm,
     partial_trace,
@@ -27,6 +29,7 @@ from pmx.operator_core import (
 from pmx.process_space import (
     CausalOrderFlag,
     ProcessMatrix,
+    _validity_report,
     allowed_mask,
     bipartite_qubit_layout,
     causal_order_flags,
@@ -759,6 +762,35 @@ def test_switch_pair_validation_stays_within_8_mib(make, residuals):
     assert peak <= 8 * 2**20
     for cond, want in zip(report.conditions, residuals):
         assert abs(cond.residual - want) <= 1e-13
+
+
+def test_extended_switch_d_reduction_validates_as_one_vector_term():
+    # the reduction's CJ |1>><<1| (x) C_M^T is 16,384^2; for a unitary
+    # C_M = |c><c| it is the one vector |1>> (x) c^*, whose level-2 forbidden
+    # part is held in pieces
+    lam = 0.4
+    rot = np.array([[np.cos(lam), -np.sin(lam)], [np.sin(lam), np.cos(lam)]])
+    layout = extended_switch_layout()
+    red = instrument_reduction(layout, "D", cj_of_unitary(rot))
+    n = layout.n_factors
+    party = layout.party("D")
+    x = [*party.inputs, *party.outputs]
+    keep = [k for k in range(n) if k not in x]
+    facs = keep + list(range(n, n + red.out_layout.n_factors)) + x
+    wire = np.eye(red.out_layout.dim).reshape(-1)
+    v = np.kron(wire, rot.T.reshape(-1).conj())
+    level = HierarchyLevel.pair(
+        HierarchyLevel.process(layout), HierarchyLevel.process(red.out_layout)
+    )
+    v = v.reshape(tuple(level.dims[k] for k in facs)).transpose(np.argsort(facs))
+    term = PaddedOperator.of_vector(v.reshape(-1), level.dims)
+    report, peak = traced_peak(lambda: _validity_report([term], level, DEFAULT_TOL))
+    assert report.positivity.residual == 0.0
+    assert report.subspace.residual <= 1e-15
+    # no representative meets the full-space trace equation (see the
+    # instrument_reduction docstring)
+    assert report.trace.residual == pytest.approx(0.8484, abs=1e-4)
+    assert peak <= 40 * 2**20
 
 
 def test_dense_cj_applies_without_a_copy_of_it():
