@@ -250,11 +250,11 @@ def _aligned(
     return _diagonal(target, pos).transpose(pos + rows + cols)
 
 
-# entries a block may hold before an operator derived from one held by a
-# factor stays held by a factor, or by pieces, instead of forming the block.
+# entries a block may hold before an operator derived from one held by its
+# root vector stays held by it, or by pieces, instead of forming the block.
 # Every block of a level-1 process (at most 256^2) is formed as before; on
 # the switch pair the 1024^2 and 512^2 blocks of a pure CJ's forbidden part
-# are held by 1024 x 4 and 512 x 8 factors
+# are held by its root, as 1024 x 4 and 512 x 8 views of it
 _FACTORED_BLOCK = 1 << 16
 
 # entries of the sub-block in which a sum of pieces is assembled: on the
@@ -275,25 +275,28 @@ class PaddedOperator:
     ``g`` is held in one of three forms:
 
     * a dense block;
-    * a factor: ``g = w F F^dag`` with ``F`` of shape ``(d_kept, k)``, its
-      rows in ``kept`` order, and a weight ``w > 0``.  A rank-one ``|v><v|``
-      on every factor is the case ``k = 1``, ``w = 1`` (``vector``).
-      Depolarizing keeps the form, ``Tr_X(F F^dag) = F' F'^dag`` with ``F'``
-      the ``(d_rest, d_X k)`` reshape of ``F``, while the rank ``d_X k`` stays
-      below ``d_rest`` and the block would hold more than
+    * a root vector ``v``: the operator is ``D_X(|v><v|)``, with ``X`` the
+      factors it does not keep, so ``g = F F^dag / d_X`` with ``F`` the
+      ``(d_kept, d_X)`` matrix of ``v``'s entries, a transposed view of
+      ``v``.  ``|v><v|`` itself keeps every factor (``vector``).
+      Depolarizing drops factors from ``kept`` and nothing else, while
+      ``d_X`` stays below ``d_kept`` and the block would hold more than
       ``_FACTORED_BLOCK`` entries; otherwise it forms the block.  The
-      max-norm is ``w max_i |F_i|^2``, found on the diagonal since ``g`` is
-      positive;
-    * a signed sum of pieces, each a block or a factor on some of ``kept``,
-      when ``add`` or ``subtract`` would otherwise form a block above
-      ``_FACTORED_BLOCK`` from an operand that has none.  A piece no larger
-      than that joins a block piece that keeps its factors.  Depolarizing
-      acts piece by piece, and forms one block once the result is that
-      small.  ``max_norm`` assembles the sum one sub-block at a time in one
-      reused buffer of ``_BAND_BLOCK`` entries: a sub-block fixes the row
-      and the column indices of a few kept factors, and each piece lands in
-      it as a padded block on the others, as in ``add``.  ``g`` (so
-      ``matrix`` and ``dense``) assembles it once into a block.
+      max-norm is ``max_i |F_i|^2 / d_X``, found on the diagonal since ``g``
+      is positive;
+    * a signed sum of pieces, each a block or a root-held operator on some
+      of ``kept``, when ``add`` or ``subtract`` would otherwise form a block
+      above ``_FACTORED_BLOCK`` from an operand that has none.  A piece no
+      larger than that joins a block piece that keeps its factors.  Two
+      root-held pieces are one operator when they share the root and keep
+      the same factors of dimension above 1, so one of opposite sign
+      cancels the other.  Depolarizing acts piece by piece, and forms one
+      block once the result is that small.  ``max_norm`` assembles the sum
+      one sub-block at a time in one reused buffer of ``_BAND_BLOCK``
+      entries: a sub-block fixes the row and the column indices of a few
+      kept factors, and each piece lands in it as a padded block on the
+      others, as in ``add``.  ``g`` (so ``matrix`` and ``dense``) assembles
+      it once into a block.
 
     ``order`` lists every factor, in factor order unless :meth:`reordered`
     sets another.  Each block the operator creates (a depolarization, the
@@ -319,8 +322,7 @@ class PaddedOperator:
         self.order = tuple(range(len(self.dims)))
         # _diagonal views a block through its buffer, which must be contiguous
         self._g = g if g is None or g.flags.c_contiguous else g.copy()
-        self._factor: np.ndarray | None = None
-        self._weight = 1.0
+        self._root: np.ndarray | None = None
         self._pieces: list[tuple[float, PaddedOperator]] | None = None
         self.owned = owned
 
@@ -342,30 +344,30 @@ class PaddedOperator:
         v = np.asarray(v, dtype=complex)
         if v.shape != (math.prod(dims),):
             raise ValueError(f"vector shape {v.shape} does not match dims {dims}")
-        return cls(dims, range(len(dims)))._held_by(v.reshape(-1, 1), 1.0)
+        op = cls(dims, range(len(dims)))
+        op._root = v
+        return op
 
     @property
     def vector(self) -> np.ndarray | None:
         """``v`` while the operator is still held as ``|v><v|``, else None."""
-        f = self._factor
         # depolarizing drops a factor from kept, so only |v><v| keeps them all
-        if f is None or len(self.kept) < len(self.dims) or f.shape[1] != 1:
+        if len(self.kept) < len(self.dims):
             return None
-        return f[:, 0] if self._weight == 1.0 else None
+        return self._root
 
     @property
     def g(self) -> np.ndarray:
-        if self._factor is not None:
+        if self._root is not None:
             kept = self._in_order(self.kept)
-            f = self._ordered_factor(kept)
-            f = f.reshape(-1, f.shape[-1])
+            f, w = self._root_factor(kept)
             if self.vector is not None:
                 # the outer product, whose bits a matrix product need not keep
                 g = np.outer(f[:, 0], f[:, 0].conj())
             else:
-                g = (f * self._weight) @ f.conj().T
+                g = (f * w) @ f.conj().T
             self._g = g.reshape(self._dims_of(kept) * 2)
-            self.kept, self._factor, self.owned = tuple(kept), None, True
+            self.kept, self._root, self.owned = tuple(kept), None, True
         elif self._pieces is not None:
             full = np.empty(self._dims_of(self.kept) * 2, dtype=complex)
             for idx, sub in self._assembled():
@@ -388,7 +390,7 @@ class PaddedOperator:
 
     def alias(self) -> "PaddedOperator":
         """The same operator, sharing storage and copying before any write."""
-        op = self._derived(self.kept, self._g)._held_by(self._factor, self._weight)
+        op = self._derived(self.kept, self._g)
         if self._pieces is not None:
             op._pieces = [(s, p.alias()) for s, p in self._pieces]
         return op
@@ -411,18 +413,17 @@ class PaddedOperator:
             return self.alias()
         if self._pieces is not None:
             return self._depolarized_sum(factors)
-        d_x = math.prod(self.dims[self.kept[j]] for j in pos)
         rest = [f for f in self.kept if f not in factors]
         kept = self._in_order(rest)
-        if self._factor is not None:
-            f = self._ordered_factor(kept + [self.kept[j] for j in pos])
-            f = f.reshape(-1, d_x * f.shape[-1])
-            w = self._weight / d_x
-            if f.shape[1] < f.shape[0] and f.shape[0] ** 2 > _FACTORED_BLOCK:
-                return self._derived(kept)._held_by(f, w)
-            # scaling the d x d_x k factor costs d k entries, not the block's d^2
+        if self._root is not None:
+            # d_X < d_kept exactly when the block's d_kept^2 entries exceed d
+            if self._entries(kept) > max(_FACTORED_BLOCK, math.prod(self.dims)):
+                return self._derived(kept)
+            f, w = self._root_factor(kept)
+            # scaling the d_kept x d_X factor costs d entries, not the block's
             g = ((f * w) @ f.conj().T).reshape(self._dims_of(kept) * 2)
         else:
+            d_x = math.prod(self.dims[self.kept[j]] for j in pos)
             g = np.empty(self._dims_of(kept) * 2, dtype=complex)
             # the sum keeps the rest in self's order; write it in g's order
             out = g if rest == kept else g.transpose(_axes(kept, rest))
@@ -444,11 +445,10 @@ class PaddedOperator:
         if (self._g is None or (other._g is None and not covered)) and self._entries(
             set(self.kept) | set(other.kept)
         ) > _FACTORED_BLOCK:
-            # a block would be formed from a factor or pieces: hold pieces
+            # a block would be formed from a root or pieces: hold pieces
             if self._pieces is None:
-                moved = self._derived(self.kept, self._g, owned=self.owned)
-                self._pieces = [(1.0, moved._held_by(self._factor, self._weight))]
-                self._g = self._factor = None
+                self._pieces = [(1.0, self._derived(self.kept, self._g, self.owned))]
+                self._g = self._root = None
             self.kept = tuple(self._in_order(set(self.kept) | set(other.kept)))
             for s, p in [(1.0, other)] if other._pieces is None else other._pieces:
                 self._append(sign * s, p)
@@ -458,14 +458,14 @@ class PaddedOperator:
         if not covered:
             kept = self._in_order(set(self.kept) | set(other.kept))
             self._g, self.kept, self.owned = self._widened(kept), tuple(kept), True
-        g = self.g  # a factor or a sum forms its block here, in a fresh array
+        g = self.g  # a root or a sum forms its block here, in a fresh array
         if not self.owned:
             kept = tuple(self._in_order(self.kept))
             if kept != self.kept:
                 g = g.transpose(_axes(self.kept, kept))
             self._g, self.kept, self.owned = g.copy(), kept, True
         for s, p in [(1.0, other)] if other._pieces is None else other._pieces:
-            g = p.g  # a factor forms its block, and its kept, here
+            g = p.g  # a root forms its block, and its kept, here
             view = _aligned(self._g, self.kept, p.kept)
             ufunc = np.add if sign * s > 0 else np.subtract
             ufunc(view, g, out=view)
@@ -474,40 +474,23 @@ class PaddedOperator:
         """Add ``sign * piece`` to a sum.
 
         A piece no larger than ``_FACTORED_BLOCK`` joins a block piece that
-        keeps its factors.  A factor piece that holds the same factor as
-        another, with the same weight, on the same factors (up to factors of
-        dimension 1, whose depolarization changes nothing) joins it: the two
-        cancel or double.
+        keeps its factors.  A root-held piece cancels one of opposite sign
+        that holds the same root on the same factors, up to factors of
+        dimension 1, whose depolarization changes nothing.
         """
         if piece._entries(piece.kept) <= _FACTORED_BLOCK:
             for s, p in self._pieces:
                 if p._g is not None and set(piece.kept) <= set(p.kept):
                     p._update(piece, sign * s)
                     return
-        if piece._factor is not None:
+        if piece._root is not None:
+            wide = {f for f in piece.kept if self.dims[f] > 1}
             for i, (s, p) in enumerate(self._pieces):
-                if p._same_factor(piece):
-                    if s == sign:
-                        self._pieces[i] = (s, p._derived(p.kept)._held_by(
-                            p._factor, 2 * p._weight
-                        ))
-                    else:
+                if s != sign and p._root is piece._root:
+                    if wide == {f for f in p.kept if self.dims[f] > 1}:
                         del self._pieces[i]
-                    return
+                        return
         self._pieces.append((sign, piece))
-
-    def _same_factor(self, other: "PaddedOperator") -> bool:
-        """Whether both hold one factor array, weight and non-trivial factors."""
-        f, g = self._factor, other._factor
-        if f is None or g is None or self._weight != other._weight:
-            return False
-        wide = [x for x in self.kept if self.dims[x] > 1]
-        return (
-            f.shape == g.shape
-            and f.strides == g.strides
-            and f.__array_interface__["data"] == g.__array_interface__["data"]
-            and wide == [x for x in other.kept if self.dims[x] > 1]
-        )
 
     def _depolarized_sum(self, factors: set[int]) -> "PaddedOperator":
         """A sum's depolarization, piece by piece: one block when small, else pieces.
@@ -540,7 +523,7 @@ class PaddedOperator:
         A sub-block ``(x, y)`` fixes the row indices ``x`` and the column
         indices ``y`` on as few kept factors as keep it within
         ``_BAND_BLOCK`` entries, taken first among the factors every
-        factor-held piece keeps: a piece padded on a fixed factor would form
+        root-held piece keeps: a piece padded on a fixed factor would form
         the same product again in each sub-block it meets.  Fixed there,
         each piece is a padded block on the other factors (see
         :meth:`_sub_block`), which lands in the buffer through
@@ -552,7 +535,7 @@ class PaddedOperator:
         kept = self.kept
         dims = self._dims_of(kept)
         pads = {
-            f for _, p in self._pieces if p._factor is not None
+            f for _, p in self._pieces if p._root is not None
             for f in kept if f not in p.kept
         }
         pos, side = [], math.prod(dims)
@@ -589,21 +572,22 @@ class PaddedOperator:
 
         It is on the other factors this operator keeps, in ``kept`` order,
         and None where this operator pads a fixed factor whose row and
-        column differ.  A block gives the slice ``g[x.., y..]``, a factor
-        ``w F_x F_y^dag``.
+        column differ.  A block gives the slice ``g[x.., y..]``, a root
+        ``F_x F_y^dag / d_X``.
         """
         if any(xi != yi for f, xi, yi in zip(fixed, x, y) if f not in self.kept):
             return None
         at = {f: (xi, yi) for f, xi, yi in zip(fixed, x, y)}
         rows = tuple(at[f][0] if f in at else slice(None) for f in self.kept)
         cols = tuple(at[f][1] if f in at else slice(None) for f in self.kept)
-        if self._factor is None:
+        if self._root is None:
             return self.g[rows + cols]
-        t = self._ordered_factor(self.kept)
-        k = t.shape[-1]
+        t = self._root_tensor(self.kept)
         f_x, f_y = t[rows], t[cols]
-        block = (f_x.reshape(-1, k) * self._weight) @ f_y.reshape(-1, k).conj().T
-        return block.reshape(f_x.shape[:-1] * 2)
+        lead = self._dims_of(f for f in self.kept if f not in at)
+        d_x = f_x.size // math.prod(lead)
+        block = (f_x.reshape(-1, d_x) * (1.0 / d_x)) @ f_y.reshape(-1, d_x).conj().T
+        return block.reshape(lead * 2)
 
     def absorbed(self, factors: Sequence[int], stack: np.ndarray) -> np.ndarray:
         """``Tr_X(C_k .)`` for every ``C_k`` of a ``(K, d_X, d_X)`` stack.
@@ -619,17 +603,17 @@ class PaddedOperator:
         rest = [f for f in range(len(self.dims)) if f not in factors]
         d = math.prod(self._dims_of(rest))
         if self.vector is not None:
-            m = self._ordered_factor(rest + factors).reshape(d, -1)
+            m = self._root_tensor(rest + factors).reshape(d, -1)
             return np.stack([m @ c.T @ m.conj().T for c in stack])
         every = tuple(range(len(self.dims)))
         t = self.g if self.kept == every else self._widened(every)
         return _absorb(t, self.dims, factors, stack).reshape(-1, d, d)
 
     def max_norm(self) -> float:
-        if self._factor is not None:
-            f = self._factor
+        if self._root is not None:
+            f, w = self._root_factor(self.kept)
             rows = np.abs(f[:, 0]) if f.shape[1] == 1 else np.linalg.norm(f, axis=1)
-            return self._weight * float(np.max(rows, initial=0.0)) ** 2
+            return w * float(np.max(rows, initial=0.0)) ** 2
         if self._pieces is not None:
             # np.max, unlike the builtin max, keeps a nan from any sub-block
             return float(np.max([max_norm(sub) for _, sub in self._assembled()]))
@@ -665,14 +649,12 @@ class PaddedOperator:
     def _derived(
         self, kept: Sequence[int], g: np.ndarray | None = None, owned: bool = False
     ) -> "PaddedOperator":
+        """An operator with ``self``'s order, held by ``g``, else by ``self``'s root."""
         op = PaddedOperator(self.dims, kept, g, owned)
         op.order = self.order
+        if g is None:
+            op._root = self._root
         return op
-
-    def _held_by(self, factor: np.ndarray | None, weight: float) -> "PaddedOperator":
-        """This operator, held as ``weight * F F^dag`` when ``factor`` is ``F``."""
-        self._factor, self._weight = factor, weight
-        return self
 
     def _entries(self, factors: Iterable[int]) -> int:
         """Entries of a block on ``factors``."""
@@ -686,11 +668,16 @@ class PaddedOperator:
         factors = set(factors)
         return [f for f in self.order if f in factors]
 
-    def _ordered_factor(self, factors: Sequence[int]) -> np.ndarray:
-        """``F`` as a tensor, its kept axes in ``factors``' order, then ``k``."""
-        f = self._factor
-        t = f.reshape(self._dims_of(self.kept) + f.shape[1:])
-        return t.transpose([self.kept.index(x) for x in factors] + [len(self.kept)])
+    def _root_tensor(self, rows: Sequence[int]) -> np.ndarray:
+        """The root as a tensor view: the axes of ``rows``, then the others'."""
+        rest = [f for f in range(len(self.dims)) if f not in rows]
+        return self._root.reshape(self.dims).transpose(list(rows) + rest)
+
+    def _root_factor(self, rows: Sequence[int]) -> tuple[np.ndarray, float]:
+        """``F`` and ``1 / d_X``: ``D_X(|v><v|)`` on ``rows`` is ``F F^dag / d_X``."""
+        t = self._root_tensor(rows)
+        d_rows = math.prod(self._dims_of(rows))
+        return t.reshape(d_rows, -1), d_rows / t.size
 
 
 # entries of the operator tensor from which _absorb contracts it by einsum,

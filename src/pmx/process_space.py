@@ -49,6 +49,7 @@ from .hs_algebra import touched_mask
 from .operator_core import (
     DEFAULT_TOL,
     PaddedOperator,
+    Party,
     SpaceLayout,
     _absorb,
     is_hermitian,
@@ -195,6 +196,14 @@ class ProcessMatrix:
         return self.layout.dim
 
 
+def _party_dims(layout: SpaceLayout, p: Party) -> tuple[int, int]:
+    """Party ``p``'s ``(d_in, d_out)``; an empty side has dimension 1."""
+    return (
+        math.prod(layout.dims[k] for k in p.inputs),
+        math.prod(layout.dims[k] for k in p.outputs),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class Instrument:
     """CJ operators of one party's instrument elements.
@@ -243,10 +252,7 @@ class Instrument:
     def from_party(
         cls, layout: SpaceLayout, party: str, elements: Sequence[np.ndarray]
     ) -> "Instrument":
-        p = layout.party(party)
-        d_in = math.prod(layout.dims[k] for k in p.inputs) if p.inputs else 1
-        d_out = math.prod(layout.dims[k] for k in p.outputs) if p.outputs else 1
-        return cls(party, tuple(elements), d_in, d_out)
+        return cls(party, tuple(elements), *_party_dims(layout, layout.party(party)))
 
 
 @dataclass(frozen=True)
@@ -468,12 +474,15 @@ def forbidden_part(op: PaddedOperator, level: HierarchyLevel) -> PaddedOperator:
     do not depend on it.  ``op`` is consumed: the result may share and
     overwrite its storage.
 
-    An ``op`` held by a vector (or any factor, see :class:`PaddedOperator`)
-    is depolarized from that factor while the blocks would exceed 256^2, so
-    on the switch pair the 1024^2 and 512^2 blocks are never formed, and
-    the result is a signed sum of padded pieces, assembled one sub-block
-    at a time only when ``max_norm`` or ``dense`` reads it.  Every block of a
-    level-1 process is at most 256^2 and is formed as before.
+    An ``op`` held by a vector (or by any root vector, see
+    :class:`PaddedOperator`) stays held by that root while the blocks would
+    exceed 256^2: each such depolarization only drops factors from
+    ``kept``.  So on the switch pair the 1024^2 and 512^2 blocks are never
+    formed, and the result is a signed sum of padded pieces, in which two
+    pieces of one root on the same factors cancel when their signs are
+    opposite, assembled one sub-block at a time only when ``max_norm`` or
+    ``dense`` reads it.  Every block of a level-1 process is at most 256^2
+    and is formed as before.
     """
     return _forbidden(op.reordered(_storage_order(level)), level, 0)
 
@@ -707,12 +716,11 @@ def born_probabilities(
 
     ordered = [by_name[p.name] for p in layout.parties]
     for inst, p in zip(ordered, layout.parties):
-        d_in = math.prod(layout.dims[k] for k in p.inputs) if p.inputs else 1
-        d_out = math.prod(layout.dims[k] for k in p.outputs) if p.outputs else 1
-        if (inst.d_in, inst.d_out) != (d_in, d_out):
+        dims = _party_dims(layout, p)
+        if (inst.d_in, inst.d_out) != dims:
             raise ValueError(
                 f"instrument for party {p.name!r} has dims "
-                f"({inst.d_in}, {inst.d_out}), layout expects ({d_in}, {d_out})"
+                f"({inst.d_in}, {inst.d_out}), layout expects {dims}"
             )
     if not layout.parties:  # no factors either: the table is the number Tr W
         return np.array(w.matrix[0, 0].real)

@@ -31,10 +31,10 @@ reads ``(1 - Q_in) (x) Q_out (C) = 0``.  :func:`validate_supermap` and
 :func:`validate_order_n` check their input and hand the CJ to that core.  A
 depolarization reads and writes only diagonal entries, an output-less party
 shrinks the operator instead of padding it with an identity, and a pure CJ
-``|v><v|`` is depolarized from its vector, ``Tr_X |v><v| = V V^dag`` held
-by the factor ``V`` while the block would be large, so neither the rank-one
-CJ nor the forbidden part's largest blocks are formed: that part is read
-one sub-block at a time.
+``|v><v|`` is depolarized from its vector: ``D_X(|v><v|)`` stays held by
+``v`` and the kept factors while the block would be large, so neither the
+rank-one CJ nor the forbidden part's largest blocks are formed, and that
+part is a sum of such pieces, read one sub-block at a time.
 
 A :class:`Supermap` holds its CJ one way, as a sum of positive terms, and
 validation reads only the terms: a pure CJ is one vector,

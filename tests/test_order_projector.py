@@ -236,7 +236,7 @@ def test_reordered_forbidden_part_matches_mask_entrywise(l1, l2, seed):
 
 @contextlib.contextmanager
 def held_in_pieces(factored, band):
-    """Lower the sizes at which blocks stay factors and sums are banded.
+    """Lower the sizes at which roots hold blocks and sums are cut in sub-blocks.
 
     With the package's sizes only operators above 256^2 take those forms;
     lowered, the small layouts the oracle can afford take them too.
@@ -249,8 +249,8 @@ def held_in_pieces(factored, band):
 def check_pieces_against_mask(level, seed, factored, band):
     """Forbidden parts and the subspace residual, in pieces, against the mask.
 
-    The terms are a vector, a factor padded on some factors (a depolarized
-    vector), a block padded on others and a dense operator.  Each
+    The terms are a vector, a root-held operator padded on some factors (a
+    depolarized vector), a block padded on others and a dense operator.  Each
     forbidden part's ``dense``, ``max_norm`` and Hermitian max-norm, and the
     report's subspace residual of their sum, are compared with
     ``m - mask_projector(m)``.
@@ -332,7 +332,39 @@ def test_level3_forbidden_part_in_pieces_matches_mask(l1, l2, seed, factored, ba
     check_pieces_against_mask(level, seed, factored, band)
 
 
-def test_switch_pair_forbidden_part_in_bands_matches_the_dense_path():
+@pytest.mark.parametrize("factored, most", [(16, 3), (0, 2)])
+def test_level3_forbidden_part_of_a_vector_cancels_to_few_pieces(factored, most):
+    # dims (3, 3, 3, 1, 3, 1, 3, 3), 729 in all.  The projector reaches the
+    # same depolarization of the vector along several paths, with opposite
+    # signs; held by the root and the kept factors, those pieces cancel
+    a = HierarchyLevel.process(single_party_layout(3, 3))
+    b = HierarchyLevel.process(single_party_layout(3, 1))
+    level = HierarchyLevel.pair(HierarchyLevel.pair(a, b), HierarchyLevel.pair(b, a))
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(level.dim) + 1j * rng.standard_normal(level.dim)
+    dense = PaddedOperator.of_matrix(np.outer(v, v.conj()), level.dims)
+    want = forbidden_part(dense, level).max_norm()
+    with mock.patch.object(operator_core, "_FACTORED_BLOCK", factored):
+        got = forbidden_part(PaddedOperator.of_vector(v, level.dims), level)
+        assert got._pieces is not None and len(got._pieces) <= most
+        assert got.max_norm() == pytest.approx(want, abs=1e-12)
+
+
+def test_one_depolarization_reached_two_ways_cancels_exactly():
+    # D_1 D_0 and D_0 D_1 of one vector are one operator: their difference
+    # leaves no piece and reads exactly zero
+    dims = (2,) * 6
+    rng = np.random.default_rng(6)
+    v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    with mock.patch.object(operator_core, "_FACTORED_BLOCK", 16):
+        op = PaddedOperator.of_vector(v, dims)
+        diff = op.depolarized([0]).depolarized([1])
+        diff.subtract(op.depolarized([1]).depolarized([0]))
+        assert diff._pieces == []
+        assert diff.max_norm() == 0.0
+
+
+def test_switch_pair_forbidden_part_in_sub_blocks_matches_the_dense_path():
     # at the package's sizes the pure CJ's forbidden part on the switch pair
     # is a sum of pieces over a 1024^2 block; the dense CJ takes the
     # depolarizations of dense blocks, which the mask properties check

@@ -755,8 +755,8 @@ def traced_peak(call):
     ],
 )
 def test_switch_pair_validation_stays_within_8_mib(make, residuals):
-    # the level-2 forbidden part is held in pieces and assembled in bands
-    # of rows; its 1024^2 block (16 MiB) is never formed
+    # the level-2 forbidden part is held in pieces and assembled in
+    # sub-blocks; its 1024^2 block (16 MiB) is never formed
     s = make()
     report, peak = traced_peak(lambda: validate_supermap(s))
     assert peak <= 8 * 2**20
