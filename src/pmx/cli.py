@@ -453,17 +453,18 @@ def _verify_switch() -> int:
     return checks.finish("switch")
 
 
+# pmx verify's suites by name, each called with the --seed value, which only
+# the hierarchy suite reads; the names are also the parser's choices
+_SUITES = {
+    "rigidity": lambda seed: _verify_rigidity(),
+    "extremality": lambda seed: _verify_extremality(),
+    "hierarchy": _verify_hierarchy,
+    "switch": lambda seed: _verify_switch(),
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.suite == "rigidity":
-        return _verify_rigidity()
-    if args.suite == "extremality":
-        return _verify_extremality()
-    if args.suite == "hierarchy":
-        return _verify_hierarchy(args.seed)
-    if args.suite == "switch":
-        return _verify_switch()
-    print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
-    return 2
+    return _SUITES[args.suite](args.seed)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -538,9 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(func=cmd_validate)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
-    p_ver.add_argument(
-        "suite", choices=["rigidity", "extremality", "hierarchy", "switch"]
-    )
+    p_ver.add_argument("suite", choices=list(_SUITES))
     p_ver.add_argument(
         "--seed",
         type=_seed,

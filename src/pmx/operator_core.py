@@ -252,9 +252,9 @@ def _aligned(
 
 # entries a block may hold before an operator derived from one held by its
 # root vector stays held by it, or by pieces, instead of forming the block.
-# Every block of a level-1 process (at most 256^2) is formed as before; on
-# the switch pair the 1024^2 and 512^2 blocks of a pure CJ's forbidden part
-# are held by its root, as 1024 x 4 and 512 x 8 views of it
+# Every block of a level-1 process (at most 256^2) is formed; on the switch
+# pair the 1024^2 and 512^2 blocks of a pure CJ's forbidden part are held by
+# its root, as 1024 x 4 and 512 x 8 views of it
 _FACTORED_BLOCK = 1 << 16
 
 # entries of the sub-block in which a sum of pieces is assembled: on the
@@ -285,9 +285,10 @@ class PaddedOperator:
       max-norm is ``max_i |F_i|^2 / d_X``, found on the diagonal since ``g``
       is positive;
     * a signed sum of pieces, each a block or a root-held operator on some
-      of ``kept``, when ``add`` or ``subtract`` would otherwise form a block
-      above ``_FACTORED_BLOCK`` from an operand that has none.  A piece no
-      larger than that joins a block piece that keeps its factors.  Two
+      of ``kept``, when ``add`` or ``subtract`` meets an operand that keeps
+      a factor the operator pads, or would otherwise form a block above
+      ``_FACTORED_BLOCK`` entries from a root or a sum.  A piece of at most
+      that many entries joins a block piece that keeps its factors.  Two
       root-held pieces are one operator when they share the root and keep
       the same factors of dimension above 1, so one of opposite sign
       cancels the other.  Depolarizing acts piece by piece, and forms one
@@ -300,9 +301,9 @@ class PaddedOperator:
 
     ``order`` lists every factor, in factor order unless :meth:`reordered`
     sets another.  Each block the operator creates (a depolarization, the
-    copy of a shared block, a widening, an assembly) keeps its factors in
-    that order, so a caller that pads the outermost factors of a large block
-    touches long contiguous runs.  ``matrix`` and ``g`` follow ``kept``;
+    copy of a shared block, an assembly) keeps its factors in that order,
+    so a caller that pads the outermost factors of a large block touches
+    long contiguous runs.  ``matrix`` and ``g`` follow ``kept``;
     ``dense`` is in factor order.
 
     ``add`` and ``subtract`` work in place and consume their operand, whose
@@ -365,6 +366,7 @@ class PaddedOperator:
                 # the outer product, whose bits a matrix product need not keep
                 g = np.outer(f[:, 0], f[:, 0].conj())
             else:
+                # scaling the d_kept x d_X factor costs d entries, not the block's
                 g = (f * w) @ f.conj().T
             self._g = g.reshape(self._dims_of(kept) * 2)
             self.kept, self._root, self.owned = tuple(kept), None, True
@@ -416,20 +418,18 @@ class PaddedOperator:
         rest = [f for f in self.kept if f not in factors]
         kept = self._in_order(rest)
         if self._root is not None:
+            op = self._derived(kept)
             # d_X < d_kept exactly when the block's d_kept^2 entries exceed d
-            if self._entries(kept) > max(_FACTORED_BLOCK, math.prod(self.dims)):
-                return self._derived(kept)
-            f, w = self._root_factor(kept)
-            # scaling the d_kept x d_X factor costs d entries, not the block's
-            g = ((f * w) @ f.conj().T).reshape(self._dims_of(kept) * 2)
-        else:
-            d_x = math.prod(self.dims[self.kept[j]] for j in pos)
-            g = np.empty(self._dims_of(kept) * 2, dtype=complex)
-            # the sum keeps the rest in self's order; write it in g's order
-            out = g if rest == kept else g.transpose(_axes(kept, rest))
-            _diagonal(self._g, pos).sum(axis=tuple(pos), out=out)
-            # the real reciprocal scales in place, with no complex division
-            g *= 1.0 / d_x
+            if self._entries(kept) <= max(_FACTORED_BLOCK, math.prod(self.dims)):
+                op.g  # reading g forms the small block from the root
+            return op
+        d_x = math.prod(self.dims[self.kept[j]] for j in pos)
+        g = np.empty(self._dims_of(kept) * 2, dtype=complex)
+        # the sum keeps the rest in self's order; write it in g's order
+        out = g if rest == kept else g.transpose(_axes(kept, rest))
+        _diagonal(self._g, pos).sum(axis=tuple(pos), out=out)
+        # the real reciprocal scales in place, with no complex division
+        g *= 1.0 / d_x
         return self._derived(kept, g, owned=True)
 
     def add(self, other: "PaddedOperator") -> None:
@@ -441,11 +441,11 @@ class PaddedOperator:
         self._update(other, -1.0)
 
     def _update(self, other: "PaddedOperator", sign: float) -> None:
-        covered = set(other.kept) <= set(self.kept)
-        if (self._g is None or (other._g is None and not covered)) and self._entries(
-            set(self.kept) | set(other.kept)
-        ) > _FACTORED_BLOCK:
-            # a block would be formed from a root or pieces: hold pieces
+        # an operand that keeps a factor self pads is held as a piece, and so
+        # is any operand of a root or a sum whose block would be large
+        if not set(other.kept) <= set(self.kept) or (
+            self._g is None and self._entries(self.kept) > _FACTORED_BLOCK
+        ):
             if self._pieces is None:
                 self._pieces = [(1.0, self._derived(self.kept, self._g, self.owned))]
                 self._g = self._root = None
@@ -453,11 +453,7 @@ class PaddedOperator:
             for s, p in [(1.0, other)] if other._pieces is None else other._pieces:
                 self._append(sign * s, p)
             return
-        # other may pad more factors; where it keeps one self pads, self's
-        # block is first widened over that factor
-        if not covered:
-            kept = self._in_order(set(self.kept) | set(other.kept))
-            self._g, self.kept, self.owned = self._widened(kept), tuple(kept), True
+        # other keeps only factors self keeps, and may pad more of them
         g = self.g  # a root or a sum forms its block here, in a fresh array
         if not self.owned:
             kept = tuple(self._in_order(self.kept))

@@ -482,7 +482,7 @@ def forbidden_part(op: PaddedOperator, level: HierarchyLevel) -> PaddedOperator:
     pieces of one root on the same factors cancel when their signs are
     opposite, assembled one sub-block at a time only when ``max_norm`` or
     ``dense`` reads it.  Every block of a level-1 process is at most 256^2
-    and is formed as before.
+    and is formed.
     """
     return _forbidden(op.reordered(_storage_order(level)), level, 0)
 
@@ -553,7 +553,7 @@ def _lowest_eigenvalue(op: PaddedOperator) -> float:
     also covers every entry of the lower triangle the solver reads.  Pure
     processes built from identity wires keep a few of their indices (16 of
     256 for the extended switch); when every index is live, ``g`` itself is
-    solved, as before the restriction.
+    solved.
     """
     v = op.vector
     if v is not None:
@@ -743,25 +743,28 @@ def born_probabilities(
 # ---------------------------------------------------------------------------
 
 
-def _check_unitary(u: np.ndarray) -> None:
-    """Refuse a square matrix ``U`` unless ``U U^dag = 1`` within DEFAULT_TOL."""
+def _unitary_vector(u: np.ndarray) -> np.ndarray:
+    """``(1 (x) U)|1>>``, which in row-major flattening is ``U^T`` read row by row.
+
+    A square matrix is refused unless ``U U^dag = 1`` within DEFAULT_TOL.
+    """
     if not max_norm(u @ u.conj().T - np.eye(u.shape[0])) <= DEFAULT_TOL:
         raise ValueError("matrix is not unitary within tolerance")
+    return u.T.reshape(-1)
 
 
 def cj_of_unitary(u: np.ndarray) -> np.ndarray:
     """CJ operator of unitary conjugation, ``(1 (x) U)|1>><<1|(1 (x) U^dag)``.
 
-    That is ``|v><v|`` with ``v = (1 (x) U)|1>>``, which in row-major
-    flattening is ``U^T`` read row by row.  The outer product is formed in
-    the input's dtype and then made complex, so a real ``U`` keeps the signs
-    of its zero products.  A matrix that is not unitary is refused.
+    That is ``|v><v|`` with ``v = (1 (x) U)|1>>``.  The outer product is
+    formed in the input's dtype and then made complex, so a real ``U``
+    keeps the signs of its zero products.  A matrix that is not unitary is
+    refused.
     """
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"unitary must be a square matrix, got shape {u.shape}")
-    _check_unitary(u)
-    v = u.T.reshape(-1)
+    v = _unitary_vector(u)
     return np.outer(v, v.conj()).astype(complex)
 
 
@@ -861,11 +864,7 @@ def w_ll() -> ProcessMatrix:
     loop and yields zero total probability for the anti-aligned instrument
     of :func:`grandfather_instrument`.
     """
-    layout = single_party_layout(2, 2)
-    v = np.zeros(4, dtype=complex)
-    v[0] = 1.0  # |00>
-    v[3] = 1.0  # |11>
-    return ProcessMatrix(layout, np.outer(v, v.conj()))
+    return ProcessMatrix(single_party_layout(2, 2), cj_of_unitary(np.eye(2)))
 
 
 def grandfather_instrument() -> Instrument:

@@ -33,10 +33,12 @@ values and no threshold enter.
 
 The kernel is closed under ``u -> -u`` and ``W_{-u}`` is a multiple of
 ``W_u^dag``, so the Hermitian generators it holds span a real space whose
-dimension is the pattern count.  For prime ``d_k`` the symplectic group acts
-transitively on each factor's nontrivial patterns, so the kernel is a union
-of support classes (sets of patterns touching the same factors), the same
-set of generators in any product basis with the identity first.
+dimension is the pattern count.  ``SL(2, Z_d)`` is transitive on the
+patterns ``(p, q)`` of each order ``d / gcd(p, q, d)``, so its orbits on one
+factor are the classes of ``gcd(p, q, d)``.  For prime ``d_k`` they are the
+identity and the rest, so the kernel is a union of support classes (sets of
+patterns touching the same factors), the same set of generators in any
+product basis with the identity first.
 """
 
 from __future__ import annotations
@@ -64,25 +66,17 @@ _CHUNK_PAIRS = 1 << 20
 
 
 @lru_cache(maxsize=None)
-def _orbit_labels(d: int) -> np.ndarray:
-    """Each per-factor pattern's orbit under ``SL(2, Z_d)``, as its least index.
-
-    The orbits are the components of the graph that joins ``(p, q)`` to its
-    images under the generators ``[[1, 1], [0, 1]]`` and ``[[1, 0], [1, 1]]``;
-    each generator has finite order, so following edges forward reaches the
-    whole orbit.  For prime ``d`` the orbits are the identity and the rest.
-    """
-    e = weyl_exponents(d)
-    index = np.zeros((d, d), dtype=np.int64)
-    index[e[:, 0], e[:, 1]] = np.arange(d * d)
-    p, q = e.T
-    images = (index[(p + q) % d, q], index[p, (p + q) % d])
-    label = np.arange(d * d)
-    while True:
-        new = np.minimum.reduce([label, *(label[i] for i in images)])
-        if np.array_equal(new, label):
-            return label
-        label = new
+def _orbits(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``SL(2, Z_d)`` orbits of one factor's patterns, the classes of
+    ``gcd(p, q, d)``: each orbit's least pattern index, and each pattern's
+    orbit, both read-only."""
+    p, q = weyl_exponents(d).T
+    _, reps, orbit = np.unique(
+        np.gcd(np.gcd(p, q), d), return_index=True, return_inverse=True
+    )
+    reps.setflags(write=False)
+    orbit.setflags(write=False)
+    return reps, orbit
 
 
 def generator_kernel(layout: SpaceLayout) -> np.ndarray:
@@ -98,10 +92,11 @@ def generator_kernel(layout: SpaceLayout) -> np.ndarray:
     the commutation phase of ``u`` and ``f`` is nontrivial.  A symplectic map
     on one factor keeps the forbidden set, the supports of ``f - u`` and the
     phases, so the verdict is constant on ``SL(2, Z_d)`` orbits taken factor
-    by factor, and one representative per product of orbits is tested.  For
-    each pair the support of ``f - u`` is a bit code (bit ``k`` set when
-    ``u_k != f_k``) looked up in the allowed mask, and the phase is ``sum_k
-    <u_k, f_k> * (L / d_k) mod L`` with ``L = lcm(d_k)``.  The loop runs over
+    by factor: the classes of ``gcd(p_k, q_k, d_k)``.  One representative,
+    the least pattern index, is tested per product of orbits.  For each pair
+    the support of ``f - u`` is a bit code (bit ``k`` set when ``u_k !=
+    f_k``) looked up in the allowed mask, and the phase is ``sum_k <u_k,
+    f_k> * (L / d_k) mod L`` with ``L = lcm(d_k)``.  The loop runs over
     the forbidden patterns and the representatives in chunks of at most
     ``_CHUNK_PAIRS`` pairs.
     """
@@ -118,8 +113,7 @@ def generator_kernel(layout: SpaceLayout) -> np.ndarray:
     # a factor of dimension 1 is never touched, so its bit is never looked up
     allowed = allowed_mask(layout)[tuple(np.minimum(bits, np.array(qdims) - 1).T)]
 
-    labels = [_orbit_labels(d) for d in dims]
-    reps = [np.unique(label) for label in labels]
+    reps, orbits = zip(*(_orbits(d) for d in dims))
     grid = np.meshgrid(*reps, indexing="ij")
     rep_digits = np.stack([g.reshape(-1) for g in grid], axis=1)
     f_digits = pattern_digits(qdims)[~allowed_mask(layout).reshape(-1)]
@@ -139,8 +133,7 @@ def generator_kernel(layout: SpaceLayout) -> np.ndarray:
             killed[r : r + block] |= (allowed[code] & (phase % lcm != 0)).any(axis=0)
 
     # every pattern takes the verdict of its orbits' representative
-    orbit = np.ix_(*(np.searchsorted(rp, label) for rp, label in zip(reps, labels)))
-    free = ~killed.reshape(tuple(len(rp) for rp in reps))[orbit].reshape(-1)
+    free = ~killed.reshape(tuple(map(len, reps)))[np.ix_(*orbits)].reshape(-1)
     free[0] = False  # the identity: generators are traceless
     return np.flatnonzero(free)
 

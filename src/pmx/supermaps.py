@@ -69,8 +69,8 @@ from .process_space import (
     HierarchyLevel,
     ProcessMatrix,
     ValidationReport,
-    _check_unitary,
     _operator,
+    _unitary_vector,
     _validity_report,
     forbidden_part,
     switch_layout,
@@ -107,10 +107,12 @@ class Supermap:
     ``interpolation_map`` keeps its rank-one identity part and its
     ``1_in (x) g`` constant part as two terms.  A dense CJ is refused
     unless it is Hermitian: :func:`apply` keeps only the Hermitian part of
-    an action.  The ``cj`` property sums the terms into a matrix, caches it
-    for later ``cj`` reads only, and refuses dimensions beyond
-    ``MAX_CJ_DIM`` with a size error.  Only :func:`instrument_reduction`
-    acts other than term by term.
+    an action.  A ``cj`` or ``cj_vector`` is held as a read-only copy, so
+    the caller's later edits do not reach a checked map.  The ``cj``
+    property sums the terms into a read-only matrix, caches it for later
+    ``cj`` reads only, and refuses dimensions beyond ``MAX_CJ_DIM`` with a
+    size error.  Only :func:`instrument_reduction` acts other than term by
+    term.
 
     :func:`validate_supermap` checks the terms one at a time.  Its
     positivity residual ``-sum_k lambda_min(term_k)`` (see
@@ -134,16 +136,18 @@ class Supermap:
         d = in_layout.dim * out_layout.dim
         dims = in_layout.dims + out_layout.dims
         if cj is not None:
-            cj = np.asarray(cj, dtype=complex)
+            cj = np.array(cj, dtype=complex)
             if cj.shape != (d, d):
                 raise ValueError(f"CJ shape {cj.shape}, expected {(d, d)}")
             if not is_hermitian(cj):
                 raise ValueError("supermap CJ is not Hermitian")
+            cj.setflags(write=False)
             terms = (PaddedOperator.of_matrix(cj, dims),)
         elif cj_vector is not None:
-            v = np.asarray(cj_vector, dtype=complex)
+            v = np.array(cj_vector, dtype=complex)
             if v.shape != (d,):
                 raise ValueError(f"CJ vector length {v.shape}, expected {d}")
+            v.setflags(write=False)
             terms = (PaddedOperator.of_vector(v, dims),)
         else:
             raise ValueError("supermap needs a CJ operator or vector")
@@ -183,6 +187,7 @@ class Supermap:
             for t in rest:
                 total.add(t.alias())
             self._cj = total.matrix()
+            self._cj.setflags(write=False)
         return self._cj
 
     def _check_cj_size(self) -> None:
@@ -325,10 +330,9 @@ def unitary_supermap(u: np.ndarray, layout: SpaceLayout, label: str = "") -> Sup
     d = layout.dim
     if u.shape != (d, d):
         raise ValueError(f"unitary shape {u.shape}, expected {(d, d)}")
-    _check_unitary(u)
-    vec = u.T.reshape(-1)  # (1 (x) U)|1>> in row-major flattening
     return Supermap(
-        layout, layout, cj_vector=vec, label=label or "unitary conjugation"
+        layout, layout, cj_vector=_unitary_vector(u),
+        label=label or "unitary conjugation",
     )
 
 
@@ -356,7 +360,8 @@ def instrument_reduction(
 
         W' = Tr_X(C_M_embedded W)
 
-    with ``C_M`` embedded on the party's factors and identity elsewhere.
+    with ``C_M`` embedded on the party's factors and identity elsewhere;
+    ``C_M`` is held as a read-only copy.
     The reduced layout deletes the party's factors, preserving the order of
     the rest.  The supermap applies through this formula directly, as
     ``PaddedOperator.absorbed`` of the process, the contraction
@@ -388,13 +393,14 @@ def instrument_reduction(
     therefore reports the trace condition as failed for such reductions
     even though every valid process is mapped to a valid process.
     """
-    return _Reduction(layout, party, np.asarray(element_cj, dtype=complex))
+    return _Reduction(layout, party, element_cj)
 
 
 class _Reduction(Supermap):
     """A supermap that absorbs one party's element; see :func:`instrument_reduction`."""
 
     def __init__(self, layout: SpaceLayout, party: str, element_cj: np.ndarray) -> None:
+        element_cj = np.array(element_cj, dtype=complex)
         p = layout.party(party)
         self._x_facs = list(p.inputs) + list(p.outputs)
         if not self._x_facs:
@@ -404,6 +410,7 @@ class _Reduction(Supermap):
             raise ValueError(f"element CJ shape {element_cj.shape}, expected {(d, d)}")
         if not is_hermitian(element_cj):
             raise ValueError("element CJ must be Hermitian")
+        element_cj.setflags(write=False)
         self.in_layout, self.out_layout = layout, _reduced_layout(layout, party)
         self.label, self._cj, self._element = f"reduction({party})", None, element_cj
 

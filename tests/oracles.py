@@ -10,12 +10,14 @@ and obvious way, so the tests can check pmx against them.
 
 The same holds for the certificates.  The rigidity kernel is decided exactly
 in the Weyl basis; here it is the SVD of the Gell-Mann constraint rows
-``Tr(H [T, F]) = 0``.  The support/valid-span intersection and the D'Ariano
-independence rank are read from Grams of Weyl terms compressed to the
-support; here they are the eigenvalue-1 count of the averaged projector and
-the SVD rank of the stacked Gell-Mann coefficient vectors.  The constant and
-interpolation supermaps hold their CJ as a sum of terms; here it is written
-out as one dense array.  The Born table and the instrument reduction absorb
+``Tr(H [T, F]) = 0``.  pmx reads the ``SL(2, Z_d)`` orbits of one factor's
+Weyl patterns as the classes of ``gcd(p, q, d)``; here they are found by a
+search over the group's generators.  The support/valid-span intersection
+and the D'Ariano independence rank are read from Grams of Weyl terms
+compressed to the support; here they are the eigenvalue-1 count of the
+averaged projector and the SVD rank of the stacked Gell-Mann coefficient
+vectors.  The constant and interpolation supermaps hold their CJ as a sum of
+terms; here it is written out as one dense array.  The Born table and the instrument reduction absorb
 a party's elements by one contraction on the operator's factor axes; here
 they take the joint Kronecker product of all parties' elements, and the
 reordered operator with the element applied block by block.  pmx places a
@@ -57,6 +59,7 @@ from pmx.operator_core import (
     tensor,
 )
 from pmx.extremality import _party_factor_positions, _support, _term_spectrum
+from pmx.hs_algebra import weyl_exponents
 from pmx.process_space import (
     HierarchyLevel,
     Instrument,
@@ -791,6 +794,27 @@ def svd_generator_kernel(
     out = np.zeros((basis.shape[0], total))
     out[:, cols] = basis
     return out
+
+
+def orbit_labels(d: int) -> np.ndarray:
+    """Each per-factor Weyl pattern's orbit under ``SL(2, Z_d)``, as its least index.
+
+    The orbits are the components of the graph that joins ``(p, q)`` to its
+    images under the generators ``[[1, 1], [0, 1]]`` and ``[[1, 0], [1, 1]]``;
+    each generator has finite order, so following edges forward reaches the
+    whole orbit.
+    """
+    e = weyl_exponents(d)
+    index = np.zeros((d, d), dtype=np.int64)
+    index[e[:, 0], e[:, 1]] = np.arange(d * d)
+    p, q = e.T
+    images = (index[(p + q) % d, q], index[p, (p + q) % d])
+    label = np.arange(d * d)
+    while True:
+        new = np.minimum.reduce([label, *(label[i] for i in images)])
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import pmx_document
-from pmx.cli import PmxDocument, PmxFormatError, load_pmx, main, write_pmx
+from pmx.cli import (
+    PmxDocument,
+    PmxFormatError,
+    build_parser,
+    load_pmx,
+    main,
+    write_pmx,
+)
 from pmx.process_space import (
     ProcessMatrix,
     extended_switch,
     extended_switch_layout,
     quantum_switch,
+    shared_state,
     switch_input_channel,
     w_ocb,
 )
@@ -371,6 +379,14 @@ class TestValidateCommand:
             lambda doc: json.dumps({**doc, "matrix": None}).replace(
                 "null", "[" * 50000 + "]" * 50000
             ),
+            lambda doc: json.dumps(doc).replace('"dim": 16', '"dim": 8'),
+            lambda doc: json.dumps({**doc, "format_version": "2"}),
+            lambda doc: json.dumps({**doc, "factors": []}),
+            lambda doc: json.dumps({**doc, "factors": [5, *doc["factors"][1:]]}),
+            lambda doc: json.dumps(doc).replace(', "role": "input"', "", 1),
+            lambda doc: json.dumps(doc).replace('"role": "input"', '"role": "both"', 1),
+            lambda doc: json.dumps(doc).replace('"label": "A_O"', '"label": "A_I"'),
+            lambda doc: json.dumps([doc]),
         ],
         ids=[
             "matrix-list",
@@ -382,6 +398,14 @@ class TestValidateCommand:
             "non-ascii-bytes",
             "entry-beyond-float-range",
             "deeply-nested",
+            "matrix-dim-not-factor-product",
+            "format-version",
+            "factors-empty",
+            "factor-not-object",
+            "factor-without-role",
+            "role-neither-input-nor-output",
+            "repeated-label",
+            "top-level-list",
         ],
     )
     def test_malformed_document_exits_2(self, tmp_path, capsys, malform):
@@ -477,8 +501,17 @@ class TestArgumentErrors:
             ["sweep", "--lambdas", "0,inf"],
             ["sweep", "--lambdas", ","],
             ["verify", "hierarchy", "--seed", "-1"],
+            ["sweep", "--lambdas", "0,x"],
+            ["build", "state", "--psi", "1,x", "-o", "unused.pmx"],
         ],
-        ids=["lambda-nan", "lambda-inf", "lambda-empty", "negative-seed"],
+        ids=[
+            "lambda-nan",
+            "lambda-inf",
+            "lambda-empty",
+            "negative-seed",
+            "lambda-element",
+            "psi-element",
+        ],
     )
     def test_bad_argument_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
@@ -487,6 +520,29 @@ class TestArgumentErrors:
         out, err = capsys.readouterr()
         assert out == ""
         assert "error: argument" in err and "Traceback" not in err
+
+    def test_valid_seed_runs_the_suite(self, capsys):
+        assert build_parser().parse_args(["verify", "hierarchy", "--seed", "7"]).seed == 7
+        code, out, err = run(capsys, "verify", "hierarchy", "--seed", "7")
+        assert code == 0 and err == ""
+        assert out.endswith("suite=hierarchy overall=PASS\n")
+
+    def test_state_with_psi_is_the_shared_pure_state(self, tmp_path, capsys):
+        path = tmp_path / "s.pmx"
+        argv = ["build", "state", "--psi", "0.6,0.8j,0.1,-0.3-0.2j", "-o", str(path)]
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        psi = np.array([0.6, 0.8j, 0.1, -0.3 - 0.2j])
+        psi = psi / np.linalg.norm(psi)
+        want = shared_state(np.outer(psi, psi.conj())).matrix
+        assert np.array_equal(load_pmx(str(path)).matrix, want)
+
+    def test_unwritable_output_path_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "no-such-dir" / "w.pmx"
+        code, out, err = run(capsys, "build", "wocb", "-o", str(path))
+        assert code == 2
+        assert out == "" and err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1
 
 
 class TestSweepCommand:

@@ -415,6 +415,35 @@ def test_switch_pair_hermitian_max_norm_reads_the_upper_sub_blocks():
         assert total._hermitian_max_norm() == total.max_norm() == 1.0
 
 
+def test_sum_of_blocks_on_disjoint_factors_matches_the_dense_sum():
+    # neither block keeps the other's factors, so neither sum is nested; B
+    # has no input, so both blocks have a nonzero forbidden part as well
+    layout = SpaceLayout.build(
+        [("A_I", 2), ("A_O", 2), ("B_O", 2)],
+        [("A", ["A_I"], ["A_O"]), ("B", [], ["B_O"])],
+    )
+    level = HierarchyLevel.process(layout)
+    rng = np.random.default_rng(8)
+    g01, g2 = random_hermitian(rng, 4), random_hermitian(rng, 2)
+    want = np.kron(g01, np.eye(2)) + np.kron(np.eye(4), g2)
+
+    def blocks():
+        return [
+            PaddedOperator(layout.dims, [0, 1], g=g01.reshape(2, 2, 2, 2)),
+            PaddedOperator(layout.dims, [2], g=g2),
+        ]
+
+    total, other = blocks()
+    total.add(other)
+    assert np.array_equal(total.dense(), want)
+    assert total.max_norm() == total._hermitian_max_norm() == max_norm(want)
+    got = _validity_report(blocks(), level, DEFAULT_TOL)
+    dense = PaddedOperator.of_matrix(want, layout.dims)
+    dense = _validity_report([dense], level, DEFAULT_TOL)
+    assert got.subspace.residual > 0.1
+    assert got.subspace.residual == pytest.approx(dense.subspace.residual, abs=1e-15)
+
+
 # one fixed layout with every feature: an output-less party, an input-less
 # party, a party with two input factors, and factors of dimension 1 and 3
 MIXED = SpaceLayout.build(

@@ -19,6 +19,7 @@ from oracles import (
     coefficient_tensor,
     deduplicate_rows,
     from_coefficient_tensor,
+    orbit_labels,
     product_term,
     svd_generator_kernel,
 )
@@ -523,6 +524,15 @@ class TestGeneratorKernel:
         again = build_constraints(BIP)
         assert (again.rows != bip_system.rows).nnz == 0
         np.testing.assert_array_equal(again.pairs, bip_system.pairs)
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_orbits_are_the_gcd_classes(self, d):
+        """The gcd classes are the orbits the generator search finds, with
+        the same least-index representatives."""
+        reps, orbit = pmx.rigidity._orbits(d)
+        labels = orbit_labels(d)
+        np.testing.assert_array_equal(np.sort(reps), np.unique(labels))
+        np.testing.assert_array_equal(reps[orbit], labels)
 
 
 class TestSoundnessAndCompleteness:

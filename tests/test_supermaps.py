@@ -264,6 +264,45 @@ def test_supermap_constructor_rejects_bad_shapes():
         Supermap(BIP, BIP, cj_vector=np.ones(17))
 
 
+def test_dense_cj_is_a_copy_the_caller_cannot_edit():
+    m = unitary_supermap(np.eye(BIP.dim), BIP).cj.copy()
+    s = Supermap(BIP, BIP, cj=m)
+    out, report = apply(s, w_ocb()).matrix, validate_supermap(s)
+    m[0, 5] += 1.0
+    assert np.array_equal(apply(s, w_ocb()).matrix, out)
+    assert validate_supermap(s) == report and report.valid
+
+
+def test_reduction_element_is_a_copy_the_caller_cannot_edit():
+    c = cj_of_unitary(np.eye(2))
+    red = instrument_reduction(extended_switch_layout(), "D", c)
+    out = apply(red, extended_switch()).matrix
+    c[0, 1] += 1.0
+    assert np.array_equal(apply(red, extended_switch()).matrix, out)
+
+
+def test_unitary_supermap_of_a_fortran_ordered_unitary_keeps_a_copy():
+    # U^T of an F-ordered U is C-ordered, so reading it row by row is a view
+    rng = np.random.default_rng(5)
+    u = np.asfortranarray(tensor(*(random_unitary(rng, 2) for _ in range(4))))
+    s = unitary_supermap(u, BIP)
+    out = apply(s, w_ocb()).matrix
+    u[0, 0] = 5.0
+    assert np.array_equal(apply(s, w_ocb()).matrix, out)
+
+
+def test_cj_is_read_only():
+    c = cj_of_unitary(np.eye(2))
+    for s in (
+        Supermap(BIP, BIP, cj=np.eye(BIP.dim**2)),
+        unitary_supermap(np.eye(BIP.dim), BIP),
+        interpolation_map(w_ocb(), 0.4),
+        instrument_reduction(BIP, "B", c),
+    ):
+        with pytest.raises(ValueError, match="read-only"):
+            s.cj[0, 0] = 2.0
+
+
 def test_apply_layout_mismatch_raises():
     with pytest.raises(ValueError, match="layout"):
         apply(unitary_supermap(np.eye(BIP.dim), BIP), quantum_switch())
