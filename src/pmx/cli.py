@@ -71,7 +71,7 @@ class PmxFormatError(Exception):
 class PmxDocument:
     """In-memory image of one PMX file."""
 
-    format_version: str
+    format_version: object  # as read: any value but the string "1" is refused
     factors: tuple[dict, ...]
     matrix: dict
 
@@ -246,7 +246,7 @@ def _load_document(path: str) -> PmxDocument:
         raise PmxFormatError("factors must be a list")
     if not isinstance(matrix, dict):
         raise PmxFormatError("matrix must be an object")
-    return PmxDocument(str(raw.get("format_version")), tuple(factors), matrix)
+    return PmxDocument(raw.get("format_version"), tuple(factors), matrix)
 
 
 def _parse_amplitudes(text: str) -> np.ndarray:

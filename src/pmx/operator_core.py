@@ -200,7 +200,7 @@ def partial_trace(
         t = np.trace(t, axis1=k, axis2=k + n)
         n -= 1
     rest = [d for k, d in enumerate(dims) if k not in traced_set]
-    d_rest = math.prod(rest) if rest else 1
+    d_rest = math.prod(rest)
     return t.reshape(d_rest, d_rest)
 
 
@@ -260,7 +260,7 @@ _FACTORED_BLOCK = 1 << 16
 # entries of the sub-block in which a sum of pieces is assembled: on the
 # switch pair's 1024^2 forbidden part, 2^16 gives 16 sub-blocks of 256^2 and
 # keeps the buffer at 1 MiB
-_BAND_BLOCK = 1 << 16
+_SUB_BLOCK = 1 << 16
 
 
 class PaddedOperator:
@@ -291,13 +291,14 @@ class PaddedOperator:
       that many entries joins a block piece that keeps its factors.  Two
       root-held pieces are one operator when they share the root and keep
       the same factors of dimension above 1, so one of opposite sign
-      cancels the other.  Depolarizing acts piece by piece, and forms one
-      block once the result is that small.  ``max_norm`` assembles the sum
-      one sub-block at a time in one reused buffer of ``_BAND_BLOCK``
-      entries: a sub-block fixes the row and the column indices of a few
-      kept factors, and each piece lands in it as a padded block on the
-      others, as in ``add``.  ``g`` (so ``matrix`` and ``dense``) assembles
-      it once into a block.
+      cancels the other.  A sum depolarizes into an empty sum, to which
+      each depolarized piece is added as by ``add``, so it forms one block
+      once the result is that small.  ``max_norm`` assembles the sum one
+      sub-block at a time in one reused buffer of ``_SUB_BLOCK`` entries: a
+      sub-block fixes the row and the column indices of a few kept
+      factors, and each piece lands in it as a padded block on the others,
+      as in ``add``.  ``g`` (so ``matrix`` and ``dense``) assembles it once
+      into a block.
 
     ``order`` lists every factor, in factor order unless :meth:`reordered`
     sets another.  Each block the operator creates (a depolarization, the
@@ -408,13 +409,26 @@ class PaddedOperator:
         return op
 
     def depolarized(self, factors: Iterable[int]) -> "PaddedOperator":
-        """``Tr_X(.) (x) 1_X / d_X`` for the factor set ``X``."""
+        """``Tr_X(.) (x) 1_X / d_X`` for the factor set ``X``.
+
+        A sum depolarizes into an empty sum on the factors that remain, to
+        which each piece, depolarized, is added or subtracted in turn.
+        """
         factors = set(factors)
         pos = [j for j, f in enumerate(self.kept) if f in factors]
         if not pos:
             return self.alias()
         if self._pieces is not None:
-            return self._depolarized_sum(factors)
+            # _update forms one block when that is small, else keeps pieces
+            total = self._derived(
+                self._in_order(
+                    f for _, p in self._pieces for f in p.kept if f not in factors
+                )
+            )
+            total._pieces = []
+            for s, p in self._pieces:
+                total._update(p.depolarized(factors), s)
+            return total
         rest = [f for f in self.kept if f not in factors]
         kept = self._in_order(rest)
         if self._root is not None:
@@ -488,37 +502,12 @@ class PaddedOperator:
                         return
         self._pieces.append((sign, piece))
 
-    def _depolarized_sum(self, factors: set[int]) -> "PaddedOperator":
-        """A sum's depolarization, piece by piece: one block when small, else pieces.
-
-        The pieces are depolarized one at a time, each added before the
-        next is formed.
-        """
-        kept = self._in_order(
-            f for _, p in self._pieces for f in p.kept if f not in factors
-        )
-        parts = ((s, p.depolarized(factors)) for s, p in self._pieces)
-        if self._entries(kept) > _FACTORED_BLOCK:
-            total = self._derived(kept)
-            total._pieces = []
-            for s, p in parts:
-                total._append(s, p)
-            return total
-        s, total = next(parts, (-1.0, None))
-        if s < 0 or total._g is None or set(total.kept) != set(kept):
-            zeros = np.zeros(self._dims_of(kept) * 2, dtype=complex)
-            parts = itertools.chain([] if total is None else [(s, total)], parts)
-            total = self._derived(kept, zeros, owned=True)
-        for s, p in parts:
-            total._update(p, s)
-        return total
-
     def _assembled(self, upper: bool = False) -> Iterator[tuple[tuple, np.ndarray]]:
         """A sum's block, one sub-block at a time, in one reused buffer.
 
         A sub-block ``(x, y)`` fixes the row indices ``x`` and the column
         indices ``y`` on as few kept factors as keep it within
-        ``_BAND_BLOCK`` entries, taken first among the factors every
+        ``_SUB_BLOCK`` entries, taken first among the factors every
         root-held piece keeps: a piece padded on a fixed factor would form
         the same product again in each sub-block it meets.  Fixed there,
         each piece is a padded block on the other factors (see
@@ -536,7 +525,7 @@ class PaddedOperator:
         }
         pos, side = [], math.prod(dims)
         for i in sorted(range(len(kept)), key=lambda i: kept[i] in pads):
-            if side * side <= _BAND_BLOCK:
+            if side * side <= _SUB_BLOCK:
                 break
             pos.append(i)
             side //= dims[i]

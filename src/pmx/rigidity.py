@@ -60,8 +60,11 @@ __all__ = [
     "verify_rigidity",
 ]
 
-# one kernel chunk tests at most this many (forbidden, representative) pairs;
-# its temporaries take a few tens of bytes a pair, so a few tens of MB in all
+# one kernel chunk tests at most this many (forbidden, representative) pairs,
+# or one forbidden pattern against every representative; its temporaries take
+# a few tens of bytes a pair, so a few tens of MB in all.  A layout has at most
+# sqrt(patterns) representatives, so more than 2^20 of them would take 2^40
+# patterns, whose term mask alone fills 1 TiB
 _CHUNK_PAIRS = 1 << 20
 
 
@@ -96,9 +99,12 @@ def generator_kernel(layout: SpaceLayout) -> np.ndarray:
     the least pattern index, is tested per product of orbits.  For each pair
     the support of ``f - u`` is a bit code (bit ``k`` set when ``u_k !=
     f_k``) looked up in the allowed mask, and the phase is ``sum_k <u_k,
-    f_k> * (L / d_k) mod L`` with ``L = lcm(d_k)``.  The loop runs over
-    the forbidden patterns and the representatives in chunks of at most
-    ``_CHUNK_PAIRS`` pairs.
+    f_k> * (L / d_k) mod L`` with ``L = lcm(d_k)``.  Each chunk of
+    forbidden patterns meets every representative, in at most
+    ``_CHUNK_PAIRS`` pairs or one forbidden pattern.  A factor of dimension
+    ``d`` has one orbit per divisor of ``d``, so at most ``d``, and a layout
+    has at most ``sqrt(patterns)`` representatives: one chunk of one
+    pattern outgrows ``_CHUNK_PAIRS`` only past 2^40 patterns.
     """
     dims = layout.dims
     n = len(dims)
@@ -117,20 +123,17 @@ def generator_kernel(layout: SpaceLayout) -> np.ndarray:
     grid = np.meshgrid(*reps, indexing="ij")
     rep_digits = np.stack([g.reshape(-1) for g in grid], axis=1)
     f_digits = pattern_digits(qdims)[~allowed_mask(layout).reshape(-1)]
-    block = min(len(rep_digits), _CHUNK_PAIRS)
-    chunk = max(1, _CHUNK_PAIRS // block)
+    chunk = max(1, _CHUNK_PAIRS // len(rep_digits))
     killed = np.zeros(len(rep_digits), dtype=bool)
-    for r in range(0, len(rep_digits), block):
-        rd = rep_digits[r : r + block]
-        for start in range(0, len(f_digits), chunk):
-            fd = f_digits[start : start + chunk]
-            code = np.zeros((len(fd), len(rd)), dtype=np.int64)
-            phase = np.zeros((len(fd), len(rd)), dtype=np.int64)
-            for k in range(n):
-                f_k, u_k = fd[:, k : k + 1], rd[None, :, k]
-                code |= (f_k != u_k).astype(np.int64) << k
-                phase += phases[k][f_k, u_k]
-            killed[r : r + block] |= (allowed[code] & (phase % lcm != 0)).any(axis=0)
+    for start in range(0, len(f_digits), chunk):
+        fd = f_digits[start : start + chunk]
+        code = np.zeros((len(fd), len(rep_digits)), dtype=np.int64)
+        phase = np.zeros((len(fd), len(rep_digits)), dtype=np.int64)
+        for k in range(n):
+            f_k, u_k = fd[:, k : k + 1], rep_digits[None, :, k]
+            code |= (f_k != u_k).astype(np.int64) << k
+            phase += phases[k][f_k, u_k]
+        killed |= (allowed[code] & (phase % lcm != 0)).any(axis=0)
 
     # every pattern takes the verdict of its orbits' representative
     free = ~killed.reshape(tuple(map(len, reps)))[np.ix_(*orbits)].reshape(-1)

@@ -445,10 +445,11 @@ def c_swap_unitary(d: int = 2) -> np.ndarray:
     """Controlled exchange of the A and B slots on the switch layout.
 
     Identity when the control factor is |0>, the simultaneous SWAP of
-    (A_I, B_I) and (A_O, B_O) when it is |1>.
+    (A_I, B_I) and (A_O, B_O) when it is |1>: ``1 + H`` with ``H`` the
+    :func:`v_lambda_hamiltonian`.
     """
-    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-    return tensor(np.eye(d**4), np.eye(d), p0) + tensor(_pair_swap(d), np.eye(d), p1)
+    h = v_lambda_hamiltonian(d)
+    return np.eye(len(h)) + h
 
 
 def c_swap_v(d: int = 2) -> Supermap:

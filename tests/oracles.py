@@ -617,6 +617,11 @@ MAX_CONSTRAINT_PATTERNS = 1024
 ROW_PRUNE_TOL = 1e-12
 
 
+def kept_rows(values: np.ndarray) -> np.ndarray:
+    """Indices of the rows whose largest magnitude exceeds ``ROW_PRUNE_TOL``."""
+    return np.flatnonzero(np.abs(values).max(axis=1) > ROW_PRUNE_TOL)
+
+
 @dataclass(frozen=True)
 class ConstraintSystem:
     """The linear system ``Tr(H [T, F]) = 0`` over traceless Hermitian H.
@@ -702,7 +707,7 @@ def build_constraints(layout: SpaceLayout) -> ConstraintSystem:
 
     # padding slots hold exact zeros, so dropping zeros leaves each row's
     # columns ascending and unique
-    kept = np.flatnonzero(np.abs(values).max(axis=1) > ROW_PRUNE_TOL)
+    kept = kept_rows(values)
     values = values[kept]
     nonzero = values != 0
     indptr = np.zeros(kept.size + 1, dtype=np.int32)

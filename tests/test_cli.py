@@ -381,6 +381,8 @@ class TestValidateCommand:
             ),
             lambda doc: json.dumps(doc).replace('"dim": 16', '"dim": 8'),
             lambda doc: json.dumps({**doc, "format_version": "2"}),
+            # the number 1 is not the string "1"
+            lambda doc: json.dumps({**doc, "format_version": 1}),
             lambda doc: json.dumps({**doc, "factors": []}),
             lambda doc: json.dumps({**doc, "factors": [5, *doc["factors"][1:]]}),
             lambda doc: json.dumps(doc).replace(', "role": "input"', "", 1),
@@ -400,6 +402,7 @@ class TestValidateCommand:
             "deeply-nested",
             "matrix-dim-not-factor-product",
             "format-version",
+            "format-version-number",
             "factors-empty",
             "factor-not-object",
             "factor-without-role",

@@ -502,6 +502,29 @@ class TestDarianoTest:
         with pytest.raises(ValueError, match="direction"):
             dariano_test(identity_channel(), "sideways")
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (quantum_switch, "dariano_test handles two-party layouts"),
+            (
+                # B has no output; the maximally mixed process is ordered
+                # both ways
+                lambda: ProcessMatrix(
+                    SpaceLayout.build(
+                        [("A_I", 2), ("A_O", 2), ("B_I", 2)],
+                        [("A", ["A_I"], ["A_O"]), ("B", ["B_I"], [])],
+                    ),
+                    np.eye(8) / 4,
+                ),
+                "party 'B' must have one input and one output",
+            ),
+        ],
+        ids=["three-parties", "second-party-without-output"],
+    )
+    def test_rejects_a_layout_it_does_not_handle(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            dariano_test(make())
+
 
 @settings(max_examples=25, deadline=None)
 @given(

@@ -140,6 +140,50 @@ def test_layout_validation():
         layout.party("C")
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: operator_core.Factor("X", 0), "factor 'X' has dimension 0 < 1"),
+        (
+            lambda: SpaceLayout(
+                (operator_core.Factor("X", 2),),
+                (operator_core.Party("A", (0,), (1,)),),
+            ),
+            "party 'A' output index 1 out of range",
+        ),
+        (
+            lambda: SpaceLayout(
+                (operator_core.Factor("X", 2), operator_core.Factor("X", 2)),
+                (operator_core.Party("A", (0,), (1,)),),
+            ),
+            "factor labels must be unique",
+        ),
+        (lambda: tensor(), r"tensor\(\) needs at least one operator"),
+        (
+            lambda: operator_core.PaddedOperator.of_vector(np.ones(3), (2,)),
+            r"vector shape \(3,\) does not match dims \(2,\)",
+        ),
+        (
+            lambda: operator_core.PaddedOperator.of_matrix(
+                np.eye(4), (2, 2)
+            ).reordered((0, 0)),
+            r"order \(0, 0\) is not a permutation of the factors",
+        ),
+    ],
+    ids=[
+        "factor-dim-0",
+        "party-index-out-of-range",
+        "repeated-labels",
+        "tensor-of-nothing",
+        "vector-of-wrong-length",
+        "order-not-a-permutation",
+    ],
+)
+def test_bad_input_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_layout_rejects_overlap_and_orphans():
     with pytest.raises(ValueError):
         SpaceLayout.build(

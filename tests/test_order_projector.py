@@ -242,7 +242,7 @@ def held_in_pieces(factored, band):
     lowered, the small layouts the oracle can afford take them too.
     """
     with mock.patch.object(operator_core, "_FACTORED_BLOCK", factored):
-        with mock.patch.object(operator_core, "_BAND_BLOCK", band):
+        with mock.patch.object(operator_core, "_SUB_BLOCK", band):
             yield
 
 

@@ -621,6 +621,128 @@ def test_shared_state_valid_no_signalling():
     assert causal_order_flags(w) is CausalOrderFlag.NO_SIGNALLING
 
 
+def _discard_and_prepare(party="A", d_in=2, d_out=2):
+    """The one-element instrument: discard the input, prepare ``|0>``."""
+    prepare = np.zeros((d_out, d_out))
+    prepare[0, 0] = 1.0
+    return Instrument(party, (np.kron(np.eye(d_in), prepare),), d_in, d_out)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: ProcessMatrix(bipartite_qubit_layout(), np.eye(4)),
+            ValueError,
+            r"matrix shape \(4, 4\) does not match layout dim 16",
+        ),
+        (
+            lambda: Instrument("A", (), 2, 2),
+            ValueError,
+            "instrument needs at least one element",
+        ),
+        (
+            lambda: Instrument("A", (np.eye(2),), 2, 2),
+            ValueError,
+            r"element 0 of instrument 'A' has shape \(2, 2\), expected \(4, 4\)",
+        ),
+        (
+            lambda: Instrument("A", (np.triu(np.ones((4, 4))),), 2, 2),
+            ValueError,
+            "element 0 of instrument 'A' not Hermitian",
+        ),
+        (lambda: validate(w_ocb()).condition("nope"), KeyError, "nope"),
+        (
+            lambda: classify_term((0, 0, 0), bipartite_qubit_layout()),
+            ValueError,
+            "pattern length 3 != 4",
+        ),
+        (
+            lambda: classify_term((0, 0, 0, 4), bipartite_qubit_layout()),
+            ValueError,
+            "index 4 out of range for factor dimension 2",
+        ),
+        (
+            lambda: born_probabilities(
+                w_ocb(),
+                [_discard_and_prepare()] * 2 + [_discard_and_prepare("B")],
+            ),
+            ValueError,
+            "duplicate instrument for a party",
+        ),
+        (
+            lambda: born_probabilities(
+                w_ocb(), [_discard_and_prepare(d_out=1), _discard_and_prepare("B")]
+            ),
+            ValueError,
+            r"instrument for party 'A' has dims \(2, 1\), layout expects \(2, 2\)",
+        ),
+        (
+            lambda: shared_state(np.eye(2) / 2),
+            ValueError,
+            r"shared state must have shape \(4, 4\), got \(2, 2\)",
+        ),
+        (
+            lambda: shared_state(np.triu(np.ones((4, 4))) / 4),
+            ValueError,
+            "shared state must be Hermitian",
+        ),
+        (
+            lambda: shared_state(np.diag([2.0, -1.0, 0.0, 0.0])),
+            ValueError,
+            "shared state must be positive semidefinite",
+        ),
+        (
+            lambda: memory_channel(np.eye(2) / 2, np.eye(4), layout=switch_layout()),
+            ValueError,
+            "memory_channel needs a two-party layout",
+        ),
+        (
+            lambda: memory_channel(np.eye(2) / 2, np.eye(4), "up"),
+            ValueError,
+            "direction must be 'a_to_b' or 'b_to_a', got 'up'",
+        ),
+        (
+            lambda: memory_channel(np.eye(2) / 2, np.eye(2)),
+            ValueError,
+            r"channel CJ shape \(2, 2\), expected \(4, 4\)",
+        ),
+        (
+            lambda: causal_order_flags(w_ll()),
+            ValueError,
+            "causal_order_flags needs at least two parties",
+        ),
+        (
+            lambda: causal_order_flags(extended_switch()),
+            ValueError,
+            "party 'D' has outputs; its slot in the order is ambiguous",
+        ),
+    ],
+    ids=[
+        "process-of-wrong-shape",
+        "instrument-without-elements",
+        "instrument-element-of-wrong-shape",
+        "instrument-element-not-hermitian",
+        "unknown-condition",
+        "term-of-wrong-length",
+        "term-index-out-of-range",
+        "two-instruments-for-one-party",
+        "instrument-of-wrong-dims",
+        "shared-state-of-wrong-shape",
+        "shared-state-not-hermitian",
+        "shared-state-not-positive",
+        "memory-channel-on-three-parties",
+        "memory-channel-direction-up",
+        "memory-channel-cj-of-wrong-shape",
+        "flags-of-one-party",
+        "flags-with-a-third-party-with-outputs",
+    ],
+)
+def test_bad_input_is_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_shared_state_rejects_non_density():
     with pytest.raises(ValueError):
         shared_state(np.eye(4))  # trace 4, not 1

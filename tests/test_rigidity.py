@@ -19,6 +19,7 @@ from oracles import (
     coefficient_tensor,
     deduplicate_rows,
     from_coefficient_tensor,
+    kept_rows,
     orbit_labels,
     product_term,
     svd_generator_kernel,
@@ -311,6 +312,17 @@ class TestConstraintSystem:
         assert np.abs(row).max() > 0
         np.testing.assert_allclose(np.abs(row) / np.abs(row).max(), expect, atol=1e-12)
 
+    def test_rows_are_kept_only_above_the_prune_tolerance(self):
+        # on real layouts a row's largest entry is rounding noise or of
+        # order 1, so synthetic rows pin where the tolerance sits
+        values = np.zeros((4, 3))
+        values[0, 1] = 1e-13
+        values[1, 2] = -1e-11
+        values[2, 0] = 5e-2
+        values[3] = [1e-13, -5e-2, 1e-11]
+        np.testing.assert_array_equal(kept_rows(values), [1, 2, 3])
+        assert ROW_PRUNE_TOL == 1e-12
+
     def test_size_guard_rejects_switch_layout(self):
         with pytest.raises(ValueError, match="pattern"):
             build_constraints(switch_layout())
@@ -409,6 +421,24 @@ class TestExactKernelAgainstSvdOracle:
             # set in both numberings
             assert span_residual(exact, oracle) <= 1e-8
             assert span_residual(oracle, exact) <= 1e-8
+
+    @pytest.mark.parametrize("chunk_pairs", [1, 7, 64])
+    @pytest.mark.parametrize(
+        "layout", list(CROSS_CHECK_LAYOUTS.values()), ids=list(CROSS_CHECK_LAYOUTS)
+    )
+    def test_kernel_does_not_depend_on_the_chunk_size(
+        self, monkeypatch, layout, chunk_pairs
+    ):
+        expected = cached_kernel(layout)  # one chunk at the package's size
+        monkeypatch.setattr(pmx.rigidity, "_CHUNK_PAIRS", chunk_pairs)
+        np.testing.assert_array_equal(generator_kernel(layout), expected)
+
+    @pytest.mark.parametrize(
+        "layout", list(CROSS_CHECK_LAYOUTS.values()), ids=list(CROSS_CHECK_LAYOUTS)
+    )
+    def test_representatives_are_at_most_the_root_of_the_patterns(self, layout):
+        reps = math.prod(len(pmx.rigidity._orbits(d)[0]) for d in layout.dims)
+        assert reps * reps <= math.prod(d * d for d in layout.dims)
 
     def test_extended_switch_kernel_is_single_body(self):
         layout = extended_switch_layout()

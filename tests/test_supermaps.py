@@ -18,6 +18,7 @@ from oracles import (
     product_term,
     superoperator_reduction_cj,
 )
+import pmx.supermaps
 from pmx.operator_core import (
     DEFAULT_TOL,
     PaddedOperator,
@@ -208,6 +209,32 @@ def test_unitary_supermap_cj_is_the_cj_of_its_unitary():
 def test_unitary_supermap_rejects_non_unitary():
     with pytest.raises(ValueError, match="unitary"):
         unitary_supermap(np.ones((16, 16)), BIP)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: unitary_supermap(np.eye(2), BIP),
+            r"unitary shape \(2, 2\), expected \(16, 16\)",
+        ),
+        (
+            lambda: instrument_reduction(
+                SpaceLayout.build(
+                    [("A_I", 2), ("A_O", 2)],
+                    [("A", ["A_I"], ["A_O"]), ("E", [], [])],
+                ),
+                "E",
+                np.eye(1),
+            ),
+            "party 'E' has no factors to reduce over",
+        ),
+    ],
+    ids=["unitary-of-wrong-shape", "reduction-over-a-party-without-factors"],
+)
+def test_bad_input_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_unitary_supermap_rejects_a_nan_unitary():
@@ -415,6 +442,16 @@ def test_switch_family_at_slot_dimension(d):
     assert validate(sw).valid and causal_order_flags(sw) is CausalOrderFlag.NEITHER
     assert validate(chan).valid and causal_order_flags(chan) is CausalOrderFlag.A_TO_B
     assert max_norm(apply(c_swap_v(d), chan).matrix - sw.matrix) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_controlled_swap_is_the_projector_formula_bit_for_bit(d):
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    pair_swap = pmx.supermaps._pair_swap(d)
+    oracle = tensor(np.eye(d**4), np.eye(d), p0) + tensor(pair_swap, np.eye(d), p1)
+    u = c_swap_unitary(d)
+    assert u.dtype == oracle.dtype == np.float64
+    np.testing.assert_array_equal(u.view(np.uint64), oracle.view(np.uint64))
 
 
 def test_controlled_swap_is_an_involution():
