@@ -19,11 +19,14 @@ by the max-norm of the operator being tested, with default ``DEFAULT_TOL``.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import sys
+import threading
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -259,8 +262,86 @@ _FACTORED_BLOCK = 1 << 16
 
 # entries of the sub-block in which a sum of pieces is assembled: on the
 # switch pair's 1024^2 forbidden part, 2^16 gives 16 sub-blocks of 256^2 and
-# keeps the buffer at 1 MiB
+# keeps the buffer at 1 MiB.  Inside a validity report the buffer, like the
+# sum's other blocks, comes from the thread's _BlockWorkspace, which keeps
+# the last report's blocks for the next
 _SUB_BLOCK = 1 << 16
+
+# entries from which a block formed inside a validity report comes from the
+# thread's _BlockWorkspace.  From 2^16 the switch pair's smaller blocks and
+# factor tables (about 1.2 MiB) stayed with malloc, and glibc trimmed and
+# grew them again: a warm validation faulted 430-730 pages in about half of
+# fresh processes.  From 2^12 it faulted under 10 in every process tried
+_POOLED_BLOCK = 1 << 12
+
+
+def _refcounts(blocks: list[np.ndarray]) -> list[int]:
+    return [sys.getrefcount(b) for b in blocks]
+
+
+# what _refcounts reads for a block that only the list it is given holds
+_POOL_REFS = _refcounts([np.empty(0)])[0]
+
+
+class _BlockWorkspace(threading.local):
+    """The blocks one thread's validity reports form, kept for the next report.
+
+    Inside :meth:`report` (``process_space._validity_report`` runs in one)
+    every block of at least ``_POOLED_BLOCK`` entries that a
+    :class:`PaddedOperator` forms comes from :meth:`empty`: a
+    depolarization, the block of a root or a sum, the copy made before a
+    first write, and the buffers and factor tables of a sum's sub-block
+    assembly.  ``empty`` hands out the smallest held block that fits, as a
+    view of any shape, and allocates a new one (a miss) only when none is
+    free.  A held block is free when nothing but the workspace refers to
+    it, that is when no view of it is alive.  When a report ends the
+    workspace keeps only the blocks that report used, so a repeated
+    validation reuses the heap its previous run grew, and holds no more
+    between reports than the last one used.  Outside a report, and below
+    ``_POOLED_BLOCK`` entries, ``empty`` is ``np.empty``.  Each thread has
+    its own workspace.  Reports do not nest.
+    """
+
+    def __init__(self) -> None:
+        self.open = False  # whether a report runs in this thread
+        self.blocks: list[np.ndarray] = []
+        self.used: set[int] = set()  # ids of the blocks the open report used
+        self.misses = 0
+
+    @contextlib.contextmanager
+    def report(self) -> Iterator[None]:
+        self.open = True
+        try:
+            yield
+        finally:
+            self.open = False
+            self.blocks = [b for b in self.blocks if id(b) in self.used]
+            self.used = set()
+
+    def clear(self) -> None:
+        """Let go of every held block."""
+        self.blocks, self.used = [], set()
+
+    def empty(self, shape: Sequence[int]) -> np.ndarray:
+        """An uninitialized complex block of ``shape``."""
+        n = math.prod(shape)
+        if not self.open or n < _POOLED_BLOCK:
+            return np.empty(shape, dtype=complex)
+        refs = _refcounts(self.blocks)
+        free = [
+            b for b, r in zip(self.blocks, refs) if r == _POOL_REFS and b.size >= n
+        ]
+        if free:
+            block = min(free, key=len)
+        else:
+            block = np.empty(n, dtype=complex)
+            self.blocks.append(block)
+            self.misses += 1
+        self.used.add(id(block))
+        return block[:n].reshape(shape)
+
+
+_WORKSPACE = _BlockWorkspace()
 
 
 class PaddedOperator:
@@ -310,6 +391,17 @@ class PaddedOperator:
     ``add`` and ``subtract`` work in place and consume their operand, whose
     storage ``self`` may take over.  An instance that shares its array with
     a caller (``owned`` false) copies it before the first write.
+
+    While a validity report runs (``process_space._validity_report``),
+    every block of at least ``_POOLED_BLOCK`` entries that an instance
+    forms comes from the thread's block workspace (:class:`_BlockWorkspace`):
+    a depolarization's output, the block a root or a sum forms in ``g``,
+    the copy before the first write, and the sub-block and product buffers
+    and the factor tables of ``_assembled``.  The workspace lives inside
+    one report at a time, holds each block until nothing refers to it and
+    then hands it out again, and keeps only the last report's blocks, so a
+    repeated validation grows no heap.  Smaller blocks, and every block
+    formed outside a report, are plain ``np.empty``.
     """
 
     def __init__(
@@ -363,16 +455,17 @@ class PaddedOperator:
         if self._root is not None:
             kept = self._in_order(self.kept)
             f, w = self._root_factor(kept)
+            g = _WORKSPACE.empty((f.shape[0],) * 2)
             if self.vector is not None:
                 # the outer product, whose bits a matrix product need not keep
-                g = np.outer(f[:, 0], f[:, 0].conj())
+                np.outer(f[:, 0], f[:, 0].conj(), out=g)
             else:
                 # scaling the d_kept x d_X factor costs d entries, not the block's
-                g = (f * w) @ f.conj().T
+                np.matmul(f * w, f.conj().T, out=g)
             self._g = g.reshape(self._dims_of(kept) * 2)
             self.kept, self._root, self.owned = tuple(kept), None, True
         elif self._pieces is not None:
-            full = np.empty(self._dims_of(self.kept) * 2, dtype=complex)
+            full = _WORKSPACE.empty(self._dims_of(self.kept) * 2)
             for idx, sub in self._assembled():
                 full[idx] = sub
             self._g, self._pieces, self.owned = full, None, True
@@ -438,7 +531,7 @@ class PaddedOperator:
                 op.g  # reading g forms the small block from the root
             return op
         d_x = math.prod(self.dims[self.kept[j]] for j in pos)
-        g = np.empty(self._dims_of(kept) * 2, dtype=complex)
+        g = _WORKSPACE.empty(self._dims_of(kept) * 2)
         # the sum keeps the rest in self's order; write it in g's order
         out = g if rest == kept else g.transpose(_axes(kept, rest))
         _diagonal(self._g, pos).sum(axis=tuple(pos), out=out)
@@ -473,7 +566,9 @@ class PaddedOperator:
             kept = tuple(self._in_order(self.kept))
             if kept != self.kept:
                 g = g.transpose(_axes(self.kept, kept))
-            self._g, self.kept, self.owned = g.copy(), kept, True
+            self._g = _WORKSPACE.empty(g.shape)
+            np.copyto(self._g, g)
+            self.kept, self.owned = kept, True
         for s, p in [(1.0, other)] if other._pieces is None else other._pieces:
             g = p.g  # a root forms its block, and its kept, here
             view = _aligned(self._g, self.kept, p.kept)
@@ -511,11 +606,14 @@ class PaddedOperator:
         root-held piece keeps: a piece padded on a fixed factor would form
         the same product again in each sub-block it meets.  Fixed there,
         each piece is a padded block on the other factors (see
-        :meth:`_sub_block`), which lands in the buffer through
-        :func:`_aligned`'s view, computed once.  Each sub-block is yielded
-        with its index into the block.  With ``upper`` only those with
-        ``y >= x`` (as flat indices) are: with their transposes they meet
-        every entry.
+        :meth:`_sub_blocks`), which lands in the buffer through
+        :func:`_aligned`'s view, computed once.  A first piece that is a
+        root added on every kept factor writes its product straight into
+        the buffer, in place of zeroing it and adding the product; the
+        other root-held pieces form theirs in a second reused buffer.  Each
+        sub-block is yielded with its index into the block.  With ``upper``
+        only those with ``y >= x`` (as flat indices) are: with their
+        transposes they meet every entry.
         """
         kept = self.kept
         dims = self._dims_of(kept)
@@ -532,17 +630,37 @@ class PaddedOperator:
         pos.sort()
         fixed = [kept[i] for i in pos]
         rest = [f for f in kept if f not in fixed]
-        sub = np.empty(self._dims_of(rest) * 2, dtype=complex)
+        sub = _WORKSPACE.empty(self._dims_of(rest) * 2)
+        pieces = list(self._pieces)
+        head = pieces[0][1] if pieces and pieces[0][0] > 0 else None
+        first = None
+        if head is not None and head._root is not None and head.kept == kept:
+            first = head._sub_blocks(fixed, sub.reshape(-1))
+            del pieces[0]
+        leads = [
+            math.prod(self._dims_of(f for f in p.kept if f not in fixed))
+            for _, p in pieces if p._root is not None
+        ]
+        products = _WORKSPACE.empty((max(leads, default=0) ** 2,))
         lands = [
-            (s, p, _aligned(sub, rest, [f for f in p.kept if f not in fixed]))
-            for s, p in self._pieces
+            (
+                s,
+                p._sub_blocks(fixed, products),
+                _aligned(sub, rest, [f for f in p.kept if f not in fixed]),
+            )
+            for s, p in pieces
         ]
         values = list(itertools.product(*(range(dims[i]) for i in pos)))
         for n, x in enumerate(values):
             for y in values[n if upper else 0 :]:
-                sub.fill(0)
-                for s, p, view in lands:
-                    block = p._sub_block(fixed, x, y)
+                if first is None:
+                    sub.fill(0)
+                else:
+                    first(x, y)
+                    # as zeroing and adding would, turn a -0.0 into +0.0
+                    sub += 0.0
+                for s, block_at, view in lands:
+                    block = block_at(x, y)
                     if block is not None:
                         (np.add if s > 0 else np.subtract)(view, block, out=view)
                 idx = [slice(None)] * 2 * len(kept)
@@ -550,29 +668,58 @@ class PaddedOperator:
                     idx[i], idx[len(kept) + i] = xi, yi
                 yield tuple(idx), sub
 
-    def _sub_block(
-        self, fixed: Sequence[int], x: Sequence[int], y: Sequence[int]
-    ) -> np.ndarray | None:
+    def _sub_blocks(
+        self, fixed: Sequence[int], products: np.ndarray
+    ) -> Callable[[Sequence[int], Sequence[int]], np.ndarray | None]:
         """The block where the factors ``fixed`` have rows ``x`` and columns ``y``.
 
-        It is on the other factors this operator keeps, in ``kept`` order,
-        and None where this operator pads a fixed factor whose row and
-        column differ.  A block gives the slice ``g[x.., y..]``, a root
-        ``F_x F_y^dag / d_X``.
+        The returned function takes ``x`` and ``y`` and gives the block on
+        the other factors this operator keeps, in ``kept`` order, or None
+        where this operator pads a fixed factor whose row and column differ.
+        A block gives the slice ``g[x.., y..]``.  A root gives
+        ``F_x F_y^dag / d_X``, written into ``products``; ``F_x / d_X`` and
+        ``conj(F_x)`` are formed once here for every value ``x`` of the
+        fixed factors the root keeps.
         """
-        if any(xi != yi for f, xi, yi in zip(fixed, x, y) if f not in self.kept):
-            return None
-        at = {f: (xi, yi) for f, xi, yi in zip(fixed, x, y)}
-        rows = tuple(at[f][0] if f in at else slice(None) for f in self.kept)
-        cols = tuple(at[f][1] if f in at else slice(None) for f in self.kept)
+        at = [fixed.index(f) if f in fixed else None for f in self.kept]
+        padded = [i for i, f in enumerate(fixed) if f not in self.kept]
+
+        def index(x: Sequence[int]) -> tuple:
+            return tuple(slice(None) if i is None else x[i] for i in at)
+
         if self._root is None:
-            return self.g[rows + cols]
-        t = self._root_tensor(self.kept)
-        f_x, f_y = t[rows], t[cols]
-        lead = self._dims_of(f for f in self.kept if f not in at)
-        d_x = f_x.size // math.prod(lead)
-        block = (f_x.reshape(-1, d_x) * (1.0 / d_x)) @ f_y.reshape(-1, d_x).conj().T
-        return block.reshape(lead * 2)
+            g = self.g
+
+            def block_at(x, y):
+                if any(x[i] != y[i] for i in padded):
+                    return None
+                return g[index(x) + index(y)]
+
+            return block_at
+        # x's flat index over the fixed factors the root keeps, in kept order
+        cut = [i for i in at if i is not None]
+        cut_dims = self._dims_of(fixed[i] for i in cut)
+        weights = [(i, math.prod(cut_dims[k + 1 :])) for k, i in enumerate(cut)]
+        other = [f for f in self.kept if f not in fixed]
+        lead = self._dims_of(other)
+        side = math.prod(lead)
+        t = self._root_tensor([fixed[i] for i in cut] + other)
+        d_x = t.size // math.prod(self._dims_of(self.kept))
+        # F_x / d_X and conj(F_x) for every x, as (x, side, d_X) tables
+        scaled, conj = _WORKSPACE.empty(t.shape), _WORKSPACE.empty(t.shape)
+        np.multiply(t, 1.0 / d_x, out=scaled)
+        np.conjugate(t, out=conj)
+        scaled, conj = scaled.reshape(-1, side, d_x), conj.reshape(-1, side, d_x)
+        out = products[: side * side].reshape(side, side)
+
+        def block_at(x, y):
+            if any(x[i] != y[i] for i in padded):
+                return None
+            row = sum(x[i] * w for i, w in weights)
+            col = sum(y[i] * w for i, w in weights)
+            return np.matmul(scaled[row], conj[col].T, out=out).reshape(lead * 2)
+
+        return block_at
 
     def absorbed(self, factors: Sequence[int], stack: np.ndarray) -> np.ndarray:
         """``Tr_X(C_k .)`` for every ``C_k`` of a ``(K, d_X, d_X)`` stack.

@@ -232,8 +232,11 @@ def validate_supermap(s: Supermap) -> ValidationReport:
     forbidden part are linear and are summed from the terms.  A pure term's
     forbidden part is held as a sum of padded pieces and its max-norm read
     one sub-block at a time, so on the switch layout (a 4096^2 CJ)
-    validation stays within 8 MiB.  The ``MAX_CJ_DIM`` size limit is
-    checked before any term is read.
+    validation stays within 8 MiB from a cold block workspace.  The
+    workspace is per-thread, lives inside one report at a time and keeps
+    only the last report's blocks, so a repeated validation reuses them and
+    faults almost no fresh pages.  The ``MAX_CJ_DIM`` size limit is checked
+    before any term is read.
     """
     s._check_cj_size()
     level = HierarchyLevel.pair(

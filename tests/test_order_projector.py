@@ -415,6 +415,22 @@ def test_switch_pair_hermitian_max_norm_reads_the_upper_sub_blocks():
         assert total._hermitian_max_norm() == total.max_norm() == 1.0
 
 
+def test_an_assembled_sum_holds_no_negative_zero():
+    # each sub-block is +0 plus every piece, so no entry reads -0.0, also
+    # where the first piece's product, written straight into the sub-block,
+    # holds one: a vector with exact zeros, depolarized with a padded block
+    dims = (2, 2, 2)
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    v[rng.random(8) < 0.5] = 0
+    h = random_hermitian(rng, 8)
+    with held_in_pieces(4, 4):
+        op = PaddedOperator.of_vector(v, dims)
+        op.add(PaddedOperator.of_matrix(h, dims).depolarized([1]))
+        entries = op.depolarized([0]).dense().view(float)
+    assert not np.any(np.signbit(entries) & (entries == 0))
+
+
 def test_sum_of_blocks_on_disjoint_factors_matches_the_dense_sum():
     # neither block keeps the other's factors, so neither sum is nested; B
     # has no input, so both blocks have a nonzero forbidden part as well

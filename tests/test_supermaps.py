@@ -19,6 +19,7 @@ from oracles import (
     superoperator_reduction_cj,
 )
 import pmx.supermaps
+from pmx import operator_core
 from pmx.operator_core import (
     DEFAULT_TOL,
     PaddedOperator,
@@ -809,7 +810,12 @@ def test_dense_positivity_residual_repeats_exactly():
 
 
 def traced_peak(call):
-    """``call()`` and the tracemalloc peak, in bytes, of what it allocates."""
+    """``call()`` and the tracemalloc peak, in bytes, of what it allocates.
+
+    The block workspace is emptied first, so a validation is measured cold,
+    forming every block it keeps, as before validations kept their blocks.
+    """
+    operator_core._WORKSPACE.clear()
     tracemalloc.start()
     try:
         result = call()
