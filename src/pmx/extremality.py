@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -122,7 +123,7 @@ def _term_spectrum(
 def _intersection(w: ProcessMatrix) -> tuple[int, int, float, float]:
     """Intersection dimension, support rank, the count's margin and the rank's."""
     if not validate(w).valid:
-        raise ValueError("support_intersection_dim needs a valid process")
+        raise ValueError("the support intersection needs a valid process")
     vecs, support_margin = _support(w)
     r = vecs.shape[1]
     layout = w.layout
@@ -301,8 +302,18 @@ class ReachabilityReport:
         )
 
 
+@lru_cache(maxsize=None)
 def non_reachability_report() -> ReachabilityReport:
-    """Assemble the argument on concrete rank-8 witnesses."""
+    """Assemble the argument on concrete rank-8 witnesses.
+
+    The chain is computed on the first call and the same report is returned
+    on every later one.  Sharing it is safe: the function takes no input, so
+    its result is a constant, and the report and its two ``DarianoReport``
+    are frozen dataclasses of ints, bools and strs.  Nothing is computed at
+    import.  ``non_reachability_report.__wrapped__()`` recomputes the chain
+    without touching the cache; ``non_reachability_report.cache_clear()``
+    makes the next call recompute it.
+    """
     w = w_ocb()
     cert = is_extremal(w)
     mixed_cj = (cj_of_unitary(np.eye(2)) + cj_of_unitary(np.array([[0, 1], [1, 0]]))) / 2

@@ -1,5 +1,6 @@
 """Support-intersection and linear-independence extremality criteria."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -108,8 +109,12 @@ class TestSupportIntersection:
         assert support_intersection_dim(sw) == 1
 
     def test_rejects_invalid_process(self):
-        with pytest.raises(ValueError, match="valid"):
-            support_intersection_dim(w_ll())
+        # the message names no function the caller did not call
+        for entry in (support_intersection_dim, is_extremal):
+            with pytest.raises(
+                ValueError, match="^the support intersection needs a valid process$"
+            ):
+                entry(w_ll())
 
     def test_invariant_under_local_unitaries(self):
         rng = np.random.default_rng(17)
@@ -565,7 +570,35 @@ class TestNonReachability:
         assert rep.extremal
         assert rep.intersection_dim == 1
         assert rep.space_dim == 256
-        for branch in (rep.a_to_b, rep.b_to_a):
+        for direction in ("a_to_b", "b_to_a"):
+            branch = getattr(rep, direction)
+            assert branch.direction == direction
+            assert (branch.support_card, branch.order_card) == (64, 204)
             assert branch.total == 268 > rep.space_dim
             assert not branch.independent
         assert "rank-8" in rep.verdict
+
+    def test_report_is_computed_once(self, monkeypatch):
+        rep = non_reachability_report()
+
+        def refuse(*args):
+            raise AssertionError("the chain was computed again")
+
+        monkeypatch.setattr(pmx.extremality, "_term_spectrum", refuse)
+        monkeypatch.setattr(pmx.extremality, "is_extremal", refuse)
+        assert non_reachability_report() is rep
+
+    def test_wrapped_recomputes_an_equal_report(self):
+        rep = non_reachability_report()
+        fresh = non_reachability_report.__wrapped__()
+        assert fresh is not rep
+        for field in dataclasses.fields(rep):
+            assert getattr(fresh, field.name) == getattr(rep, field.name)
+        assert non_reachability_report() is rep
+
+    def test_shared_report_is_frozen(self):
+        rep = non_reachability_report()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.rank = 7
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.b_to_a.independent = True
