@@ -205,6 +205,19 @@ def _party_dims(layout: SpaceLayout, p: Party) -> tuple[int, int]:
     )
 
 
+def _element_spectrum(c: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """``eigh`` of a Hermitian element CJ ``c``, refused unless it is PSD.
+
+    An element is completely positive, so ``c`` is refused when an
+    eigenvalue is below ``-bound``, ``bound = DEFAULT_TOL max(1, |Tr c|)``.
+    """
+    lam, vecs = np.linalg.eigh((c + c.conj().T) / 2)
+    bound = DEFAULT_TOL * max(1.0, abs(np.trace(c)))
+    if lam[0] < -bound:
+        raise ValueError(f"{what} is not PSD (lowest eigenvalue {lam[0]:.3e})")
+    return lam, vecs, bound
+
+
 @dataclass(frozen=True, eq=False)
 class Instrument:
     """CJ operators of one party's instrument elements.
@@ -233,12 +246,7 @@ class Instrument:
                 )
             if not is_hermitian(c):
                 raise ValueError(f"element {k} of instrument {self.party!r} not Hermitian")
-            lo = float(np.linalg.eigvalsh((c + c.conj().T) / 2)[0])
-            if lo < -DEFAULT_TOL * max(1.0, abs(np.trace(c))):
-                raise ValueError(
-                    f"element {k} of instrument {self.party!r} is not PSD "
-                    f"(lowest eigenvalue {lo:.3e})"
-                )
+            _element_spectrum(c, f"element {k} of instrument {self.party!r}")
             c.setflags(write=False)
             frozen.append(c)
         total = sum(frozen)
@@ -595,7 +603,10 @@ def _slot1_marginal(op: PaddedOperator, n1: int) -> np.ndarray:
 
 
 def _validity_report(
-    terms: Sequence[PaddedOperator], level: HierarchyLevel, tol: float
+    terms: Sequence[PaddedOperator],
+    level: HierarchyLevel,
+    tol: float,
+    max_side: float = math.inf,
 ) -> ValidationReport:
     """The three validity conditions of a sum of Hermitian operators.
 
@@ -621,6 +632,9 @@ def _validity_report(
       sub-blocks that hold every entry or its conjugate transpose (10 of
       16 on the switch pair).  There the validation stays within 8 MiB
       from a cold workspace (below), where a 1024^2 block alone is 16 MiB.
+      A forbidden part whose block, on the factors it keeps, has a side
+      above ``max_side`` (``MAX_CJ_DIM`` for ``validate_supermap``) is
+      refused once it is formed, before the max-norm reads it.
 
     The report runs inside the thread's block workspace
     (``operator_core._BlockWorkspace``): every block of at least 2^12
@@ -653,6 +667,9 @@ def _validity_report(
         forbidden = forbidden_part(terms[0], level)
         for t in terms[1:]:
             forbidden.add(forbidden_part(t, level))
+        side = math.prod(forbidden.dims[f] for f in forbidden.kept)
+        if side > max_side:
+            raise ValueError(f"forbidden block side {side} > MAX_CJ_DIM = {max_side}")
         sub_resid = forbidden._hermitian_max_norm()
     conds = (
         ConditionReport("positivity", pos_resid, pos_tol, pos_resid <= pos_tol),

@@ -28,26 +28,21 @@ The hierarchy levels, the one forbidden-part projector and the one validity
 core live in :mod:`pmx.process_space`: one level up the forbidden-term
 projector is ``Q^(n) = (1 - Q^(n-1)_1) (x) Q^(n-1)_2``, and condition (c)
 reads ``(1 - Q_in) (x) Q_out (C) = 0``.  :func:`validate_supermap` and
-:func:`validate_order_n` check their input and hand the CJ to that core.  A
-depolarization reads and writes only diagonal entries, an output-less party
-shrinks the operator instead of padding it with an identity, and a pure CJ
-``|v><v|`` is depolarized from its vector: ``D_X(|v><v|)`` stays held by
-``v`` and the kept factors while the block would be large, so neither the
-rank-one CJ nor the forbidden part's largest blocks are formed, and that
-part is a sum of such pieces, read one sub-block at a time.
+:func:`validate_order_n` check their input and hand the CJ to that core,
+which depolarizes a pure CJ ``|v><v|`` from its vector, so neither the
+rank-one CJ nor the forbidden part's largest blocks are formed (see
+``process_space.forbidden_part``).
 
-A :class:`Supermap` holds its CJ one way, as a sum of positive terms, and
-validation reads only the terms: a pure CJ is one vector,
+A :class:`Supermap` holds its CJ only as a sum of positive terms, with no
+dense copy, and validation reads only the terms: a pure CJ is one vector,
 ``constant_map`` keeps ``1_in (x) w_tilde / d'`` by its output block,
 ``interpolation_map`` keeps both of its terms, and a reduction keeps
-``|1>><<1| (x) C_M^T`` (a wire from each kept input factor to its output
-copy, the transposed element on the party's factors) as one exact term on
-those factors, formed on first read.  So only a dense CJ handed in by the
-caller is ever checked as one matrix.  :func:`apply` acts term by term,
-each term through the one link product ``PaddedOperator.absorbed``, except
-that a reduction absorbs its element into the process directly.
-A CJ above ``MAX_CJ_DIM`` (the 8-factor reductions) is refused before its
-terms are read, so those supermaps apply but cannot be validated.
+``|1>><<1| (x) C_M^T`` as one vector per eigenpair of ``C_M``.
+:func:`apply` acts term by term, through ``PaddedOperator.absorbed``,
+except that a reduction absorbs its element into the process directly.
+One size rule: ``MAX_CJ_DIM`` is the largest block side validation reads.
+A dense CJ above it is refused where it enters, and a validation whose
+forbidden part would be read as a larger block is refused before that read.
 """
 
 from __future__ import annotations
@@ -69,6 +64,7 @@ from .process_space import (
     HierarchyLevel,
     ProcessMatrix,
     ValidationReport,
+    _element_spectrum,
     _operator,
     _unitary_vector,
     _validity_report,
@@ -100,23 +96,22 @@ __all__ = [
 class Supermap:
     """A process-matrix transformation, held by its CJ operator.
 
-    The CJ is held one way, as a sum of positive terms, each a
+    The CJ is held only as a sum of positive terms, each a
     ``PaddedOperator`` on the joint factors (input layout, then output
     layout): a dense ``cj`` is one term, a pure CJ ``|v><v|`` given as
     ``cj_vector`` (unitary conjugation) one term held by its vector, and
     ``interpolation_map`` keeps its rank-one identity part and its
-    ``1_in (x) g`` constant part as two terms.  A dense CJ is refused
-    unless it is Hermitian: :func:`apply` keeps only the Hermitian part of
-    an action.  A ``cj`` or ``cj_vector`` is held as a read-only copy, so
-    the caller's later edits do not reach a checked map.  The ``cj``
-    property sums the terms into a read-only matrix, caches it for later
-    ``cj`` reads only, and refuses dimensions beyond ``MAX_CJ_DIM`` with a
-    size error.  Only :func:`instrument_reduction` acts other than term by
-    term.
+    ``1_in (x) g`` constant part as two terms.  Give one of ``cj`` and
+    ``cj_vector``.  A dense CJ is refused unless it is Hermitian (:func:`apply`
+    keeps only the Hermitian part of an action) and of side at most
+    ``MAX_CJ_DIM``.  Either is held as a read-only copy, so the caller's
+    later edits do not reach a checked map.  Only
+    :func:`instrument_reduction` acts other than term by term.
 
     :func:`validate_supermap` checks the terms one at a time.  Its
     positivity residual ``-sum_k lambda_min(term_k)`` (see
-    ``process_space._validity_report``) is exact for a one-term CJ.  For the
+    ``process_space._validity_report``) is exact for a one-term CJ, and for
+    a sum of vector terms (a reduction), which reads exactly 0.  For the
     interpolation map ``a|1>><<1| + 1_in (x) g`` it is exact as well: with
     ``d_in >= 2`` the lowest eigenvalue of ``1_in (x) g`` has multiplicity at
     least ``d_in``, and a positive rank-one term lifts at most one of those
@@ -135,7 +130,11 @@ class Supermap:
     ) -> None:
         d = in_layout.dim * out_layout.dim
         dims = in_layout.dims + out_layout.dims
+        if (cj is None) == (cj_vector is None):
+            raise ValueError("supermap needs a CJ operator or vector, not both")
         if cj is not None:
+            if d > MAX_CJ_DIM:
+                raise ValueError(f"dense CJ side {d} > MAX_CJ_DIM = {MAX_CJ_DIM}")
             cj = np.array(cj, dtype=complex)
             if cj.shape != (d, d):
                 raise ValueError(f"CJ shape {cj.shape}, expected {(d, d)}")
@@ -143,19 +142,16 @@ class Supermap:
                 raise ValueError("supermap CJ is not Hermitian")
             cj.setflags(write=False)
             terms = (PaddedOperator.of_matrix(cj, dims),)
-        elif cj_vector is not None:
+        else:
             v = np.array(cj_vector, dtype=complex)
             if v.shape != (d,):
                 raise ValueError(f"CJ vector length {v.shape}, expected {d}")
             v.setflags(write=False)
             terms = (PaddedOperator.of_vector(v, dims),)
-        else:
-            raise ValueError("supermap needs a CJ operator or vector")
         self.in_layout = in_layout
         self.out_layout = out_layout
         self.label = label
         self._terms = terms
-        self._cj = cj
 
     @classmethod
     def _of_terms(
@@ -168,35 +164,8 @@ class Supermap:
         """A supermap whose CJ is the sum of the positive ``terms``."""
         s = cls.__new__(cls)
         s.in_layout, s.out_layout, s.label = in_layout, out_layout, label
-        s._terms, s._cj = terms, None
+        s._terms = terms
         return s
-
-    @property
-    def cj_dim(self) -> int:
-        return self.in_layout.dim * self.out_layout.dim
-
-    @property
-    def cj(self) -> np.ndarray:
-        if self._cj is None:
-            self._check_cj_size()
-            first, *rest = self._terms
-            dims = first.dims
-            total = PaddedOperator(
-                dims, range(len(dims)), g=first.dense().reshape(dims * 2), owned=True
-            )
-            for t in rest:
-                total.add(t.alias())
-            self._cj = total.matrix()
-            self._cj.setflags(write=False)
-        return self._cj
-
-    def _check_cj_size(self) -> None:
-        d = self.cj_dim
-        if d > MAX_CJ_DIM:
-            raise ValueError(
-                f"CJ operator would be {d} x {d}, above MAX_CJ_DIM = "
-                f"{MAX_CJ_DIM}; it is not materialized"
-            )
 
     def _act(self, w: ProcessMatrix) -> np.ndarray:
         """``Tr_in(C (W^T (x) 1_out))``, summed over the CJ's terms."""
@@ -226,23 +195,24 @@ def validate_supermap(s: Supermap) -> ValidationReport:
     rank-one term is positive by representation, and any other term's
     lowest eigenvalue is that of its stored block, solved on the block's
     live indices (see ``process_space._lowest_eigenvalue``).  So for one
-    term (a pure supermap, ``constant_map``, a reduction) and for
-    ``interpolation_map`` (see :class:`Supermap`) the positivity residual
-    is exact; for other sums it is an upper bound.  Trace, marginal and
+    term (a pure supermap, ``constant_map``), for vector terms only (a
+    reduction, whose residual is exactly 0) and for ``interpolation_map``
+    (see :class:`Supermap`) the positivity residual is exact; for other
+    sums it is an upper bound.  Trace, marginal and
     forbidden part are linear and are summed from the terms.  A pure term's
     forbidden part is held as a sum of padded pieces and its max-norm read
     one sub-block at a time, so on the switch layout (a 4096^2 CJ)
-    validation stays within 8 MiB from a cold block workspace.  The
-    workspace is per-thread, lives inside one report at a time and keeps
-    only the last report's blocks, so a repeated validation reuses them and
-    faults almost no fresh pages.  The ``MAX_CJ_DIM`` size limit is checked
-    before any term is read.
+    validation stays within 8 MiB from a cold block workspace (see
+    ``process_space._validity_report``).  A map whose forbidden part would
+    be read as a block of side above ``MAX_CJ_DIM`` is refused once that
+    part is formed, before the read: the D reduction of the extended switch
+    (side 4096) validates, ``c_swap_v(3)`` (side 39,366) is refused.
     """
-    s._check_cj_size()
     level = HierarchyLevel.pair(
         HierarchyLevel.process(s.in_layout), HierarchyLevel.process(s.out_layout)
     )
-    return _validity_report([t.alias() for t in s._terms], level, DEFAULT_TOL)
+    terms = [t.alias() for t in s._terms]
+    return _validity_report(terms, level, DEFAULT_TOL, max_side=MAX_CJ_DIM)
 
 
 def _term_action(t: PaddedOperator, w: np.ndarray, n_in: int) -> np.ndarray:
@@ -354,7 +324,7 @@ def _reduced_layout(layout: SpaceLayout, party_name: str) -> SpaceLayout:
 
 
 def instrument_reduction(
-    layout: SpaceLayout, party: str, element_cj: np.ndarray
+    layout: SpaceLayout, party: str, element: np.ndarray
 ) -> Supermap:
     """Absorb one party's instrument element into the process.
 
@@ -373,61 +343,72 @@ def instrument_reduction(
     ``|w>`` gives ``W' = M C_M^T M^dag`` with ``M`` the vector as a (kept
     factors, party factors) matrix, so its matrix is not built.  ``C_M``
     must be Hermitian, since :func:`apply` keeps only the Hermitian part of
-    an action.
+    an action, and positive semidefinite, since an instrument element is
+    completely positive: it is refused, as ``Instrument`` refuses it, when
+    an eigenvalue lies below ``-DEFAULT_TOL max(1, |Tr C_M|)``.
 
-    Its CJ is one exact term, ``|1>><<1| (x) C_M^T``: the unnormalized
-    ``|1>>`` wires each kept input factor to its copy in the reduced layout,
-    and ``C_M^T`` closes the loop on the party's factors.  The term is held
-    on those factors by label, with no superoperator matrix and no
-    permutation, and is formed when it is first read (``cj`` and
-    :func:`validate_supermap`, which refuse it above ``MAX_CJ_DIM`` before
-    reading it, so the 16,384^2 term of the extended switch is never made).
+    Its CJ is ``|1>><<1| (x) C_M^T``: the unnormalized ``|1>>`` wires each
+    kept input factor to its copy in the reduced layout, and ``C_M^T``
+    closes the loop on the party's factors.  With ``C_M = sum_k lambda_k
+    |c_k><c_k|`` it is held as the vector terms ``sqrt(lambda_k) |1>> (x)
+    conj(c_k)``, placed on those factors by label and built when first
+    read.  Eigenvalues at most ``DEFAULT_TOL max(1, |Tr C_M|)`` are
+    dropped, but the largest is kept, so a unitary element gives one term.
 
     On the CJ representative: the formula above fixes the supermap only on
     the span of valid processes.  This natural wiring CJ is positive
     semidefinite, satisfies the order-structure condition exactly, and
     rescales the trace of every operator in the valid span; but for a
-    trace-preserving ``C_M`` other
-    than the completely depolarizing one, *no* representative of this
-    action also satisfies the operator equation ``Tr_2(C) = (d'_2/d'_1) 1``
-    on the full space (the equivalence-class freedom sits in the forbidden
-    rows, whose trace column the equation pins, and the resulting affine
-    set provably misses the positive cone).  ``validate_supermap``
+    trace-preserving ``C_M`` other than the completely depolarizing one,
+    *no* representative of this action also satisfies the operator
+    equation ``Tr_2(C) = (d'_2/d'_1) 1`` on the full space (the
+    equivalence-class freedom sits in the forbidden rows, whose trace
+    column the equation pins, and the resulting affine set provably misses
+    the positive cone).  ``validate_supermap``
     therefore reports the trace condition as failed for such reductions
-    even though every valid process is mapped to a valid process.
+    even though every valid process is mapped to a valid process.  The
+    trace condition restricted to the valid input span, which such
+    reductions meet, is the open half of ROADMAP item 1.
     """
-    return _Reduction(layout, party, element_cj)
+    return _Reduction(layout, party, element)
 
 
 class _Reduction(Supermap):
     """A supermap that absorbs one party's element; see :func:`instrument_reduction`."""
 
-    def __init__(self, layout: SpaceLayout, party: str, element_cj: np.ndarray) -> None:
-        element_cj = np.array(element_cj, dtype=complex)
+    def __init__(self, layout: SpaceLayout, party: str, element: np.ndarray) -> None:
+        element = np.array(element, dtype=complex)
         p = layout.party(party)
         self._x_facs = list(p.inputs) + list(p.outputs)
         if not self._x_facs:
             raise ValueError(f"party {party!r} has no factors to reduce over")
         d = math.prod(layout.dims[k] for k in self._x_facs)
-        if element_cj.shape != (d, d):
-            raise ValueError(f"element CJ shape {element_cj.shape}, expected {(d, d)}")
-        if not is_hermitian(element_cj):
+        if element.shape != (d, d):
+            raise ValueError(f"element CJ shape {element.shape}, expected {(d, d)}")
+        if not is_hermitian(element):
             raise ValueError("element CJ must be Hermitian")
-        element_cj.setflags(write=False)
+        self._spectrum = _element_spectrum(element, "element CJ")
+        element.setflags(write=False)
         self.in_layout, self.out_layout = layout, _reduced_layout(layout, party)
-        self.label, self._cj, self._element = f"reduction({party})", None, element_cj
+        self.label, self._element = f"reduction({party})", element
 
     @functools.cached_property
     def _terms(self) -> tuple[PaddedOperator, ...]:
-        """``|1>><<1| (x) C_M^T``, held on the kept, output and party factors."""
+        """``sqrt(lambda_k) |1>> (x) conj(c_k)``, placed by factor label."""
         n = self.in_layout.n_factors
         dims = self.in_layout.dims + self.out_layout.dims
         keep = [k for k in range(n) if k not in self._x_facs]
         facs = keep + list(range(n, len(dims))) + self._x_facs
         wire = np.eye(self.out_layout.dim).reshape(-1)
-        g = np.kron(np.outer(wire, wire), self._element.T)
-        g = g.reshape(tuple(dims[k] for k in facs) * 2)
-        return (PaddedOperator(dims, facs, g=g),)
+        shape, order = [dims[k] for k in facs], np.argsort(facs)
+        lam, vecs, bound = self._spectrum
+        above = lam > bound
+        above[-1] = True  # eigh sorts ascending: the largest is always kept
+        roots = np.sqrt(np.maximum(lam[above], 0.0))
+        # one row per term, on the facs factors, then put in factor order
+        u = np.einsum("w,xk->kwx", wire, vecs[:, above].conj() * roots)
+        u = u.reshape(-1, *shape).transpose(0, *(order + 1)).reshape(len(roots), -1)
+        return tuple(PaddedOperator.of_vector(v, dims) for v in u)
 
     def _act(self, w: ProcessMatrix) -> np.ndarray:
         return _operator(w).absorbed(self._x_facs, self._element[None])[0]

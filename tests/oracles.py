@@ -16,12 +16,14 @@ search over the group's generators.  The support/valid-span intersection
 and the D'Ariano independence rank are read from Grams of Weyl terms
 compressed to the support; here they are the eigenvalue-1 count of the
 averaged projector and the SVD rank of the stacked Gell-Mann coefficient
-vectors.  The constant and interpolation supermaps hold their CJ as a sum of
-terms; here it is written out as one dense array.  The Born table and the instrument reduction absorb
-a party's elements by one contraction on the operator's factor axes; here
-they take the joint Kronecker product of all parties' elements, and the
+vectors.  A supermap holds its CJ only as a sum of terms; here it is
+summed into one dense array (``dense_cj``), and the constant and
+interpolation CJs are written out as one dense array directly.  The Born
+table and the instrument reduction absorb a party's elements by one
+contraction on the operator's factor axes; here they take the joint
+Kronecker product of all parties' elements, and the
 reordered operator with the element applied block by block.  pmx places a
-block on named factors by label (``PaddedOperator``); here the block is
+block or a vector on named factors by label (``PaddedOperator``); here the block is
 padded by a Kronecker product with the identity and its factors permuted
 into place, and the reduction's CJ comes from its superoperator matrix.
 pmx solves a dense term's positivity on its live block, the indices whose
@@ -69,6 +71,7 @@ from pmx.process_space import (
     allowed_mask,
     validate,
 )
+from pmx.supermaps import Supermap
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +418,11 @@ def block_diagonal(block: np.ndarray, copies: int) -> np.ndarray:
     for i in range(0, copies * d, d):
         out[i : i + d, i : i + d] = block
     return out
+
+
+def dense_cj(s: Supermap) -> np.ndarray:
+    """A supermap's CJ as one dense array: the sum of its terms' ``dense()``."""
+    return sum(t.dense() for t in s._terms)
 
 
 def dense_constant_cj(w_tilde: ProcessMatrix, in_layout: SpaceLayout) -> np.ndarray:

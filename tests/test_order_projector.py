@@ -42,6 +42,7 @@ from pmx.process_space import (
     _storage_order,
     _validity_report,
     allowed_mask,
+    cj_of_unitary,
     comb_order_satisfied,
     forbidden_part,
     single_party_layout,
@@ -53,6 +54,7 @@ from pmx.supermaps import (
     Supermap,
     hierarchy_projector,
     v_lambda,
+    v_lambda_unitary,
     validate_order_n,
     validate_supermap,
 )
@@ -146,17 +148,17 @@ def test_pure_supermap_residual_matches_dense(l1, l2, seed):
     d = l1.dim * l2.dim
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     pure = Supermap(l1, l2, cj_vector=v)
-    dense = Supermap(l1, l2, cj=np.outer(v, v.conj()))
+    cj = np.outer(v, v.conj())
+    dense = Supermap(l1, l2, cj=cj)
     dims = l1.dims + l2.dims
     level = HierarchyLevel.pair(HierarchyLevel.process(l1), HierarchyLevel.process(l2))
-    oracle = max_norm(dense.cj - mask_projector(dense.cj, dims, hierarchy_mask(level)))
+    oracle = max_norm(cj - mask_projector(cj, dims, hierarchy_mask(level)))
     r_pure = validate_supermap(pure).subspace
     r_dense = validate_supermap(dense).subspace
-    scale = max_norm(dense.cj)
+    scale = max_norm(cj)
     assert abs(r_pure.residual - oracle) <= 1e-12 * scale
     assert abs(r_dense.residual - oracle) <= 1e-12 * scale
     assert r_pure.tolerance == pytest.approx(r_dense.tolerance, rel=1e-12)
-    assert pure._cj is None
 
 
 @PROPERTY_SETTINGS
@@ -587,8 +589,8 @@ def test_padded_operator_takes_strided_blocks():
 def test_pure_switch_validation_never_forms_cj():
     s = v_lambda(0.3)
     report = validate_supermap(s)
-    assert s._cj is None
-    dense = validate_supermap(Supermap(s.in_layout, s.out_layout, cj=s.cj))
+    cj = cj_of_unitary(v_lambda_unitary(0.3))
+    dense = validate_supermap(Supermap(s.in_layout, s.out_layout, cj=cj))
     for name in ("trace", "subspace"):
         pure_c, dense_c = report.condition(name), dense.condition(name)
         assert abs(pure_c.residual - dense_c.residual) <= 1e-12
@@ -656,8 +658,8 @@ def test_validate_supermap_is_validate_order_n_at_level2(l1, l2, seed):
     rng = np.random.default_rng(seed)
     level = HierarchyLevel.pair(HierarchyLevel.process(l1), HierarchyLevel.process(l2))
     d = level.dim
-    dense = Supermap(l1, l2, cj=random_hermitian(rng, d))
-    assert validate_supermap(dense) == validate_order_n(dense.cj, level)
+    cj = random_hermitian(rng, d)
+    assert validate_supermap(Supermap(l1, l2, cj=cj)) == validate_order_n(cj, level)
     vectors = [rng.standard_normal(d) + 1j * rng.standard_normal(d)]
     if l1 == l2:
         # |1>>, the identity supermap: valid

@@ -1,5 +1,6 @@
 """Tests for supermap validity, application, constructors, and the hierarchy."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     coefficient_tensor,
+    dense_cj,
     dense_constant_cj,
     dense_interpolation_cj,
     from_coefficient_tensor,
@@ -21,8 +23,6 @@ from oracles import (
 import pmx.supermaps
 from pmx import operator_core
 from pmx.operator_core import (
-    DEFAULT_TOL,
-    PaddedOperator,
     SpaceLayout,
     max_norm,
     partial_trace,
@@ -31,7 +31,6 @@ from pmx.operator_core import (
 from pmx.process_space import (
     CausalOrderFlag,
     ProcessMatrix,
-    _validity_report,
     allowed_mask,
     bipartite_qubit_layout,
     causal_order_flags,
@@ -90,6 +89,10 @@ def random_unitary(rng, d):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def rotation(lam):
+    return np.array([[np.cos(lam), -np.sin(lam)], [np.sin(lam), np.cos(lam)]])
 
 
 def random_valid_process(rng, layout, scale=1.0):
@@ -204,7 +207,7 @@ def test_unitary_supermap_cj_is_the_cj_of_its_unitary():
         (random_unitary(rng, 4), single_party_layout()),
     ]
     for u, layout in cases:
-        assert np.array_equal(unitary_supermap(u, layout).cj, cj_of_unitary(u))
+        assert np.array_equal(dense_cj(unitary_supermap(u, layout)), cj_of_unitary(u))
 
 
 def test_unitary_supermap_rejects_non_unitary():
@@ -292,8 +295,27 @@ def test_supermap_constructor_rejects_bad_shapes():
         Supermap(BIP, BIP, cj_vector=np.ones(17))
 
 
+def test_supermap_refuses_a_cj_and_a_cj_vector_together():
+    # the vector was silently ignored, so this pair was the identity map
+    # whatever the vector said
+    with pytest.raises(ValueError, match="not both"):
+        Supermap(
+            BIP, BIP, cj=cj_of_unitary(np.eye(BIP.dim)), cj_vector=np.zeros(BIP.dim**2)
+        )
+
+
+def test_dense_cj_above_the_cap_is_refused_where_it_enters(monkeypatch):
+    # patched below BIP's 256, so no test allocates a dense CJ above 4096^2
+    monkeypatch.setattr(pmx.supermaps, "MAX_CJ_DIM", 255)
+    with pytest.raises(ValueError, match="dense CJ side 256 > MAX_CJ_DIM = 255"):
+        Supermap(BIP, BIP, cj=cj_of_unitary(np.eye(BIP.dim)))
+    monkeypatch.setattr(pmx.supermaps, "MAX_CJ_DIM", 256)
+    identity = Supermap(BIP, BIP, cj=cj_of_unitary(np.eye(BIP.dim)))
+    assert validate_supermap(identity).valid
+
+
 def test_dense_cj_is_a_copy_the_caller_cannot_edit():
-    m = unitary_supermap(np.eye(BIP.dim), BIP).cj.copy()
+    m = cj_of_unitary(np.eye(BIP.dim))
     s = Supermap(BIP, BIP, cj=m)
     out, report = apply(s, w_ocb()).matrix, validate_supermap(s)
     m[0, 5] += 1.0
@@ -319,18 +341,6 @@ def test_unitary_supermap_of_a_fortran_ordered_unitary_keeps_a_copy():
     assert np.array_equal(apply(s, w_ocb()).matrix, out)
 
 
-def test_cj_is_read_only():
-    c = cj_of_unitary(np.eye(2))
-    for s in (
-        Supermap(BIP, BIP, cj=np.eye(BIP.dim**2)),
-        unitary_supermap(np.eye(BIP.dim), BIP),
-        interpolation_map(w_ocb(), 0.4),
-        instrument_reduction(BIP, "B", c),
-    ):
-        with pytest.raises(ValueError, match="read-only"):
-            s.cj[0, 0] = 2.0
-
-
 def test_apply_layout_mismatch_raises():
     with pytest.raises(ValueError, match="layout"):
         apply(unitary_supermap(np.eye(BIP.dim), BIP), quantum_switch())
@@ -340,7 +350,7 @@ def test_pure_and_dense_application_paths_agree():
     rng = np.random.default_rng(11)
     u = tensor(*(random_unitary(rng, 2) for _ in range(4)))
     pure = unitary_supermap(u, BIP)
-    dense = Supermap(BIP, BIP, cj=pure.cj.copy())
+    dense = Supermap(BIP, BIP, cj=cj_of_unitary(u))
     w = random_valid_process(rng, BIP)
     out_p = apply(pure, w).matrix
     out_d = apply(dense, w).matrix
@@ -380,7 +390,7 @@ def assert_terms_match_dense(s, old_cj, rng):
     level = HierarchyLevel.pair(
         HierarchyLevel.process(s.in_layout), HierarchyLevel.process(s.out_layout)
     )
-    want = validate_order_n(s.cj, level)
+    want = validate_order_n(dense_cj(s), level)
     for got, ref in zip(report.conditions, want.conditions):
         assert got.name == ref.name
         assert got.passed == ref.passed
@@ -392,7 +402,7 @@ def assert_terms_match_dense(s, old_cj, rng):
             # every CJ here has max-norm at most 1, so both subspace scales
             # clamp at 1 although the terms' scale bounds the dense one
             assert got.tolerance == ref.tolerance
-    assert max_norm(s.cj - old_cj) <= 1e-15
+    assert max_norm(dense_cj(s) - old_cj) <= 1e-15
     w = random_valid_process(rng, s.in_layout)
     d1, d2 = s.in_layout.dim, s.out_layout.dim
     dense_out = np.einsum("abcd,ac->bd", old_cj.reshape(d1, d2, d1, d2), w.matrix)
@@ -556,8 +566,11 @@ def test_reducing_shared_state_gives_the_marginal():
 
 def test_reduction_action_agrees_with_its_cj():
     rng = np.random.default_rng(22)
-    red = instrument_reduction(BIP, "B", random_channel_cj(rng, 2))
-    dense = Supermap(BIP, red.out_layout, cj=red.cj)
+    c_m = random_channel_cj(rng, 2)
+    red = instrument_reduction(BIP, "B", c_m)
+    dense = Supermap(
+        BIP, red.out_layout, cj=superoperator_reduction_cj(BIP, "B", c_m)
+    )
     for _ in range(3):
         w = random_valid_process(rng, BIP)
         assert max_norm(apply(red, w).matrix - apply(dense, w).matrix) <= 1e-12
@@ -581,8 +594,10 @@ def test_reduction_action_agrees_with_its_cj_on_interleaved_factors(party):
     p = INTERLEAVED.party(party)
     d_x = int(np.prod([INTERLEAVED.dims[k] for k in p.inputs + p.outputs]))
     g = rng.standard_normal((d_x, d_x)) + 1j * rng.standard_normal((d_x, d_x))
-    red = instrument_reduction(INTERLEAVED, party, g @ g.conj().T)
-    dense = Supermap(INTERLEAVED, red.out_layout, cj=red.cj)
+    c_m = g @ g.conj().T
+    red = instrument_reduction(INTERLEAVED, party, c_m)
+    oracle = superoperator_reduction_cj(INTERLEAVED, party, c_m)
+    dense = Supermap(INTERLEAVED, red.out_layout, cj=oracle)
     for _ in range(3):
         w = ProcessMatrix(INTERLEAVED, random_hermitian(rng, INTERLEAVED.dim))
         assert max_norm(apply(red, w).matrix - apply(dense, w).matrix) <= 1e-12
@@ -602,8 +617,11 @@ def test_reduction_cj_matches_the_superoperator_oracle(layout, party):
     g = rng.standard_normal((d_x, d_x)) + 1j * rng.standard_normal((d_x, d_x))
     c_m = g @ g.conj().T
     assert not np.allclose(c_m, c_m.T)  # the transpose on C_M shows
-    cj = instrument_reduction(layout, party, c_m).cj
-    assert np.array_equal(cj, superoperator_reduction_cj(layout, party, c_m))
+    red = instrument_reduction(layout, party, c_m)
+    # one vector term per eigenpair of the full-rank element
+    assert len(red._terms) == d_x
+    want = superoperator_reduction_cj(layout, party, c_m)
+    assert max_norm(dense_cj(red) - want) <= 1e-12 * max_norm(want)
 
 
 @pytest.mark.parametrize("party", ["A", "B", "D", "C"])
@@ -674,9 +692,36 @@ def test_reduction_rejects_a_non_hermitian_element():
         instrument_reduction(BIP, "B", c_m)
 
 
+def test_reduction_rejects_an_element_that_is_not_positive():
+    # an instrument element is completely positive; this Hermitian one was
+    # accepted and its reduction failed positivity by 4.0
+    with pytest.raises(ValueError, match=r"element CJ is not PSD \(lowest eig.* -1"):
+        instrument_reduction(BIP, "B", np.diag([1.0, -1.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "element, terms",
+    [
+        (cj_of_unitary(rotation(0.3)), 1),
+        (np.eye(4) / 2, 4),
+        # eigenvalues at most DEFAULT_TOL max(1, |Tr C_M|) are dropped
+        (np.diag([1.0, 0.5, 1e-10, -1e-10]), 2),
+        # the largest is always kept, so the zero element is one zero vector
+        (np.zeros((4, 4)), 1),
+    ],
+    ids=["unitary", "depolarizing", "rounding-level", "zero"],
+)
+def test_reduction_keeps_one_vector_term_per_eigenvalue_above_the_bound(element, terms):
+    red = instrument_reduction(BIP, "B", element)
+    assert len(red._terms) == terms
+    assert all(t.vector is not None for t in red._terms)
+    want = superoperator_reduction_cj(BIP, "B", element)
+    assert max_norm(dense_cj(red) - want) <= 1e-9
+
+
 def _non_hermitian_cj() -> np.ndarray:
     """The bipartite identity-conjugation CJ plus 1 at entry (0, 5)."""
-    cj = unitary_supermap(np.eye(BIP.dim), BIP).cj.copy()
+    cj = cj_of_unitary(np.eye(BIP.dim))
     cj[0, 5] += 1.0
     return cj
 
@@ -688,16 +733,17 @@ def test_supermap_rejects_a_non_hermitian_cj():
         Supermap(BIP, BIP, cj=_non_hermitian_cj())
 
 
-def test_oversized_reduction_cj_is_refused_but_applies():
+def test_reduction_with_a_16384_cj_applies_and_validates():
+    # the depolarizing element: four vector terms, whose 16,384^2 sum is
+    # never formed; the forbidden part is read as a 4096-side block
     red = instrument_reduction(extended_switch_layout(), "D", np.eye(4) / 2)
-    with pytest.raises(ValueError, match="not materialized"):
-        red.cj
-    with pytest.raises(ValueError, match="16384 x 16384.*not materialized"):
-        validate_supermap(red)
     out = apply(red, extended_switch())
     assert validate(out).valid
-    # the size check runs before the CJ term is read, so it is never formed
+    # applying never builds the terms (sweep builds reductions it does not
+    # validate)
     assert "_terms" not in vars(red)
+    assert validate_supermap(red).valid
+    assert len(red._terms) == 4
 
 
 def test_supermap_takes_no_free_standing_action():
@@ -736,7 +782,8 @@ def test_reduction_term_validates_as_its_dense_cj(layout, party, element):
         c_m = g @ g.conj().T / d_x
     red = instrument_reduction(layout, party, c_m)
     got = validate_supermap(red)
-    want = validate_supermap(Supermap(layout, red.out_layout, cj=red.cj))
+    oracle = superoperator_reduction_cj(layout, party, c_m)
+    want = validate_supermap(Supermap(layout, red.out_layout, cj=oracle))
     for a, b in zip(got.conditions, want.conditions):
         assert a.name == b.name
         assert a.passed == b.passed
@@ -801,7 +848,7 @@ def test_blockwise_reduction_equals_the_dense_embedding():
 def test_dense_positivity_residual_repeats_exactly():
     # ARPACK starts from a fixed vector, so the residual is reproducible; a
     # dense CJ above 1024 x 1024 is the input that still reaches it
-    cj = interpolation_map(quantum_switch(), 0.4).cj
+    cj = dense_interpolation_cj(quantum_switch(), 0.4)
     first, second = (
         validate_supermap(Supermap(SWITCH, SWITCH, cj=cj)) for _ in range(2)
     )
@@ -849,24 +896,11 @@ def test_switch_pair_validation_stays_within_8_mib(make, residuals):
 def test_extended_switch_d_reduction_validates_as_one_vector_term():
     # the reduction's CJ |1>><<1| (x) C_M^T is 16,384^2; for a unitary
     # C_M = |c><c| it is the one vector |1>> (x) c^*, whose level-2 forbidden
-    # part is held in pieces
-    lam = 0.4
-    rot = np.array([[np.cos(lam), -np.sin(lam)], [np.sin(lam), np.cos(lam)]])
-    layout = extended_switch_layout()
-    red = instrument_reduction(layout, "D", cj_of_unitary(rot))
-    n = layout.n_factors
-    party = layout.party("D")
-    x = [*party.inputs, *party.outputs]
-    keep = [k for k in range(n) if k not in x]
-    facs = keep + list(range(n, n + red.out_layout.n_factors)) + x
-    wire = np.eye(red.out_layout.dim).reshape(-1)
-    v = np.kron(wire, rot.T.reshape(-1).conj())
-    level = HierarchyLevel.pair(
-        HierarchyLevel.process(layout), HierarchyLevel.process(red.out_layout)
-    )
-    v = v.reshape(tuple(level.dims[k] for k in facs)).transpose(np.argsort(facs))
-    term = PaddedOperator.of_vector(v.reshape(-1), level.dims)
-    report, peak = traced_peak(lambda: _validity_report([term], level, DEFAULT_TOL))
+    # part is held in pieces and read as a 4096-side block
+    element = cj_of_unitary(rotation(0.4))
+    red = instrument_reduction(extended_switch_layout(), "D", element)
+    report, peak = traced_peak(lambda: validate_supermap(red))
+    assert len(red._terms) == 1
     assert report.positivity.residual == 0.0
     assert report.subspace.residual <= 1e-15
     # no representative meets the full-space trace equation (see the
@@ -875,11 +909,29 @@ def test_extended_switch_d_reduction_validates_as_one_vector_term():
     assert peak <= 40 * 2**20
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.3, np.pi / 4, 1.1, np.pi / 2])
+def test_d_reduction_report_at_the_sweep_angles(lam):
+    # party D steers the order of A and B: the CJ is positive and keeps the
+    # allowed span, and fails only the full-space trace equation, which no
+    # representative meets (see the instrument_reduction docstring)
+    element = cj_of_unitary(rotation(lam))
+    red = instrument_reduction(extended_switch_layout(), "D", element)
+    start = time.perf_counter()
+    report = validate_supermap(red)
+    assert time.perf_counter() - start < 2.0
+    assert report.positivity.residual == 0.0
+    assert report.subspace.residual <= 1e-15
+    assert report.trace.residual == pytest.approx(
+        (1 + abs(np.cos(2 * lam))) / 2, abs=1e-12
+    )
+    assert not report.trace.passed
+
+
 def test_dense_cj_applies_without_a_copy_of_it():
     # a 4096^2 CJ term is contracted in place: the parent commit's tensordot
     # copied it (256 MiB) on every application
     sw = quantum_switch()
-    s = Supermap(SWITCH, SWITCH, cj=interpolation_map(sw, 0.4).cj)
+    s = Supermap(SWITCH, SWITCH, cj=dense_interpolation_cj(sw, 0.4))
     w = switch_input_channel()
     out, peak = traced_peak(lambda: apply(s, w))
     assert peak <= 8 * 2**20
@@ -887,35 +939,35 @@ def test_dense_cj_applies_without_a_copy_of_it():
     assert max_norm(out.matrix - want.matrix) <= 1e-12
 
 
-def test_reading_cj_leaves_validation_and_application_unchanged():
-    # the materialized CJ is a cache for .cj callers; validation and
-    # application keep reading the terms
-    w = switch_input_channel(control=E1)
-    for s in (c_swap_v(), interpolation_map(quantum_switch(), 0.4)):
-        report, out = validate_supermap(s), apply(s, w).matrix
-        assert s._cj is None
-        s.cj
-        assert validate_supermap(s) == report
-        assert np.array_equal(apply(s, w).matrix, out)
-
-
-def test_oversized_pure_supermap_is_refused_by_validation():
-    # validating a pure supermap never forms its CJ, but the size limit holds
+def test_pure_supermap_with_a_16384_cj_validates():
+    # the cap bounds the block validation reads, not the CJ: this CJ is
+    # 16,384^2, its forbidden part is read as a 2048-side block
     s = unitary_supermap(np.eye(128), SEVEN)
-    assert s.cj_dim == 16384
-    with pytest.raises(ValueError, match="16384 x 16384.*not materialized"):
+    assert s.in_layout.dim * s.out_layout.dim == 16384
+    assert validate_supermap(s).valid
+
+
+def test_size_refusal_names_the_cap_not_an_action():
+    # c_swap_v(3)'s forbidden part would be read as a 39,366-side block
+    # (uncapped, that read takes most of a minute); the refusal comes once
+    # the part is formed, and says only the size
+    s = c_swap_v(3)
+    start = time.perf_counter()
+    message = "forbidden block side 39366 > MAX_CJ_DIM = 4096"
+    with pytest.raises(ValueError, match=message) as err:
         validate_supermap(s)
-    assert s._cj is None
-
-
-@pytest.mark.parametrize(
-    "make", [lambda: unitary_supermap(np.eye(128), SEVEN), lambda: c_swap_v(3)]
-)
-def test_size_refusal_names_the_cap_not_an_action(make):
-    # neither map has a structured action, so the refusal says only the size
-    with pytest.raises(ValueError, match="above MAX_CJ_DIM = 4096") as err:
-        validate_supermap(make())
+    assert time.perf_counter() - start < 1.0
     assert "structured action" not in str(err.value)
+
+
+def test_the_cap_bounds_the_forbidden_block_validation_reads(monkeypatch):
+    # the switch pair's forbidden part is read as a 1024-side block; with
+    # the cap just below it the same validation is refused
+    monkeypatch.setattr(pmx.supermaps, "MAX_CJ_DIM", 1023)
+    with pytest.raises(ValueError, match="side 1024 > MAX_CJ_DIM = 1023"):
+        validate_supermap(v_lambda(0.7))
+    monkeypatch.setattr(pmx.supermaps, "MAX_CJ_DIM", 1024)
+    assert not validate_supermap(v_lambda(0.7)).subspace.passed
 
 
 def test_rotation_reduction_sweeps_channel_to_reversed_channel():
@@ -1016,7 +1068,7 @@ def test_level_two_is_supermap_validation():
     )
     good = random_valid_supermap_cj(rng, BIP, BIP)
     bad, _, _, _ = random_bad_supermap_cj(rng, BIP, BIP)
-    for cj in (good, bad, constant_map(w_ocb(), BIP).cj):
+    for cj in (good, bad, dense_constant_cj(w_ocb(), BIP)):
         r2 = validate_order_n(cj, level)
         rs = validate_supermap(Supermap(BIP, BIP, cj=cj))
         assert r2.valid == rs.valid
