@@ -64,6 +64,9 @@ TermPattern = tuple[int, ...]
 # comb_order_satisfied's tolerance, relative to the operator's max-norm
 COMB_TOL = 1e-12
 
+# the largest block side a validation reads, and a dense supermap CJ's side
+MAX_CJ_DIM = 4096
+
 __all__ = [
     "TermClass",
     "CausalOrderFlag",
@@ -206,11 +209,13 @@ def _party_dims(layout: SpaceLayout, p: Party) -> tuple[int, int]:
 
 
 def _element_spectrum(c: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, float]:
-    """``eigh`` of a Hermitian element CJ ``c``, refused unless it is PSD.
+    """``eigh`` of an element CJ ``c``, refused unless it is Hermitian and PSD.
 
     An element is completely positive, so ``c`` is refused when an
     eigenvalue is below ``-bound``, ``bound = DEFAULT_TOL max(1, |Tr c|)``.
     """
+    if not is_hermitian(c):
+        raise ValueError(f"{what} not Hermitian")
     lam, vecs = np.linalg.eigh((c + c.conj().T) / 2)
     bound = DEFAULT_TOL * max(1.0, abs(np.trace(c)))
     if lam[0] < -bound:
@@ -244,8 +249,6 @@ class Instrument:
                     f"element {k} of instrument {self.party!r} has shape "
                     f"{c.shape}, expected {(d, d)}"
                 )
-            if not is_hermitian(c):
-                raise ValueError(f"element {k} of instrument {self.party!r} not Hermitian")
             _element_spectrum(c, f"element {k} of instrument {self.party!r}")
             c.setflags(write=False)
             frozen.append(c)
@@ -602,11 +605,14 @@ def _slot1_marginal(op: PaddedOperator, n1: int) -> np.ndarray:
     return PaddedOperator(op.dims[:n1], red.kept, g=g).dense()
 
 
+def _check_side(side: int, block: str) -> None:
+    """Refuse a block of side above ``MAX_CJ_DIM``."""
+    if side > MAX_CJ_DIM:
+        raise ValueError(f"{block} side {side} > MAX_CJ_DIM = {MAX_CJ_DIM}")
+
+
 def _validity_report(
-    terms: Sequence[PaddedOperator],
-    level: HierarchyLevel,
-    tol: float,
-    max_side: float = math.inf,
+    terms: Sequence[PaddedOperator], level: HierarchyLevel, tol: float
 ) -> ValidationReport:
     """The three validity conditions of a sum of Hermitian operators.
 
@@ -632,9 +638,11 @@ def _validity_report(
       sub-blocks that hold every entry or its conjugate transpose (10 of
       16 on the switch pair).  There the validation stays within 8 MiB
       from a cold workspace (below), where a 1024^2 block alone is 16 MiB.
-      A forbidden part whose block, on the factors it keeps, has a side
-      above ``max_side`` (``MAX_CJ_DIM`` for ``validate_supermap``) is
-      refused once it is formed, before the max-norm reads it.
+
+    Before any term is read, the report is refused if the slot-1 marginal
+    (side ``dim H_1``) or the forbidden part would be a block of side above
+    ``MAX_CJ_DIM``.  The forbidden part keeps the terms' factors but the
+    output-less parties' inputs of the last level-1 slot, traced first.
 
     The report runs inside the thread's block workspace
     (``operator_core._BlockWorkspace``): every block of at least 2^12
@@ -649,6 +657,14 @@ def _validity_report(
     the trace target, the sum of the terms' max-norms, which bounds the
     operator's).  The terms are consumed.
     """
+    last, offset = level, 0
+    while last.n > 1:
+        last, offset = last.slot2, offset + len(last.slot1.dims)
+    traced = {f for i, o in _shifted_parties(last.layout, offset) if not o for f in i}
+    kept = {f for t in terms for f in t.kept} - traced
+    if level.n > 1:
+        _check_side(level.slot1.dim, "slot-1 marginal")
+    _check_side(math.prod(level.dims[f] for f in kept), "forbidden block")
     with _WORKSPACE.report():
         trace = sum(t.trace() for t in terms)
         pos_resid = max(0.0, -sum(_lowest_eigenvalue(t) for t in terms))
@@ -667,9 +683,6 @@ def _validity_report(
         forbidden = forbidden_part(terms[0], level)
         for t in terms[1:]:
             forbidden.add(forbidden_part(t, level))
-        side = math.prod(forbidden.dims[f] for f in forbidden.kept)
-        if side > max_side:
-            raise ValueError(f"forbidden block side {side} > MAX_CJ_DIM = {max_side}")
         sub_resid = forbidden._hermitian_max_norm()
     conds = (
         ConditionReport("positivity", pos_resid, pos_tol, pos_resid <= pos_tol),
@@ -689,7 +702,8 @@ def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidationReport:
     for the trace condition, the matrix max-norm for the subspace condition).
     A process held by its vector enters as that vector, so its positivity
     residual is exactly 0 by representation, with no eigensolve, and its
-    matrix is not built.
+    matrix is not built.  A process whose forbidden part would be a block
+    of side above ``MAX_CJ_DIM`` is refused (see :func:`_validity_report`).
     """
     return _validity_report([_operator(w)], HierarchyLevel.process(w.layout), tol)
 

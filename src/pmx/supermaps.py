@@ -40,9 +40,10 @@ dense copy, and validation reads only the terms: a pure CJ is one vector,
 ``|1>><<1| (x) C_M^T`` as one vector per eigenpair of ``C_M``.
 :func:`apply` acts term by term, through ``PaddedOperator.absorbed``,
 except that a reduction absorbs its element into the process directly.
-One size rule: ``MAX_CJ_DIM`` is the largest block side validation reads.
-A dense CJ above it is refused where it enters, and a validation whose
-forbidden part would be read as a larger block is refused before that read.
+One size rule, kept in :mod:`pmx.process_space`: ``MAX_CJ_DIM`` is the
+largest block side validation reads.  A dense CJ above it is refused where
+it enters, and a validation that would read a larger block is refused
+before any term is read.
 """
 
 from __future__ import annotations
@@ -61,9 +62,11 @@ from .operator_core import (
     tensor,
 )
 from .process_space import (
+    MAX_CJ_DIM,
     HierarchyLevel,
     ProcessMatrix,
     ValidationReport,
+    _check_side,
     _element_spectrum,
     _operator,
     _unitary_vector,
@@ -71,8 +74,6 @@ from .process_space import (
     forbidden_part,
     switch_layout,
 )
-
-MAX_CJ_DIM = 4096
 
 __all__ = [
     "Supermap",
@@ -130,11 +131,10 @@ class Supermap:
     ) -> None:
         d = in_layout.dim * out_layout.dim
         dims = in_layout.dims + out_layout.dims
-        if (cj is None) == (cj_vector is None):
-            raise ValueError("supermap needs a CJ operator or vector, not both")
+        if cj is not None and cj_vector is not None:
+            raise ValueError("supermap takes a CJ operator or vector, not both")
         if cj is not None:
-            if d > MAX_CJ_DIM:
-                raise ValueError(f"dense CJ side {d} > MAX_CJ_DIM = {MAX_CJ_DIM}")
+            _check_side(d, "dense CJ")
             cj = np.array(cj, dtype=complex)
             if cj.shape != (d, d):
                 raise ValueError(f"CJ shape {cj.shape}, expected {(d, d)}")
@@ -142,12 +142,14 @@ class Supermap:
                 raise ValueError("supermap CJ is not Hermitian")
             cj.setflags(write=False)
             terms = (PaddedOperator.of_matrix(cj, dims),)
-        else:
+        elif cj_vector is not None:
             v = np.array(cj_vector, dtype=complex)
             if v.shape != (d,):
                 raise ValueError(f"CJ vector length {v.shape}, expected {d}")
             v.setflags(write=False)
             terms = (PaddedOperator.of_vector(v, dims),)
+        else:
+            raise ValueError("supermap needs a CJ operator or vector")
         self.in_layout = in_layout
         self.out_layout = out_layout
         self.label = label
@@ -203,16 +205,15 @@ def validate_supermap(s: Supermap) -> ValidationReport:
     forbidden part is held as a sum of padded pieces and its max-norm read
     one sub-block at a time, so on the switch layout (a 4096^2 CJ)
     validation stays within 8 MiB from a cold block workspace (see
-    ``process_space._validity_report``).  A map whose forbidden part would
-    be read as a block of side above ``MAX_CJ_DIM`` is refused once that
-    part is formed, before the read: the D reduction of the extended switch
-    (side 4096) validates, ``c_swap_v(3)`` (side 39,366) is refused.
+    ``process_space._validity_report``).  A map whose marginal or
+    forbidden part would be read as a block of side above ``MAX_CJ_DIM`` is
+    refused before any term is read: the D reduction of the extended switch
+    (forbidden side 4096) validates, ``c_swap_v(3)`` (39,366) is refused.
     """
     level = HierarchyLevel.pair(
         HierarchyLevel.process(s.in_layout), HierarchyLevel.process(s.out_layout)
     )
-    terms = [t.alias() for t in s._terms]
-    return _validity_report(terms, level, DEFAULT_TOL, max_side=MAX_CJ_DIM)
+    return _validity_report([t.alias() for t in s._terms], level, DEFAULT_TOL)
 
 
 def _term_action(t: PaddedOperator, w: np.ndarray, n_in: int) -> np.ndarray:
@@ -385,8 +386,6 @@ class _Reduction(Supermap):
         d = math.prod(layout.dims[k] for k in self._x_facs)
         if element.shape != (d, d):
             raise ValueError(f"element CJ shape {element.shape}, expected {(d, d)}")
-        if not is_hermitian(element):
-            raise ValueError("element CJ must be Hermitian")
         self._spectrum = _element_spectrum(element, "element CJ")
         element.setflags(write=False)
         self.in_layout, self.out_layout = layout, _reduced_layout(layout, party)
@@ -508,8 +507,8 @@ def validate_order_n(x: np.ndarray, level: HierarchyLevel) -> ValidationReport:
     """Positivity, trace rescaling, and ``P^(n)`` invariance at any level.
 
     For ``n = 1`` this is process validation; for ``n = 2`` on a pair of
-    process layouts it coincides with :func:`validate_supermap` on the CJ.
-    The tolerance is ``DEFAULT_TOL``.
+    process layouts it coincides with :func:`validate_supermap` on the CJ,
+    size rule included.  The tolerance is ``DEFAULT_TOL``.
     """
     x = np.asarray(x, dtype=complex)
     op = PaddedOperator.of_matrix(x, level.dims)  # checks the shape

@@ -20,6 +20,7 @@ from oracles import (
     product_term,
     superoperator_reduction_cj,
 )
+import pmx.process_space
 import pmx.supermaps
 from pmx import operator_core
 from pmx.operator_core import (
@@ -306,10 +307,10 @@ def test_supermap_refuses_a_cj_and_a_cj_vector_together():
 
 def test_dense_cj_above_the_cap_is_refused_where_it_enters(monkeypatch):
     # patched below BIP's 256, so no test allocates a dense CJ above 4096^2
-    monkeypatch.setattr(pmx.supermaps, "MAX_CJ_DIM", 255)
+    monkeypatch.setattr(pmx.process_space, "MAX_CJ_DIM", 255)
     with pytest.raises(ValueError, match="dense CJ side 256 > MAX_CJ_DIM = 255"):
         Supermap(BIP, BIP, cj=cj_of_unitary(np.eye(BIP.dim)))
-    monkeypatch.setattr(pmx.supermaps, "MAX_CJ_DIM", 256)
+    monkeypatch.setattr(pmx.process_space, "MAX_CJ_DIM", 256)
     identity = Supermap(BIP, BIP, cj=cj_of_unitary(np.eye(BIP.dim)))
     assert validate_supermap(identity).valid
 
@@ -753,7 +754,7 @@ def test_supermap_takes_no_free_standing_action():
         Supermap(BIP, BIP, cj_vector=np.eye(16).reshape(-1), action=lambda w: 2 * w)
     with pytest.raises(TypeError):
         Supermap(BIP, BIP, cj_builder=lambda: np.eye(256))
-    with pytest.raises(ValueError, match="CJ operator or vector"):
+    with pytest.raises(ValueError, match="needs a CJ operator or vector$"):
         Supermap(BIP, BIP)
 
 
@@ -949,8 +950,8 @@ def test_pure_supermap_with_a_16384_cj_validates():
 
 def test_size_refusal_names_the_cap_not_an_action():
     # c_swap_v(3)'s forbidden part would be read as a 39,366-side block
-    # (uncapped, that read takes most of a minute); the refusal comes once
-    # the part is formed, and says only the size
+    # (uncapped, that read takes most of a minute); the refusal comes before
+    # any term is read, and says only the size
     s = c_swap_v(3)
     start = time.perf_counter()
     message = "forbidden block side 39366 > MAX_CJ_DIM = 4096"
@@ -963,11 +964,42 @@ def test_size_refusal_names_the_cap_not_an_action():
 def test_the_cap_bounds_the_forbidden_block_validation_reads(monkeypatch):
     # the switch pair's forbidden part is read as a 1024-side block; with
     # the cap just below it the same validation is refused
-    monkeypatch.setattr(pmx.supermaps, "MAX_CJ_DIM", 1023)
+    monkeypatch.setattr(pmx.process_space, "MAX_CJ_DIM", 1023)
     with pytest.raises(ValueError, match="side 1024 > MAX_CJ_DIM = 1023"):
         validate_supermap(v_lambda(0.7))
-    monkeypatch.setattr(pmx.supermaps, "MAX_CJ_DIM", 1024)
+    monkeypatch.setattr(pmx.process_space, "MAX_CJ_DIM", 1024)
     assert not validate_supermap(v_lambda(0.7)).subspace.passed
+
+
+@pytest.mark.parametrize(
+    "make, refused, cap",
+    [
+        (lambda: v_lambda(0.7), "forbidden block side 1024", 64),
+        (lambda: constant_map(w_ocb(), SWITCH), "slot-1 marginal side 64", 32),
+        (
+            lambda: instrument_reduction(
+                extended_switch_layout(), "D", cj_of_unitary(rotation(0.3))
+            ),
+            "forbidden block side 4096",
+            256,
+        ),
+    ],
+    ids=["pure", "constant", "d-reduction"],
+)
+def test_a_refused_validation_forms_no_block_above_the_cap(monkeypatch, make, refused, cap):
+    # the sides come from the level and the terms' kept factors, so neither
+    # the marginal nor the forbidden part is formed before the refusal (the
+    # parent formed both, then compared the forbidden side with the cap)
+    s = make()
+    s._terms  # a reduction builds its vector terms on first read
+    monkeypatch.setattr(pmx.process_space, "MAX_CJ_DIM", cap)
+
+    def validation():
+        with pytest.raises(ValueError, match=f"{refused} > MAX_CJ_DIM = {cap}"):
+            validate_supermap(s)
+
+    _, peak = traced_peak(validation)
+    assert peak < 16 * cap**2
 
 
 def test_rotation_reduction_sweeps_channel_to_reversed_channel():
