@@ -43,7 +43,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .hs_algebra import touched_mask
 from .operator_core import (
@@ -562,10 +561,11 @@ def _lowest_eigenvalue(op: PaddedOperator) -> float:
     spectrum is that of ``g_SS`` plus ``|Z|`` zeros, and its lowest
     eigenvalue is ``min(lambda_min(g_SS), 0)``.  No threshold enters: an
     index is dropped only when its row and column are exactly zero, which
-    also covers every entry of the lower triangle the solver reads.  Pure
-    processes built from identity wires keep a few of their indices (16 of
-    256 for the extended switch); when every index is live, ``g`` itself is
-    solved.
+    also covers every entry of the lower triangle the solver reads.  The
+    solver is LAPACK ``eigvalsh`` at every size, so no convergence
+    tolerance or start vector enters either.  Pure processes built from
+    identity wires keep a few of their indices (16 of 256 for the extended
+    switch); when every index is live, ``g`` itself is solved.
     """
     v = op.vector
     if v is not None:
@@ -574,27 +574,10 @@ def _lowest_eigenvalue(op: PaddedOperator) -> float:
     nz = m != 0
     live = np.flatnonzero(nz.any(0) | nz.any(1))
     if live.size == m.shape[0]:
-        return _dense_lowest_eigenvalue(m)
+        return float(np.linalg.eigvalsh(m)[0])
     if live.size == 0:
         return 0.0
-    return min(_dense_lowest_eigenvalue(m[np.ix_(live, live)]), 0.0)
-
-
-def _dense_lowest_eigenvalue(m: np.ndarray) -> float:
-    """Lowest eigenvalue of a Hermitian matrix: LAPACK up to 1024, else ARPACK."""
-    if m.shape[0] <= 1024:
-        return float(np.linalg.eigvalsh(m)[0])
-    # a fixed random start makes ARPACK repeat its result exactly; a constant
-    # vector could be orthogonal to the lowest eigenspace
-    v0 = np.random.default_rng(0).standard_normal(m.shape[0])
-    try:
-        w = scipy.sparse.linalg.eigsh(
-            m, k=1, which="SA", tol=1e-10, maxiter=10_000, v0=v0,
-            return_eigenvectors=False,
-        )
-        return float(w[0])
-    except scipy.sparse.linalg.ArpackError:
-        return float(np.linalg.eigvalsh(m)[0])
+    return min(float(np.linalg.eigvalsh(m[np.ix_(live, live)])[0]), 0.0)
 
 
 def _slot1_marginal(op: PaddedOperator, n1: int) -> np.ndarray:
@@ -624,9 +607,9 @@ def _validity_report(
       ``lambda_min`` of a sum is at least the sum of the ``lambda_min``, this
       is an upper bound on the most negative eigenvalue of the sum, exact
       for one term and whenever the terms share a lowest eigenvector.  A
-      dense term is solved on its live block, the indices whose row or
-      column holds a nonzero entry, with ``min(., 0)`` for the exactly-zero
-      rest (see :func:`_lowest_eigenvalue`);
+      dense term is solved by LAPACK ``eigvalsh`` on its live block, the
+      indices whose row or column holds a nonzero entry, with ``min(., 0)``
+      for the exactly-zero rest (see :func:`_lowest_eigenvalue`);
     * trace: ``|Tr X - t|`` at level 1 and the max-norm of
       ``Tr_2(X) - (t_2 / t_1) 1`` above, with ``t`` the levels' trace
       constants; traces and marginals add over the terms;

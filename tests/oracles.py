@@ -598,8 +598,10 @@ def superoperator_reduction_cj(
 def full_lowest_eigenvalue(m: np.ndarray) -> float:
     """Lowest eigenvalue of a dense Hermitian matrix, every index solved.
 
-    LAPACK up to 1024 x 1024, ARPACK above it from the same fixed start, as
-    pmx solves a live block; no zero row or column is dropped first.
+    No zero row or column is dropped first.  LAPACK up to 1024 x 1024, the
+    solve pmx makes of a live block, so a matrix with every index live
+    matches pmx bit for bit; above that ARPACK from a fixed start, a method
+    independent of pmx's LAPACK solve.
     """
     if m.shape[0] <= 1024:
         return float(np.linalg.eigvalsh(m)[0])

@@ -326,26 +326,28 @@ def test_an_index_live_in_its_row_or_its_column_only_is_kept():
     assert abs(_lowest(m) - expected) <= 1e-14
 
 
-@pytest.mark.parametrize(
-    "k, arpack", [(1000, False), (1100, True)], ids=["lapack", "arpack"]
-)
-def test_live_block_of_a_2048_matrix_takes_its_own_size_path(monkeypatch, k, arpack):
+@pytest.mark.parametrize("k", [1000, 1100])
+def test_live_block_of_a_2048_matrix_is_one_lapack_solve(monkeypatch, k):
     rng = np.random.default_rng(k)
     u = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     u /= np.linalg.norm(u)
     # spectrum in [1, 2] but one eigenvalue near -2, far from the rest
     block = np.diag(rng.uniform(1.0, 2.0, k)) - 3.0 * np.outer(u, u.conj())
     m = _padded_with_zeros(block, 2048, np.sort(rng.choice(2048, k, replace=False)))
-    sizes = []
-    eigsh = scipy.sparse.linalg.eigsh
+    shapes, arpack = [], []
+    eigvalsh = np.linalg.eigvalsh
 
     def counted(a, *args, **kwargs):
-        sizes.append(a.shape[0])
-        return eigsh(a, *args, **kwargs)
+        shapes.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
-    got = _lowest(m)
-    assert sizes == ([k] if arpack else [])
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", counted)
+        patch.setattr(scipy.sparse.linalg, "eigsh", lambda *a, **kw: arpack.append(a))
+        got = _lowest(m)
+    # one LAPACK solve of the live block, at either size
+    assert shapes == [(k, k)]
+    assert arpack == []
     expected = full_lowest_eigenvalue(m)  # ARPACK on the whole 2048 x 2048
     assert expected < -1.0
     assert abs(got - expected) <= 1e-12

@@ -847,9 +847,11 @@ def test_blockwise_reduction_equals_the_dense_embedding():
 
 
 def test_dense_positivity_residual_repeats_exactly():
-    # ARPACK starts from a fixed vector, so the residual is reproducible; a
-    # dense CJ above 1024 x 1024 is the input that still reaches it
+    # a dense 4096 x 4096 CJ is solved on its live block, the indices whose
+    # row or column holds a nonzero entry: 568 of them, one LAPACK solve
     cj = dense_interpolation_cj(quantum_switch(), 0.4)
+    nz = cj != 0
+    assert np.count_nonzero(nz.any(0) | nz.any(1)) == 568
     first, second = (
         validate_supermap(Supermap(SWITCH, SWITCH, cj=cj)) for _ in range(2)
     )
